@@ -80,16 +80,19 @@ def cmd_evaluate(args) -> int:
     fc = FilterConfig(n_particles=args.particles, seed=args.seed,
                       view_update_distance=args.view_distance)
     results = []
-    view_fields: dict[str, ViewField] = {}
+    view_fields: dict[tuple, ViewField] = {}
     for pair in manifest["pairs"]:
         partial = load_map(Path(pair["partial_map"]).read_text())
         traj, _ = sim.load_trajectory(Path(pair["trajectory"]).read_text())
         bundle = load_prior(Path(pair["prior"]).read_text())
         offset = tuple(pair.get("offset", (0.0, 0.0, 0.0)))
-        key = pair["partial_map"]
+        bearings, max_range = traj.scan_geometry
+        # a field depends on the map, the prior's views and the sensor
+        key = (pair["partial_map"], bundle.alphabet.content_hash(),
+               bundle.extraction, bearings.tobytes(), max_range)
         if key not in view_fields:
             view_fields[key] = ViewField(partial, bundle.alphabet,
-                                         bundle.extraction)
+                                         bundle.extraction, bearings, max_range)
         for method in args.methods.split(","):
             results.append(evalharness.evaluate_pair(
                 partial, traj, method, bundle, fc, eval_cfg,

@@ -144,19 +144,34 @@ def inside_mask(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 def _ray_samples(grid: OccupancyGrid, x: float, y: float, angles: np.ndarray,
                  max_range: float):
-    """Sample cell states along each ray.  Returns (ts, states) with states
-    shape (n_rays, n_steps); samples off the grid read as FREE."""
+    """Sample cell states along each ray.  Returns (ts, states, flat, ok):
+    sample distances, states of shape (n_rays, n_steps) with samples off the
+    grid read as FREE, each sample's index into the flattened cells, and
+    whether the sample lies on the grid."""
     step = grid.resolution * RAY_STEP_FRACTION
     ts = np.arange(step, max_range + step, step)
-    xs = x + np.cos(angles)[:, None] * ts[None, :]
-    ys = y + np.sin(angles)[:, None] * ts[None, :]
-    cols = np.floor((xs - grid.origin[0]) / grid.resolution).astype(np.int64)
-    rows = np.floor((ys - grid.origin[1]) / grid.resolution).astype(np.int64)
     h, w = grid.shape
-    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    states = np.full(rows.shape, FREE, dtype=np.int8)
-    states[ok] = grid.cells[rows[ok], cols[ok]]
-    return ts, states, rows, cols, ok
+    # in place, in the order of x + cos * t, minus origin, over resolution;
+    # the floored cell coordinates stay floats until the flat index
+    cols = np.cos(angles)[:, None] * ts[None, :]
+    cols += x
+    cols -= grid.origin[0]
+    cols /= grid.resolution
+    np.floor(cols, out=cols)
+    rows = np.sin(angles)[:, None] * ts[None, :]
+    rows += y
+    rows -= grid.origin[1]
+    rows /= grid.resolution
+    np.floor(rows, out=rows)
+    ok = cols >= 0
+    ok &= cols < w
+    ok &= rows >= 0
+    ok &= rows < h
+    rows *= w
+    rows += cols
+    flat = rows.astype(np.intp)
+    states = np.where(ok, grid.cells.ravel().take(flat, mode="clip"), FREE)
+    return ts, states.astype(np.int8, copy=False), flat, ok
 
 
 def raycast_full(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
@@ -170,13 +185,14 @@ def raycast_full(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
     if not (0 <= row < h and 0 <= col < w):
         raise ValueError("raycast pose is off the grid")
     angles = pose.theta + np.asarray(bearings, dtype=float)
-    ts, states, _, _, _ = _ray_samples(grid, pose.x, pose.y, angles, max_range)
+    ts, states, _, _ = _ray_samples(grid, pose.x, pose.y, angles, max_range)
     occ = states == OCCUPIED
     hit_any = occ.any(axis=1)
     first = np.argmax(occ, axis=1)
     ranges = np.where(hit_any, ts[first], max_range)
-    before_hit = np.arange(len(ts))[None, :] < np.where(hit_any, first, len(ts))[:, None]
-    crossed_unknown = ((states == UNKNOWN) & before_hit).any(axis=1)
+    unknown = states == UNKNOWN
+    stop = np.where(hit_any, first, len(ts))
+    crossed_unknown = unknown.any(axis=1) & (np.argmax(unknown, axis=1) < stop)
     return ranges, crossed_unknown
 
 
@@ -192,19 +208,55 @@ def default_bearings(beam_count: int = 181, fov: float = math.pi) -> np.ndarray:
 
 def expected_view(grid: OccupancyGrid, pose: Pose, alphabet: ViewAlphabet,
                   params: ExtractionParams, bearings: np.ndarray | None = None,
-                  max_range: float = 8.0) -> int:
+                  max_range: float = 8.0, headings: np.ndarray | None = None,
+                  memo: dict | None = None):
     """View id the partial map predicts at a pose.  Beams that crossed
     unexplored cells are reported as max-range, matching what the mapping
-    robot could have seen from its frontier."""
+    robot could have seen from its frontier.
+
+    With headings, returns one view id per heading at the pose's position
+    (pose.theta is then ignored).  Their rays are cast once over the
+    distinct ray angles.  memo maps a scan's first-hit sample indices to its
+    view id; it is exact only while grid resolution, bearings, max_range,
+    params and alphabet stay fixed, as within one ViewField build.
+    """
     if not is_inside(grid, pose):
         raise ValueError("expected_view requires a pose inside the partial map")
     if bearings is None:
         bearings = default_bearings()
-    ranges, crossed_unknown = raycast_full(grid, pose, bearings, max_range)
-    ranges = np.where(crossed_unknown, max_range, ranges)
-    scan = RangeScan(np.asarray(bearings, dtype=float), ranges, max_range)
-    s = views.extract_scan_string(scan, params)
-    return views.view_of(alphabet, canonicalize(s))
+    bearings = np.asarray(bearings, dtype=float)
+    if headings is None:
+        thetas = np.array([pose.theta])
+    else:
+        thetas = wrap_angle(np.asarray(headings, dtype=float))
+    uniq, inv = np.unique(thetas[:, None] + bearings[None, :], return_inverse=True)
+    # at most one scan's worth of rays per call: the allocator reuses
+    # temporaries that size, while one call over all angles measured ~1.7x
+    # slower, mostly in page faults on fresh temporaries at every site
+    origin = Pose(pose.x, pose.y, 0.0)
+    ranges = np.empty(len(uniq))
+    for lo in range(0, len(uniq), len(bearings)):
+        part, crossed_unknown = raycast_full(grid, origin,
+                                             uniq[lo:lo + len(bearings)], max_range)
+        ranges[lo:lo + len(part)] = np.where(crossed_unknown, max_range, part)
+    ranges = ranges[inv].reshape(len(thetas), len(bearings))
+    # ranges are ray sample distances or max_range, so the rounded sample
+    # number identifies a scan exactly; -1 stands for max_range
+    step = grid.resolution * RAY_STEP_FRACTION
+    keys = np.where(ranges == max_range, -1, np.rint(ranges / step))
+    keys = keys.astype(np.int16 if max_range / step < 2**15 - 1 else np.int32)
+    if memo is None:
+        memo = {}
+    out = np.empty(len(thetas), dtype=np.int64)
+    for k, key in enumerate(keys):
+        key = key.tobytes()
+        vid = memo.get(key)
+        if vid is None:
+            scan = RangeScan(bearings, ranges[k], max_range)
+            s = views.extract_scan_string(scan, params)
+            vid = memo[key] = views.view_of(alphabet, canonicalize(s))
+        out[k] = vid
+    return int(out[0]) if headings is None else out
 
 
 class ViewField:
@@ -212,8 +264,10 @@ class ViewField:
 
     Views vary slowly with pose, so a lattice of a few cells' spacing and a
     handful of heading bins is enough; lattice sites whose center cell is not
-    FREE borrow the value of the nearest computed neighbor.  Lookup is a pure
-    array index, cheap enough for per-particle weighting.
+    FREE borrow the value of the nearest computed neighbor.  Each site casts
+    the distinct ray angles of all its headings once, and scans repeated
+    within one build are extracted once.  Lookup is a pure array index, cheap
+    enough for per-particle weighting.
     """
 
     def __init__(self, grid: OccupancyGrid, alphabet: ViewAlphabet,
@@ -233,6 +287,7 @@ class ViewField:
         table = np.full((lat_h, lat_w, self.n_headings), -1, dtype=np.int16)
         thetas = -np.pi + 2.0 * np.pi * np.arange(self.n_headings) / self.n_headings
         half = self.stride // 2
+        memo: dict = {}
         for i in range(lat_h):
             row = min(i * self.stride + half, h - 1)
             for j in range(lat_w):
@@ -241,9 +296,9 @@ class ViewField:
                     continue
                 x = grid.origin[0] + (col + 0.5) * grid.resolution
                 y = grid.origin[1] + (row + 0.5) * grid.resolution
-                for k, th in enumerate(thetas):
-                    table[i, j, k] = expected_view(
-                        grid, Pose(x, y, th), alphabet, params, bearings, max_range)
+                table[i, j] = expected_view(
+                    grid, Pose(x, y, 0.0), alphabet, params, bearings, max_range,
+                    headings=thetas, memo=memo)
         self.table = _fill_missing(table)
 
     def views_at(self, poses: np.ndarray) -> np.ndarray:

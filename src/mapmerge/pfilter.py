@@ -217,7 +217,8 @@ def best_hypothesis(ps: ParticleSet, radius: float = 2.0,
     near = ((np.hypot(ps.poses[:, 0] - anchor[0], ps.poses[:, 1] - anchor[1]) <= radius)
             & (np.abs(wrap_angle(ps.poses[:, 2] - anchor[2])) <= angle_radius))
     prob = float(w[near].sum())
-    return Hypothesis(Pose(anchor[0], anchor[1], anchor[2]), min(prob, 1.0))
+    return Hypothesis(Pose(float(anchor[0]), float(anchor[1]), float(anchor[2])),
+                      min(prob, 1.0))
 
 
 @dataclass(frozen=True)
@@ -250,11 +251,13 @@ def run_localization(grid: OccupancyGrid, structure, alphabet, trajectory,
     measurement update every view_update_distance meters traveled.
 
     With an obs_model, inside particles are weighted through the map's
-    expected views (a ViewField is built over the grid unless one is passed
-    in); otherwise the raw scan likelihood alone weights inside particles.
+    expected views (a ViewField with the trajectory's beam geometry is built
+    over the grid unless one is passed in); otherwise the raw scan likelihood
+    alone weights inside particles.
     """
     if obs_model is not None and view_field is None:
-        view_field = _grid.ViewField(grid, alphabet, config.extraction)
+        view_field = _grid.ViewField(grid, alphabet, config.extraction,
+                                     *trajectory.scan_geometry)
     ps = init_filter(grid, config.n_particles, config.seed)
     records: list[StepRecord] = []
     distance_total = 0.0

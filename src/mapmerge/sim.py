@@ -54,6 +54,16 @@ class Trajectory:
     records: list[TrajectoryRecord]
     truncated: bool = False
 
+    @property
+    def scan_geometry(self) -> tuple[np.ndarray, float]:
+        """(bearings, max_range) of the trajectory's scans; the default
+        sensor's when there are no records."""
+        if not self.records:
+            cfg = WorldConfig()
+            return cfg.bearings, cfg.max_range
+        scan = self.records[0].scan
+        return scan.angles, scan.max_range
+
 
 def simulate_scan(grid: OccupancyGrid, pose: Pose, cfg: WorldConfig,
                   rng: np.random.Generator) -> RangeScan:
@@ -203,22 +213,23 @@ def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory,
     rays from every recorded pose mark traversed cells FREE and terminating
     obstacle cells OCCUPIED; everything else stays UNKNOWN."""
     carved = np.full(grid.shape, UNKNOWN, dtype=np.int8)
+    carved_flat = carved.reshape(-1)
     bearings = cfg.bearings
     for rec in trajectory.records:
         pose = rec.true_pose
         angles = pose.theta + bearings
-        ts, states, rows, cols, ok = _ray_samples(grid, pose.x, pose.y,
-                                                  angles, cfg.max_range)
+        ts, states, flat, ok = _ray_samples(grid, pose.x, pose.y, angles,
+                                            cfg.max_range)
         occ = states == OCCUPIED
         hit_any = occ.any(axis=1)
         first = np.argmax(occ, axis=1)
         cutoff = np.where(hit_any, first, states.shape[1])
         before = np.arange(states.shape[1])[None, :] < cutoff[:, None]
         free_pts = before & ok & (states == FREE)
-        carved[rows[free_pts], cols[free_pts]] = FREE
+        carved_flat[flat[free_pts]] = FREE
         hit_pts = ok & occ & (np.arange(states.shape[1])[None, :] == first[:, None]) \
             & hit_any[:, None]
-        carved[rows[hit_pts], cols[hit_pts]] = OCCUPIED
+        carved_flat[flat[hit_pts]] = OCCUPIED
         prow, pcol = grid.cell_of(pose.x, pose.y)
         if grid.cells[prow, pcol] == FREE:
             carved[prow, pcol] = FREE

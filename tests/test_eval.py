@@ -4,12 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mapmerge import evalharness, fixtures, sim, training
+from mapmerge import cli, evalharness, fixtures, sim, training
 from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
                                   auc_pr, known_area_ratio, make_outside_model,
                                   apply_offset, precision_at_recall,
@@ -256,3 +257,49 @@ class TestCLI:
                     "--out", str(workdir / "x.map"))
         assert r.returncode != 0
         assert r.stderr.strip()
+
+
+class TestEvaluateFieldCache:
+    def test_pairs_sharing_a_map_get_their_own_prior_and_sensor(
+            self, tmp_path, monkeypatch):
+        grid = fixtures.corridor(length=8.0)
+        cfg = sim.WorldConfig(beam_count=91, max_range=5.0, seed=2)
+        traj = sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0), "waypoints",
+                                       4.0, cfg, waypoints=[(8.0, 2.5)])
+        (tmp_path / "partial.map").write_text(dump_map(grid))
+        (tmp_path / "run.traj").write_text(sim.dump_trajectory(traj, cfg))
+        priors = {"a": tiny_bundle(), "b": replace(
+            tiny_bundle(), alphabet=alphabet_build(["mwm", "m"], max_views=3))}
+        pairs = []
+        for name, bundle in priors.items():
+            (tmp_path / f"{name}.json").write_text(dump_prior(bundle))
+            pairs.append({"partial_map": str(tmp_path / "partial.map"),
+                          "trajectory": str(tmp_path / "run.traj"),
+                          "prior": str(tmp_path / f"{name}.json"),
+                          "environment": "corridor"})
+        (tmp_path / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+
+        class RecordingField(cli.ViewField):
+            def __init__(self, partial, alphabet, extraction, bearings, max_range):
+                super().__init__(partial, alphabet, extraction, bearings, max_range)
+                self.alphabet, self.bearings = alphabet, bearings
+                self.max_range = max_range
+
+        used = []
+
+        def recording_evaluate_pair(*args, view_field, **kwargs):
+            used.append((args[3].alphabet, view_field))
+            return PairResult(kwargs["environment"], args[2], [])
+
+        monkeypatch.setattr(cli, "ViewField", RecordingField)
+        monkeypatch.setattr(evalharness, "evaluate_pair", recording_evaluate_pair)
+        monkeypatch.setattr(evalharness, "precision_recall", lambda *a: [])
+        assert cli.main(["evaluate", "--manifest", str(tmp_path / "manifest.json"),
+                         "--methods", "fixed:0.01,prior_only",
+                         "--out", str(tmp_path / "pr.csv")]) == 0
+        assert len(used) == 4
+        assert len({id(field) for _, field in used}) == 2
+        for alphabet, field in used:
+            assert field.alphabet == alphabet
+            np.testing.assert_array_equal(field.bearings, cfg.bearings)
+            assert field.max_range == 5.0

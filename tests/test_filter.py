@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mapmerge import fixtures, sim, training
+from mapmerge import grid as grid_module
 from mapmerge.grid import (FREE, OCCUPIED, OccupancyGrid, Pose, ScanLikelihoodParams,
                            default_bearings, raycast)
 from mapmerge.pfilter import (FilterConfig, MotionNoise, best_hypothesis,
@@ -292,3 +293,43 @@ class TestRunLocalization:
                                        bundle.alphabet, traj, fc)
             logs.append(format_step_log(records))
         assert logs[0] == logs[1]
+
+    def test_step_log_fields_are_numbers_or_none(self):
+        grid, cfg, bundle = self.make_setup()
+        traj = sim.generate_trajectory(grid, Pose(3.0, 2.5, 0.0), "waypoints",
+                                       8.0, cfg, waypoints=[(17.0, 2.5)])
+        records = run_localization(grid, FixedOutsideModel(1e-3), bundle.alphabet,
+                                   traj, FilterConfig(n_particles=500, seed=21))
+        assert any(r.hypothesis is not None for r in records)
+        rows = [line.split() for line in format_step_log(records).splitlines()[1:]]
+        assert rows
+        for row in rows:
+            assert len(row) == 8
+            for value in row:
+                if value != "NONE":
+                    float(value)  # a numpy repr such as np.float64(...) fails
+
+    def test_view_field_follows_trajectory_geometry(self, monkeypatch):
+        grid = fixtures.corridor(length=8.0)
+        cfg = sim.WorldConfig(beam_count=91, max_range=5.0, seed=4)
+        bundle = training.train_prior_bundle([grid], cfg, ExtractionParams(),
+                                             trajectories_per_map=1, max_views=6,
+                                             trajectory_length=10.0)
+        traj, _ = sim.load_trajectory(sim.dump_trajectory(
+            sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0), "waypoints", 4.0,
+                                    cfg, waypoints=[(8.0, 2.5)]), cfg))
+        built = []
+
+        class RecordingField(grid_module.ViewField):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((args, kwargs))
+
+        monkeypatch.setattr(grid_module, "ViewField", RecordingField)
+        run_localization(grid, FixedOutsideModel(1e-3), bundle.alphabet, traj,
+                         FilterConfig(n_particles=300, seed=5),
+                         obs_model=bundle.obs_model)
+        [(args, kwargs)] = built
+        _, _, _, bearings, max_range = args
+        np.testing.assert_array_equal(bearings, cfg.bearings)
+        assert len(bearings) == 91 and max_range == 5.0

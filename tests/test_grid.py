@@ -7,16 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mapmerge import fixtures
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, MapParseError, OccupancyGrid,
-                           Pose, default_bearings, dump_map, expected_view,
+                           Pose, RAY_STEP_FRACTION, ViewField, _fill_missing,
+                           default_bearings, dump_map, expected_view,
                            inside_mask, is_inside, load_map, raycast,
                            raycast_full, scan_likelihood, scan_log_likelihoods,
                            ScanLikelihoodParams, wrap_angle)
 from mapmerge.views import ExtractionParams, RangeScan, alphabet_build
 
 MAX_RANGE = 8.0
+
+# small FREE / OCCUPIED / UNKNOWN grids
+random_cells = arrays(np.int8, array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                            max_side=9),
+                      elements=st.sampled_from((FREE, OCCUPIED, UNKNOWN)))
 
 
 def box_world(size_m: float = 6.0, res: float = 0.05) -> OccupancyGrid:
@@ -106,6 +113,29 @@ class TestInside:
             [is_inside(g, Pose(x, y, 0)) for x, y in zip(xs, ys)])
 
 
+def reference_raycast(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
+                      max_range: float):
+    """raycast_full one ray and one sample at a time."""
+    step = g.resolution * RAY_STEP_FRACTION
+    ts = np.arange(step, max_range + step, step)
+    cos, sin = np.cos(angles), np.sin(angles)
+    h, w = g.shape
+    ranges, crossed = [], []
+    for c, s in zip(cos, sin):
+        hit, unknown = max_range, False
+        for t in ts:
+            col = math.floor((x + c * t - g.origin[0]) / g.resolution)
+            row = math.floor((y + s * t - g.origin[1]) / g.resolution)
+            state = g.cells[row, col] if 0 <= row < h and 0 <= col < w else FREE
+            if state == OCCUPIED:
+                hit = t
+                break
+            unknown |= state == UNKNOWN
+        ranges.append(hit)
+        crossed.append(unknown)
+    return np.array(ranges), np.array(crossed)
+
+
 class TestRaycast:
     def test_range_to_wall(self):
         g = box_world(size_m=6.0, res=0.05)
@@ -141,6 +171,23 @@ class TestRaycast:
         assert 4.3 < ranges[0] < 4.6  # hits the wall behind the unknown band
         assert crossed[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(cells=random_cells, resolution=st.sampled_from((0.1, 0.25, 0.5)),
+           max_range=st.sampled_from((1.0, 2.5, 8.0)),
+           fx=st.floats(0.0, 0.999), fy=st.floats(0.0, 0.999),
+           angles=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=12))
+    def test_matches_per_sample_reference(self, cells, resolution, max_range,
+                                          fx, fy, angles):
+        g = OccupancyGrid(cells, resolution, (-0.3, 0.7))
+        h, w = g.shape
+        x = g.origin[0] + fx * w * resolution
+        y = g.origin[1] + fy * h * resolution
+        angles = np.array(angles)
+        ranges, crossed = raycast_full(g, Pose(x, y, 0.0), angles, max_range)
+        want_ranges, want_crossed = reference_raycast(g, x, y, angles, max_range)
+        np.testing.assert_array_equal(ranges, want_ranges)
+        np.testing.assert_array_equal(crossed, want_crossed)
+
 
 class TestExpectedView:
     def test_corridor_view(self):
@@ -171,6 +218,58 @@ class TestExpectedView:
         alphabet = alphabet_build(["wmw"], max_views=4)
         args = (g, Pose(5.0, 2.5, 1.0), alphabet, ExtractionParams())
         assert expected_view(*args) == expected_view(*args)
+
+
+    def test_headings_match_single_pose_calls(self):
+        g = fixtures.corridor()
+        alphabet = alphabet_build(["wmw", "wgw", "mwm"], max_views=6)
+        headings = np.array([-math.pi, -1.0, 0.0, 0.5, 2.0, 7.0])
+        got = expected_view(g, Pose(5.0, 2.5, 0.3), alphabet, ExtractionParams(),
+                            headings=headings)
+        want = [expected_view(g, Pose(5.0, 2.5, th), alphabet, ExtractionParams())
+                for th in headings]
+        np.testing.assert_array_equal(got, want)
+
+
+FIELD_ALPHABET = alphabet_build(["m", "mwm", "wmw", "mw", "w", "mwmwm", "wgw"],
+                                max_views=8)
+
+
+def reference_table(g: OccupancyGrid, bearings, max_range: float, stride: int,
+                    n_headings: int) -> np.ndarray:
+    """ViewField.table from one expected_view call per (site, heading)."""
+    h, w = g.shape
+    lat_h, lat_w = -(-h // stride), -(-w // stride)
+    table = np.full((lat_h, lat_w, n_headings), -1, dtype=np.int16)
+    thetas = -np.pi + 2.0 * np.pi * np.arange(n_headings) / n_headings
+    for i in range(lat_h):
+        row = min(i * stride + stride // 2, h - 1)
+        for j in range(lat_w):
+            col = min(j * stride + stride // 2, w - 1)
+            if g.cells[row, col] != FREE:
+                continue
+            x, y = g.cell_center(row, col)
+            for k, th in enumerate(thetas):
+                table[i, j, k] = expected_view(g, Pose(x, y, th), FIELD_ALPHABET,
+                                               ExtractionParams(), bearings,
+                                               max_range)
+    return _fill_missing(table)
+
+
+class TestViewField:
+    @pytest.mark.parametrize("beams,max_range,n_headings",
+                             [(181, 8.0, 8), (91, 5.0, 6)])
+    @settings(max_examples=30, deadline=None)
+    @given(cells=random_cells, resolution=st.sampled_from((0.1, 0.25, 0.5)),
+           stride=st.integers(1, 3))
+    def test_table_matches_per_heading_views(self, beams, max_range, n_headings,
+                                             cells, resolution, stride):
+        g = OccupancyGrid(cells, resolution, (-0.3, 0.7))
+        bearings = default_bearings(beams)
+        field = ViewField(g, FIELD_ALPHABET, ExtractionParams(), bearings,
+                          max_range, stride_cells=stride, n_headings=n_headings)
+        np.testing.assert_array_equal(
+            field.table, reference_table(g, bearings, max_range, stride, n_headings))
 
 
 class TestScanLikelihood:
