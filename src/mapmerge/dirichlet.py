@@ -60,79 +60,52 @@ def predictive(alpha: np.ndarray, counts: np.ndarray, i: int, j: int,
     return float((a[i] + f[i]) / (a.sum() + f.sum()))
 
 
-def log_evidence(alpha_col: np.ndarray, data_cols: np.ndarray) -> float:
+def log_evidence(alpha: np.ndarray, data: np.ndarray) -> float | np.ndarray:
     """Log marginal likelihood of per-environment count columns under a
     shared Dirichlet prior column (product of Dirichlet-multinomial
     evidences over environments).
 
-    data_cols has shape (k, nu): one row of successor counts per environment.
+    alpha has shape (..., nu) and data (..., k, nu): one row of successor
+    counts per environment, for each column of the leading batch axes.
+    Each column's k x nu block is reduced as one contiguous row, so a batch
+    gives bit for bit the values of one call per column.  One column (alpha
+    of shape (nu,)) returns a float.
     """
-    a = np.asarray(alpha_col, dtype=float)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("alpha column must be strictly positive and finite")
-    f = np.atleast_2d(np.asarray(data_cols, dtype=float))
-    k = f.shape[0]
-    abar = a.sum()
-    val = (np.sum(gammaln(f + a))
-           - np.sum(gammaln(f.sum(axis=1) + abar))
+    a, f = _evidence_args(alpha, data)
+    k = f.shape[-2]
+    abar = a.sum(axis=-1)
+    terms = gammaln(f + a[..., None, :])
+    val = (terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+           - gammaln(f.sum(axis=-1) + abar[..., None]).sum(axis=-1)
            + k * gammaln(abar)
-           - k * np.sum(gammaln(a)))
-    return float(val)
+           - k * gammaln(a).sum(axis=-1))
+    return float(val) if val.ndim == 0 else val
 
 
-def log_evidence_grad(alpha_col: np.ndarray, data_cols: np.ndarray) -> np.ndarray:
-    """Analytic gradient of log_evidence with respect to the alpha column."""
-    a = np.asarray(alpha_col, dtype=float)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("alpha column must be strictly positive and finite")
-    f = np.atleast_2d(np.asarray(data_cols, dtype=float))
-    k = f.shape[0]
-    abar = a.sum()
-    g = (np.sum(psi(f + a), axis=0) - k * psi(a)
-         + k * psi(abar) - np.sum(psi(f.sum(axis=1) + abar)))
+def log_evidence_grad(alpha: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Analytic gradient of log_evidence with respect to alpha, with the
+    same batch axes: alpha (..., nu) and data (..., k, nu) give (..., nu)."""
+    a, f = _evidence_args(alpha, data)
+    k = f.shape[-2]
+    abar = a.sum(axis=-1)[..., None]
+    g = (psi(f + a[..., None, :]).sum(axis=-2) - k * psi(a)
+         + k * psi(abar)
+         - psi(f.sum(axis=-1) + abar).sum(axis=-1, keepdims=True))
     return g
 
 
-def fit_map_column(alpha_col: np.ndarray, data_cols: np.ndarray,
-                   tol: float = 1e-8, max_iters: int = 2000,
-                   column_index: int = 0) -> np.ndarray:
-    """Maximize the column log-evidence by gradient ascent in log(alpha).
-
-    The log parameterization keeps alpha positive; convergence is declared
-    when the infinity norm of the log-space gradient drops below tol.
-    """
-    a0 = np.maximum(np.asarray(alpha_col, dtype=float), ALPHA_FLOOR)
-    f = np.atleast_2d(np.asarray(data_cols, dtype=float))
-    if not f.any():
-        return a0.copy()  # evidence is identically 0: nothing to fit
-
-    theta = np.log(a0)
-    fcur = log_evidence(np.exp(theta), f)
-    if not np.isfinite(fcur):
-        raise EvidenceError(column_index, "non-finite evidence at initialization")
-    step = 1.0
-    for _ in range(max_iters):
-        a = np.exp(theta)
-        g = log_evidence_grad(a, f) * a  # chain rule into log space
-        gnorm = np.max(np.abs(g))
-        if gnorm < tol:
-            break
-        improved = False
-        while step > 1e-14:
-            theta_new = np.clip(theta + step * g, np.log(ALPHA_FLOOR),
-                                np.log(ALPHA_CEIL))
-            fnew = log_evidence(np.exp(theta_new), f)
-            if not np.isfinite(fnew):
-                raise EvidenceError(column_index, "non-finite evidence during ascent")
-            if fnew > fcur:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        theta, fcur = theta_new, fnew
-        step = min(step * 2.0, 1e6)
-    return np.maximum(np.exp(theta), ALPHA_FLOOR)
+def _evidence_args(alpha, data):
+    """C-contiguous float copies (so that sums run in the same order
+    whatever the caller's memory layout) with a k axis on the data."""
+    a = np.ascontiguousarray(alpha, dtype=float)
+    if not (a > 0.0).all() or not np.isfinite(a).all():
+        raise ValueError("alpha column must be strictly positive and finite")
+    f = np.ascontiguousarray(data, dtype=float)
+    if f.ndim == a.ndim:
+        f = f[..., None, :]  # a single environment per column
+    if f.shape[:-2] != a.shape[:-1] or f.shape[-1] != a.shape[-1]:
+        raise ValueError("data must have shape (..., k, nu) for alpha (..., nu)")
+    return a, f
 
 
 def map_estimate(data, init: np.ndarray | None = None,
@@ -140,7 +113,15 @@ def map_estimate(data, init: np.ndarray | None = None,
     """MAP estimate of the prior pseudo-count matrix from per-environment
     count matrices (uniform hyper-prior, so MAP = evidence maximization).
 
-    Columns are independent and fitted separately.
+    Each column is fitted by its own gradient ascent in log(alpha), which
+    keeps alpha positive: a trial step is accepted when it raises the
+    column's evidence, the step halves on a rejected trial (down to 1e-14)
+    and doubles after an accepted one (up to 1e6), and the column stops
+    after max_iters gradients or once the infinity norm of its log-space
+    gradient drops below tol.  The columns are independent, so all of them
+    run in lockstep: each round evaluates one batched gradient and one
+    batched trial evidence over the columns still running.  A column with
+    no counts keeps its init.
     """
     stack = np.asarray([np.asarray(d, dtype=float) for d in data])
     if stack.ndim != 3 or stack.shape[0] < 1:
@@ -148,8 +129,50 @@ def map_estimate(data, init: np.ndarray | None = None,
     nu = stack.shape[1]
     if init is None:
         init = np.ones((nu, nu), dtype=float)
-    alpha = np.empty((nu, nu), dtype=float)
-    for j in range(nu):
-        alpha[:, j] = fit_map_column(init[:, j], stack[:, :, j], tol=tol,
-                                     max_iters=max_iters, column_index=j)
+    alpha = np.maximum(np.asarray(init, dtype=float), ALPHA_FLOOR)
+    # an all-zero column has evidence identically 0: nothing to fit
+    cols = np.flatnonzero(stack.any(axis=(0, 1)))
+    if cols.size == 0:
+        return alpha
+    f = np.ascontiguousarray(stack[:, :, cols].transpose(2, 0, 1))  # (m, k, nu)
+    theta = np.log(np.ascontiguousarray(alpha[:, cols].T))          # (m, nu)
+    fcur = log_evidence(np.exp(theta), f)
+    _check_finite(fcur, cols, "non-finite evidence at initialization")
+    lo, hi = np.log(ALPHA_FLOOR), np.log(ALPHA_CEIL)
+    # state of the columns still running, compacted as columns stop
+    run, th, fc, fr = np.arange(cols.size), theta, fcur, f
+    step = np.ones(cols.size)
+    grads = np.zeros(cols.size, dtype=np.int64)
+    moved = np.ones(cols.size, dtype=bool)     # theta moved since the last gradient
+    floored = np.zeros(cols.size, dtype=bool)  # step fell to its floor
+    while True:
+        # where theta did not move, the gradient comes out bit for bit the same
+        a = np.exp(th)
+        g = log_evidence_grad(a, fr) * a  # chain rule into log space
+        stop = floored | (moved & ((grads >= max_iters)
+                                   | (np.abs(g).max(axis=1) < tol)))
+        grads += moved
+        if stop.any():
+            theta[run[stop]] = th[stop]
+            keep = ~stop
+            run, th, fc, fr, g, step, grads = (
+                x[keep] for x in (run, th, fc, fr, g, step, grads))
+            if run.size == 0:
+                break
+        trial = np.clip(th + step[:, None] * g, lo, hi)
+        fnew = log_evidence(np.exp(trial), fr)
+        _check_finite(fnew, cols[run], "non-finite evidence during ascent")
+        moved = fnew > fc
+        th = np.where(moved[:, None], trial, th)
+        fc = np.where(moved, fnew, fc)
+        step = np.where(moved, np.minimum(step * 2.0, 1e6), step * 0.5)
+        floored = ~moved & (step <= 1e-14)
+    alpha[:, cols] = np.maximum(np.exp(theta), ALPHA_FLOOR).T
     return alpha
+
+
+def _check_finite(values: np.ndarray, cols: np.ndarray, message: str) -> None:
+    """Raise EvidenceError for the first column whose evidence is not finite."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        raise EvidenceError(int(cols[np.argmin(ok)]), message)

@@ -122,8 +122,6 @@ def evaluate_pair(partial: OccupancyGrid, trajectory: Trajectory, method: str,
     Pass a precomputed ViewField when replaying the same partial map many
     times; otherwise one is built per call.
     """
-    if bundle.alpha.shape[0] != bundle.alphabet.nu:
-        raise ValueError("prior and alphabet disagree on the number of views")
     outside = make_outside_model(method, bundle, partial)
     fc = replace(filter_config, extraction=bundle.extraction)
     records = run_localization(partial, outside, bundle.alphabet, trajectory, fc,

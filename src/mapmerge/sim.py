@@ -261,7 +261,6 @@ class TrainingData:
     counts: list[np.ndarray]        # one transition count matrix per sample
     map_index: list[int]            # source map of each count matrix
     marginals: np.ndarray           # pooled view frequencies
-    true_transitions: list[np.ndarray]  # per-sample column-normalized counts
     confusion_pairs: list[list[tuple[int, int]]]  # per-sample (true, observed)
 
 
@@ -364,13 +363,8 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                 prev = v
 
     marginals = (marg + 1.0) / (marg.sum() + nu)  # every view stays possible
-    true_transitions = []
-    for f in counts:
-        col = f.sum(axis=0, keepdims=True).astype(float)
-        true_transitions.append(np.divide(f, np.maximum(col, 1.0)))
     return TrainingData(alphabet=alphabet, counts=counts, map_index=map_index,
-                        marginals=marginals, true_transitions=true_transitions,
-                        confusion_pairs=confusion)
+                        marginals=marginals, confusion_pairs=confusion)
 
 
 def _random_free_pose(grid: OccupancyGrid, rng: np.random.Generator) -> Pose:

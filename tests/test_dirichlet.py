@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, psi
 
 from mapmerge import dirichlet
 
@@ -154,8 +155,19 @@ class TestMapEstimate:
             assert after >= before - 1e-9
 
     def test_zero_column_returned_unchanged(self):
-        out = dirichlet.fit_map_column(np.array([0.4, 2.2]), np.zeros((1, 2)))
-        np.testing.assert_allclose(out, [0.4, 2.2])
+        data = [np.array([[0, 3], [0, 1]])]  # column 0 has no counts
+        init = np.array([[0.4, 1.0], [2.2, 1.0]])
+        out = dirichlet.map_estimate(data, init=init)
+        np.testing.assert_allclose(out[:, 0], [0.4, 2.2])
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_nan_count_raises_evidence_error(self, j):
+        r = rng(7)
+        data = [r.integers(1, 9, size=(3, 3)).astype(float) for _ in range(2)]
+        data[1][1, j] = np.nan
+        with pytest.raises(dirichlet.EvidenceError) as err:
+            dirichlet.map_estimate(data)
+        assert err.value.column == j
 
     def test_entries_stay_positive(self):
         r = rng(5)
@@ -213,3 +225,122 @@ def test_chain_rule_equals_evidence_any_order(data):
     permuted, f_perm = sequential(perm)
     assert permuted == pytest.approx(base, abs=1e-9)
     np.testing.assert_array_equal(f_final, f_perm)
+
+
+# Per-column reference: the evidence, its gradient and the log-space
+# gradient ascent as they were before map_estimate fitted all columns in
+# one batch.  The batched fit must reproduce them bit for bit.
+
+def _ref_log_evidence(a, f):
+    k = f.shape[0]
+    abar = a.sum()
+    return float(np.sum(gammaln(f + a))
+                 - np.sum(gammaln(f.sum(axis=1) + abar))
+                 + k * gammaln(abar)
+                 - k * np.sum(gammaln(a)))
+
+
+def _ref_log_evidence_grad(a, f):
+    k = f.shape[0]
+    abar = a.sum()
+    return (np.sum(psi(f + a), axis=0) - k * psi(a)
+            + k * psi(abar) - np.sum(psi(f.sum(axis=1) + abar)))
+
+
+def _ref_fit_column(alpha_col, f, tol, max_iters):
+    a0 = np.maximum(alpha_col, dirichlet.ALPHA_FLOOR)
+    if not f.any():
+        return a0.copy()
+    theta = np.log(a0)
+    fcur = _ref_log_evidence(np.exp(theta), f)
+    step = 1.0
+    for _ in range(max_iters):
+        a = np.exp(theta)
+        g = _ref_log_evidence_grad(a, f) * a
+        if np.max(np.abs(g)) < tol:
+            break
+        improved = False
+        while step > 1e-14:
+            theta_new = np.clip(theta + step * g, np.log(dirichlet.ALPHA_FLOOR),
+                                np.log(dirichlet.ALPHA_CEIL))
+            fnew = _ref_log_evidence(np.exp(theta_new), f)
+            if fnew > fcur:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        theta, fcur = theta_new, fnew
+        step = min(step * 2.0, 1e6)
+    return np.maximum(np.exp(theta), dirichlet.ALPHA_FLOOR)
+
+
+def _ref_map_estimate(data, init, tol=1e-8, max_iters=2000):
+    stack = np.asarray(data, dtype=float)
+    nu = stack.shape[1]
+    init = np.ones((nu, nu)) if init is None else init
+    alpha = np.empty((nu, nu))
+    for j in range(nu):
+        alpha[:, j] = _ref_fit_column(np.asarray(init[:, j], dtype=float),
+                                      stack[:, :, j], tol, max_iters)
+    return alpha
+
+
+@st.composite
+def _count_stacks(draw):
+    """k sparse nu x nu count matrices, some columns all zero, an optional
+    random init and an optional small iteration budget."""
+    r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    nu = draw(st.integers(2, 7))
+    k = draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    counts = r.integers(0, 25, size=(k, nu, nu))
+    counts[r.uniform(size=counts.shape) > density] = 0
+    zero_cols = draw(st.lists(st.integers(0, nu - 1), max_size=2))
+    counts[:, :, zero_cols] = 0
+    init = (np.exp(r.uniform(-3.0, 3.0, size=(nu, nu)))
+            if draw(st.booleans()) else None)
+    max_iters = draw(st.sampled_from([0, 1, 3, 17, 2000]))
+    return list(counts), init, max_iters
+
+
+@settings(max_examples=100, deadline=None)
+@given(_count_stacks())
+def test_map_estimate_matches_per_column_ascent_bitwise(case):
+    data, init, max_iters = case
+    got = dirichlet.map_estimate(data, init=init, max_iters=max_iters)
+    want = _ref_map_estimate(data, init, max_iters=max_iters)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_sparse_map_estimate_matches_per_column_ascent_bitwise(seed):
+    # 12 environments x 20 views at 5 % nonzero counts, as at the
+    # benchmark's training size
+    r = rng(seed)
+    counts = r.integers(1, 6, size=(12, 20, 20))
+    counts[r.uniform(size=counts.shape) > 0.05] = 0
+    got = dirichlet.map_estimate(list(counts), max_iters=150)
+    assert np.array_equal(got, _ref_map_estimate(list(counts), None, max_iters=150))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_evidence_matches_per_column_calls_bitwise(data):
+    r = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    m, k, nu = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)),
+                data.draw(st.integers(2, 20)))
+    alpha = np.exp(r.uniform(-5.0, 5.0, size=(m, nu)))
+    counts = r.integers(0, 50, size=(m, k, nu)).astype(float)
+    density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+    counts[r.uniform(size=counts.shape) > density] = 0
+    ev = dirichlet.log_evidence(alpha, counts)
+    grad = dirichlet.log_evidence_grad(alpha, counts)
+    assert ev.shape == (m,) and grad.shape == (m, nu)
+    for c in range(m):
+        one = dirichlet.log_evidence(alpha[c], counts[c])
+        assert isinstance(one, float)
+        assert one == ev[c] == _ref_log_evidence(alpha[c], counts[c])
+        assert np.array_equal(dirichlet.log_evidence_grad(alpha[c], counts[c]),
+                              grad[c])
+        assert np.array_equal(grad[c], _ref_log_evidence_grad(alpha[c], counts[c]))
