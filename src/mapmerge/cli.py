@@ -14,7 +14,7 @@ import numpy as np
 from . import evalharness, sim, training
 from .grid import Pose, ViewField, dump_map, load_map
 from .modelio import dump_prior, load_prior
-from .pfilter import FilterConfig, format_step_log, run_localization
+from .pfilter import FilterConfig, FilterDivergence, format_step_log, run_localization
 from .views import ExtractionParams
 
 
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, FilterDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

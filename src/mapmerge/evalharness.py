@@ -65,12 +65,11 @@ class PRPoint:
     time_correct: int
 
 
-def known_area_ratio(partial: OccupancyGrid, estimated_total_cells: int | None = None) -> float:
-    """Explored fraction of the environment: known cells over an estimate of
-    the full environment size (the partial map's grid extent by default)."""
+def known_area_ratio(partial: OccupancyGrid) -> float:
+    """Explored fraction of the environment: known cells over the partial
+    map's grid extent."""
     known = int(np.count_nonzero(partial.cells != UNKNOWN))
-    total = estimated_total_cells or partial.cells.size
-    return max(known / total, 1e-3)
+    return max(known / partial.cells.size, 1e-3)
 
 
 def make_outside_model(method: str, bundle: PriorBundle,

@@ -57,6 +57,7 @@ class OccupancyGrid:
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
         self._distance_field = None
+        self._likelihood_tables: dict = {}
 
     @property
     def shape(self):
@@ -87,6 +88,17 @@ class OccupancyGrid:
             else:
                 self._distance_field = np.full(self.cells.shape, np.inf)
         return self._distance_field
+
+    def likelihood_table(self, params: ScanLikelihoodParams) -> np.ndarray:
+        """Per-beam log-likelihood of an endpoint in each cell, flattened,
+        with one last entry for endpoints off the grid (distance inf)."""
+        table = self._likelihood_tables.get(params)
+        if table is None:
+            d = np.append(self.distance_field().ravel(), np.inf)
+            table = np.log(params.z_hit * np.exp(-0.5 * (d / params.sigma_hit) ** 2)
+                           + params.z_rand)
+            self._likelihood_tables[params] = table
+        return table
 
 
 def dump_map(grid: OccupancyGrid) -> str:
@@ -224,7 +236,7 @@ def expected_view(grid: OccupancyGrid, pose: Pose, alphabet: ViewAlphabet,
         raise ValueError("expected_view requires a pose inside the partial map")
     if bearings is None:
         bearings = default_bearings()
-    bearings = np.asarray(bearings, dtype=float)
+    bearings = views.readonly(bearings)  # shared by the scans built below
     if headings is None:
         thetas = np.array([pose.theta])
     else:
@@ -369,11 +381,9 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
     rows = np.floor((ey - grid.origin[1]) / grid.resolution).astype(np.int64)
     h, w = grid.shape
     ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    d = np.full(ex.shape, np.inf)
-    field = grid.distance_field()
-    d[ok] = field[rows[ok], cols[ok]]
-    p = params.z_hit * np.exp(-0.5 * (d / params.sigma_hit) ** 2) + params.z_rand
-    return params.likelihood_exponent * np.log(p).sum(axis=1)
+    flat = np.where(ok, rows * w + cols, h * w)
+    logp = grid.likelihood_table(params)[flat]
+    return params.likelihood_exponent * logp.sum(axis=1)
 
 
 def scan_likelihood(grid: OccupancyGrid, pose: Pose, scan: RangeScan,

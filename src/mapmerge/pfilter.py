@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grid import (FREE, OccupancyGrid, Pose, ScanLikelihoodParams, inside_mask,
                    scan_log_likelihoods, wrap_angle)
@@ -60,13 +59,31 @@ class Hypothesis:
 class ParticleSet:
     poses: np.ndarray          # (N, 3)
     log_weights: np.ndarray    # (N,), normalized so logsumexp == 0
-    inside: np.ndarray         # (N,) bool
     rng: np.random.Generator
     distance_since_update: float = 0.0
+    _inside: np.ndarray | None = field(default=None, repr=False)
+    # the grid the inside flags are due on, set by a motion step
+    _inside_due: OccupancyGrid | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.log_weights)
+
+    @property
+    def inside(self) -> np.ndarray:
+        """(N,) bool inside flags.  A motion step leaves them due: the next
+        read computes them from the current poses (cell is FREE), and the
+        result is cached, so in-place writes stick until the next motion."""
+        if self._inside_due is not None:
+            self._inside = inside_mask(self._inside_due, self.poses[:, 0],
+                                       self.poses[:, 1])
+            self._inside_due = None
+        return self._inside
+
+    @inside.setter
+    def inside(self, value: np.ndarray):
+        self._inside = value
+        self._inside_due = None
 
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -88,13 +105,13 @@ def init_filter(grid: OccupancyGrid, n: int, seed) -> ParticleSet:
     poses = np.column_stack((xs, ys, thetas))
     return ParticleSet(poses=poses,
                        log_weights=np.full(n, -math.log(n)),
-                       inside=np.ones(n, dtype=bool),
-                       rng=rng)
+                       rng=rng, _inside=np.ones(n, dtype=bool))
 
 
 def motion_update(ps: ParticleSet, u, noise: MotionNoise, grid: OccupancyGrid) -> ParticleSet:
     """Advance every particle by the odometry delta u = (d_trans, d_rot1,
-    d_rot2) plus sampled Gaussian noise; refresh inside flags."""
+    d_rot2) plus sampled Gaussian noise.  The inside flags fall due: the next
+    read of ps.inside computes them on grid from the moved poses."""
     d_trans, d_rot1, d_rot2 = u
     s_trans, s_rot = noise.sigmas(d_trans, d_rot1, d_rot2)
     n = ps.n
@@ -106,9 +123,30 @@ def motion_update(ps: ParticleSet, u, noise: MotionNoise, grid: OccupancyGrid) -
     ps.poses[:, 0] += dt * np.cos(heading)
     ps.poses[:, 1] += dt * np.sin(heading)
     ps.poses[:, 2] = wrap_angle(heading + r2)
-    ps.inside = inside_mask(grid, ps.poses[:, 0], ps.poses[:, 1])
+    ps._inside_due = grid
     ps.distance_since_update += abs(d_trans)
     return ps
+
+
+def logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a non-empty 1-D float array, bit for bit as
+    scipy.special.logsumexp (scipy 1.17) computes it: the terms tied at the
+    max are kept out of the shifted sum and added back as log(count)."""
+    a_max = a.max()
+    if np.isfinite(a_max):
+        tied = a == a_max
+        m = np.float64(np.count_nonzero(tied))
+        terms = np.exp(a - a_max)
+        terms[tied] = 0.0  # zeroed in place, so the sum keeps its order
+        s = terms.sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if np.isfinite(out):
+            return out
+    # an infinite or NaN max, or an overflowing result: the direct sum
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.log(np.exp(a).sum())
 
 
 def _bounds_log_penalty(ps: ParticleSet, grid: OccupancyGrid,
@@ -198,8 +236,9 @@ def resample_if_needed(ps: ParticleSet) -> ParticleSet:
     positions = (ps.rng.random() + np.arange(n)) / n
     idx = np.searchsorted(np.cumsum(w), positions)
     idx = np.minimum(idx, n - 1)
-    ps.poses = ps.poses[idx].copy()
+    # the flags first: a due mask must be computed from the old poses
     ps.inside = ps.inside[idx].copy()
+    ps.poses = ps.poses[idx].copy()
     ps.log_weights = np.full(n, -math.log(n))
     return ps
 

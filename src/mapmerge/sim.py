@@ -392,20 +392,37 @@ def dump_trajectory(traj: Trajectory, cfg: WorldConfig) -> str:
 
 
 def load_trajectory(text: str) -> tuple[Trajectory, dict]:
+    """Parse a dump_trajectory log; a malformed line raises a ValueError
+    that names it."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("beams "):
-        raise ValueError("trajectory log must start with a 'beams' header")
+        raise ValueError("line 1: trajectory log must start with a 'beams' header")
     h = lines[0].split()
-    header = {"beam_count": int(h[1]), "fov": float(h[3]),
-              "max_range": float(h[5]), "truncated": bool(int(h[7]))}
+    try:
+        if len(h) != 8 or h[2::2] != ["fov", "max_range", "truncated"]:
+            raise ValueError
+        header = {"beam_count": int(h[1]), "fov": float(h[3]),
+                  "max_range": float(h[5]), "truncated": bool(int(h[7]))}
+    except ValueError:
+        raise ValueError("line 1: expected 'beams <N> fov <F> max_range <R> "
+                         "truncated <T>'") from None
     bearings = np.linspace(-header["fov"] / 2.0, header["fov"] / 2.0,
                            header["beam_count"])
+    bearings.flags.writeable = False  # shared by every record's scan
+    n_fields = 7 + header["beam_count"]
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
-        pose = Pose(float(parts[1]), float(parts[2]), float(parts[3]))
-        odom = (float(parts[4]), float(parts[5]), float(parts[6]))
-        ranges = np.array([float(v) for v in parts[7:]])
-        scan = RangeScan(bearings, ranges, header["max_range"])
+        if len(parts) != n_fields:
+            raise ValueError(f"line {lineno}: expected {n_fields} fields (index, "
+                             f"pose, odometry, {header['beam_count']} ranges), "
+                             f"got {len(parts)}")
+        try:
+            pose = Pose(float(parts[1]), float(parts[2]), float(parts[3]))
+            odom = (float(parts[4]), float(parts[5]), float(parts[6]))
+            ranges = np.array([float(v) for v in parts[7:]])
+            scan = RangeScan(bearings, ranges, header["max_range"])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         records.append(TrajectoryRecord(true_pose=pose, odom=odom, scan=scan))
     return Trajectory(records=records, truncated=header["truncated"]), header

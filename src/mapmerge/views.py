@@ -24,18 +24,34 @@ from . import dirichlet
 OTHER = "*"
 
 
+def readonly(a) -> np.ndarray:
+    """a as a read-only float array: an array that already is one is kept,
+    anything else is copied once and the copy locked."""
+    arr = np.asarray(a, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class RangeScan:
     """One planar scan: strictly increasing bearings (radians, robot frame)
-    and ranges in (0, max_range].  A range equal to max_range means no return."""
+    and ranges in (0, max_range].  A range equal to max_range means no return.
+
+    Both arrays are stored read-only (see readonly), so a scan never changes
+    and the scan strings memoised on it stay valid."""
 
     angles: np.ndarray
     ranges: np.ndarray
     max_range: float
+    # extract_scan_string results by ExtractionParams
+    _strings: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=float)
-        ranges = np.asarray(self.ranges, dtype=float)
+        angles = readonly(self.angles)
+        ranges = readonly(self.ranges)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "ranges", ranges)
         if angles.shape != ranges.shape or angles.ndim != 1:
@@ -138,7 +154,14 @@ class _Group:
 
 def extract_scan_string(scan: RangeScan, params: ExtractionParams) -> str:
     """Deterministic symbol sequence for a scan, beams in counterclockwise
-    (increasing bearing) order."""
+    (increasing bearing) order.  Memoised on the scan per params."""
+    s = scan._strings.get(params)
+    if s is None:
+        s = scan._strings[params] = _extract(scan, params)
+    return s
+
+
+def _extract(scan: RangeScan, params: ExtractionParams) -> str:
     n = len(scan)
     if n < 3:
         raise ValueError("scan must have at least 3 beams")

@@ -17,7 +17,7 @@ from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
                                   precision_recall, pr_table)
 from mapmerge.grid import UNKNOWN, FREE, OccupancyGrid, Pose, dump_map
 from mapmerge.modelio import PriorBundle, dump_prior, load_prior
-from mapmerge.pfilter import FilterConfig
+from mapmerge.pfilter import FilterConfig, FilterDivergence
 from mapmerge.structure import FixedOutsideModel, StructureState
 from mapmerge.views import ExtractionParams, alphabet_build
 
@@ -257,6 +257,36 @@ class TestCLI:
                     "--out", str(workdir / "x.map"))
         assert r.returncode != 0
         assert r.stderr.strip()
+
+    @pytest.mark.parametrize("text, line", [
+        ("beams 181\n", 1),
+        ("beams 3 fov 3.14 max_range 8.0 truncated 0\n0 1.0 2.0\n", 2)])
+    def test_malformed_trajectory_one_line_error(self, workdir, capsys, text, line):
+        (workdir / "bad.traj").write_text(text)
+        code = cli.main(["carve", "--map", str(workdir / "world.map"),
+                         "--trajectory", str(workdir / "bad.traj"),
+                         "--out", str(workdir / "x.map")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+    def test_filter_divergence_one_line_error(self, workdir, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise FilterDivergence("all particle weights underflowed")
+
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(3.0, 2.5, 0.0),
+                                       "waypoints", 1.0, cfg, waypoints=[(8.0, 2.5)])
+        (workdir / "short.traj").write_text(sim.dump_trajectory(traj, cfg))
+        (workdir / "tiny.json").write_text(dump_prior(tiny_bundle()))
+        monkeypatch.setattr(cli, "run_localization", diverging)
+        code = cli.main(["localize", "--map", str(workdir / "world.map"),
+                         "--prior", str(workdir / "tiny.json"),
+                         "--trajectory", str(workdir / "short.traj"),
+                         "--out", str(workdir / "steps.log")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: all particle weights underflowed\n")
 
 
 class TestEvaluateFieldCache:

@@ -5,18 +5,25 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mapmerge import fixtures, sim, training
+from mapmerge import evalharness, fixtures, sim, training
 from mapmerge import grid as grid_module
+from mapmerge import views as views_module
 from mapmerge.grid import (FREE, OCCUPIED, OccupancyGrid, Pose, ScanLikelihoodParams,
-                           default_bearings, raycast)
-from mapmerge.pfilter import (FilterConfig, MotionNoise, best_hypothesis,
-                              effective_sample_size, init_filter,
+                           default_bearings, inside_mask, raycast, wrap_angle)
+from mapmerge.pfilter import (FilterConfig, FilterDivergence, MotionNoise,
+                              StepRecord, _bounds_log_penalty, best_hypothesis,
+                              effective_sample_size, init_filter, logsumexp,
                               measurement_update, motion_update,
                               resample_if_needed, run_localization,
                               format_step_log)
 from mapmerge.structure import FixedOutsideModel
 from mapmerge.views import ExtractionParams, alphabet_build
+from test_grid import _scan_log_likelihoods_per_beam
 
 MAX_RANGE = 8.0
 
@@ -333,3 +340,209 @@ class TestRunLocalization:
         _, _, _, bearings, max_range = args
         np.testing.assert_array_equal(bearings, cfg.bearings)
         assert len(bearings) == 91 and max_range == 5.0
+
+
+# --------------------------------------------------------------------------
+# Oracles: the filter as it was first written, with the inside flags
+# refreshed on every motion step, scipy's logsumexp and the per-beam scan
+# likelihood formula.  The filter must reproduce it bit for bit.
+
+def _eager_motion_update(ps, u, noise, grid):
+    d_trans, d_rot1, d_rot2 = u
+    s_trans, s_rot = noise.sigmas(d_trans, d_rot1, d_rot2)
+    n = ps.n
+    rng = ps.rng
+    r1 = d_rot1 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
+    dt = d_trans + (rng.normal(0.0, s_trans, n) if s_trans > 0 else 0.0)
+    r2 = d_rot2 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
+    heading = ps.poses[:, 2] + r1
+    ps.poses[:, 0] += dt * np.cos(heading)
+    ps.poses[:, 1] += dt * np.sin(heading)
+    ps.poses[:, 2] = wrap_angle(heading + r2)
+    ps.inside = inside_mask(grid, ps.poses[:, 0], ps.poses[:, 1])
+    ps.distance_since_update += abs(d_trans)
+    return ps
+
+
+def _reference_measurement_update(ps, scan, z_view, structure, grid, scan_params,
+                                  bounds_factor, obs_model, view_field):
+    lse = scipy.special.logsumexp
+    log_out = math.log(structure.step(z_view))
+    ins = ps.inside
+    if ins.any():
+        if view_field is not None:
+            vids = view_field.views_at(ps.poses[ins])
+            nu = obs_model.shape[0]
+            lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)],
+                           1.0 / nu)
+            ps.log_weights[ins] += np.log(lik)
+            refine = _scan_log_likelihoods_per_beam(grid, ps.poses[ins], scan,
+                                                    scan_params)
+            prior = ps.log_weights[ins]
+            refine -= lse(prior + refine) - lse(prior)
+            ps.log_weights[ins] += refine
+        else:
+            ps.log_weights[ins] += _scan_log_likelihoods_per_beam(
+                grid, ps.poses[ins], scan, scan_params)
+    if (~ins).any():
+        ps.log_weights[~ins] += log_out
+    ps.log_weights += _bounds_log_penalty(ps, grid, bounds_factor)
+    ps.log_weights -= lse(ps.log_weights)
+    ps.distance_since_update = 0.0
+    return log_out
+
+
+def _reference_localization(grid, structure, alphabet, trajectory, config,
+                            obs_model, view_field):
+    ps = init_filter(grid, config.n_particles, config.seed)
+    records = []
+    distance_total = 0.0
+    for step, rec in enumerate(trajectory.records):
+        _eager_motion_update(ps, rec.odom, config.motion_noise, grid)
+        distance_total += abs(rec.odom[0])
+        if ps.distance_since_update < config.view_update_distance:
+            continue
+        # a fresh extraction every step, never the scan's memo
+        s = views_module._extract(rec.scan, config.extraction)
+        z = views_module.view_of(alphabet, s)
+        log_out = _reference_measurement_update(
+            ps, rec.scan, z, structure, grid, config.scan_params,
+            config.bounds_factor, obs_model, view_field)
+        resample_if_needed(ps)
+        hyp = best_hypothesis(ps, config.hypothesis_radius, config.hypothesis_angle)
+        records.append(StepRecord(step=step, distance=distance_total,
+                                  hypothesis=hyp,
+                                  inside_mass=float(ps.weights()[ps.inside].sum()),
+                                  log_outside=log_out))
+    return records
+
+
+def _same_float(a, b) -> bool:
+    a, b = np.float64(a), np.float64(b)
+    return (np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+class TestLogSumExp:
+    # ties at the max and -inf entries come from the sampled constants
+    @settings(max_examples=500, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+        st.floats(-60.0, 60.0), st.floats(-1e300, 1e300),
+        st.sampled_from((-np.inf, 0.0, 1.5, -3.25, -745.0)))))
+    def test_matches_scipy_bitwise(self, a):
+        assert _same_float(logsumexp(a), scipy.special.logsumexp(a))
+
+    @pytest.mark.parametrize("a", [
+        [2.5], [-np.inf], [-np.inf, -np.inf, -np.inf], [np.inf, 1.0],
+        [np.inf, np.inf], [np.nan, 1.0], [3.0, 3.0, 3.0], [-np.inf, 7.0, 7.0],
+        [1.7976931348623157e308, 1.7976931348623157e308], [-1e308, 1e308]])
+    def test_edge_cases_match_scipy(self, a):
+        a = np.array(a)
+        with np.errstate(all="ignore"):
+            assert _same_float(logsumexp(a), scipy.special.logsumexp(a))
+
+
+class TestInsideFlags:
+    @settings(max_examples=100, deadline=None)
+    @example(seed=0, ops=[("move", 0.5, 0.0), ("resample", 0)])  # due at resample
+    @given(st.integers(0, 2**16), st.lists(st.one_of(
+        st.tuples(st.just("move"), st.floats(0.0, 0.6), st.floats(-0.5, 0.5)),
+        st.tuples(st.just("resample"), st.integers(0, 2**16)),
+        st.tuples(st.just("write"), st.integers(0, 39), st.booleans()),
+        st.tuples(st.just("check"))), max_size=25))
+    def test_lazy_flags_equal_eager_mask(self, seed, ops):
+        # a partial map with UNKNOWN holes, so particles leave and re-enter
+        grid = fixtures.corridor(length=6.0)
+        grid.cells[:, 40:60] = 2
+        lazy = init_filter(grid, 40, seed)
+        eager = init_filter(grid, 40, seed)
+        noise = MotionNoise()
+        for op in ops:
+            if op[0] == "move":
+                u = (op[1], op[2], -op[2])
+                motion_update(lazy, u, noise, grid)
+                _eager_motion_update(eager, u, noise, grid)
+            elif op[0] == "resample":
+                w = np.random.default_rng(op[1]).dirichlet(np.full(40, 0.2))
+                for ps in (lazy, eager):
+                    ps.log_weights = np.log(w)
+                    resample_if_needed(ps)
+            elif op[0] == "write":
+                lazy.inside[op[1]] = op[2]
+                eager.inside[op[1]] = op[2]
+            else:
+                np.testing.assert_array_equal(lazy.inside, eager.inside)
+            np.testing.assert_array_equal(lazy.poses, eager.poses)
+        np.testing.assert_array_equal(lazy.inside, eager.inside)
+
+    def test_motion_step_computes_no_mask(self, monkeypatch):
+        grid = box_world()
+        ps = init_filter(grid, 20, seed=0)
+        calls = []
+
+        def counting_mask(*args):
+            calls.append(1)
+            return inside_mask(*args)
+
+        monkeypatch.setattr("mapmerge.pfilter.inside_mask", counting_mask)
+        for _ in range(5):
+            motion_update(ps, (0.1, 0.0, 0.0), MotionNoise(), grid)
+        assert calls == []
+        ps.inside
+        ps.inside
+        assert calls == [1]
+
+
+class TestReplayMatchesReference:
+    """run_localization against the reference loop: the same StepRecords,
+    float for float, on the ViewField and raw-scan paths, with two methods
+    replaying one trajectory (the second reads the memoised scan strings)."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def setup():
+        world = fixtures.corridor(length=30.0)
+        cfg = sim.WorldConfig(seed=8)
+        bundle = training.train_prior_bundle([fixtures.corridor_with_left_opening()],
+                                             cfg, ExtractionParams(),
+                                             trajectories_per_map=1,
+                                             max_views=8, trajectory_length=20.0)
+        explore = sim.generate_trajectory(world, Pose(2.0, 2.5, 0.0), "waypoints",
+                                          3.0, cfg, waypoints=[(8.0, 2.5)])
+        partial = sim.carve_partial_map(world, explore, cfg)
+        # leaves the explored west end, so particles go outside too
+        traj = sim.generate_trajectory(world, Pose(2.5, 2.5, 0.0), "waypoints",
+                                       20.0, cfg, waypoints=[(28.0, 2.5)])
+        return partial, bundle, traj
+
+    @pytest.mark.parametrize("with_field", [True, False])
+    def test_step_records_equal_reference(self, setup, with_field):
+        partial, bundle, traj = setup
+        fc = FilterConfig(n_particles=400, seed=3, view_update_distance=1.0,
+                          extraction=bundle.extraction)
+        obs = bundle.obs_model if with_field else None
+        field = (grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
+                                       *traj.scan_geometry) if with_field else None)
+        methods = ("hierarchical_adaptive", "fixed:0.01")
+        got = [run_localization(partial,
+                                evalharness.make_outside_model(m, bundle, partial),
+                                bundle.alphabet, traj, fc, obs_model=obs,
+                                view_field=field) for m in methods]
+        want = [_reference_localization(
+            partial, evalharness.make_outside_model(m, bundle, partial),
+            bundle.alphabet, traj, fc, obs, field) for m in methods]
+        assert got == want
+        inside = [r.inside_mass for r in got[0]]
+        assert min(inside) < 0.99 and max(inside) > 0.01
+
+
+def test_divergence_is_a_filter_divergence():
+    # every particle inside with a zero view likelihood underflows them all
+    grid = box_world()
+    ps = init_filter(grid, 10, seed=0)
+    field = grid_module.ViewField(grid, alphabet_build(["w", "m"], max_views=3),
+                                  ExtractionParams(), stride_cells=10)
+    obs = np.zeros((3, 3))
+    scan = raycast(grid, Pose(3, 3, 0), default_bearings(), MAX_RANGE)
+    with np.errstate(divide="ignore"), pytest.raises(FilterDivergence):
+        measurement_update(ps, scan, 0, FixedOutsideModel(0.5), grid, None,
+                           obs_model=obs, view_field=field)

@@ -333,3 +333,76 @@ class TestScanLikelihood:
         logs = scan_log_likelihoods(g, poses, scan, ScanLikelihoodParams())
         assert np.all(np.isfinite(logs))
         assert np.all(np.exp(logs) > 0)
+
+
+def _scan_log_likelihoods_per_beam(grid, poses, scan, params):
+    """scan_log_likelihoods as first written: the distance at each beam
+    endpoint (inf off the grid) through the likelihood formula per beam."""
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    use = np.arange(0, len(scan), params.beam_stride)
+    returned = scan.ranges[use] < scan.max_range - 1e-9
+    use = use[returned]
+    if len(use) == 0:
+        return np.zeros(len(poses))
+    a = scan.angles[use]
+    r = scan.ranges[use]
+    world_ang = poses[:, 2:3] + a[None, :]
+    ex = poses[:, 0:1] + r[None, :] * np.cos(world_ang)
+    ey = poses[:, 1:2] + r[None, :] * np.sin(world_ang)
+    cols = np.floor((ex - grid.origin[0]) / grid.resolution).astype(np.int64)
+    rows = np.floor((ey - grid.origin[1]) / grid.resolution).astype(np.int64)
+    h, w = grid.shape
+    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    d = np.full(ex.shape, np.inf)
+    field = grid.distance_field()
+    d[ok] = field[rows[ok], cols[ok]]
+    p = params.z_hit * np.exp(-0.5 * (d / params.sigma_hit) ** 2) + params.z_rand
+    return params.likelihood_exponent * np.log(p).sum(axis=1)
+
+
+@st.composite
+def _likelihood_cases(draw):
+    cells = draw(random_cells)
+    res = draw(st.sampled_from((0.05, 0.1, 0.25, 1.0)))
+    origin = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    grid = OccupancyGrid(cells, res, origin)
+    h, w = grid.shape
+    # poses around and well beyond the grid, so endpoints fall off it
+    n = draw(st.integers(1, 12))
+    span = 2.0 * max(h, w) * res
+    poses = np.column_stack((
+        draw(arrays(np.float64, n, elements=st.floats(origin[0] - span,
+                                                      origin[0] + 2 * span))),
+        draw(arrays(np.float64, n, elements=st.floats(origin[1] - span,
+                                                      origin[1] + 2 * span))),
+        draw(arrays(np.float64, n, elements=st.floats(-math.pi, math.pi)))))
+    max_range = draw(st.sampled_from((2.0, MAX_RANGE)))
+    beams = draw(st.integers(1, 40))
+    # a third of the beams on average are max-range; sometimes all are
+    ranges = draw(arrays(np.float64, beams, elements=st.one_of(
+        st.floats(0.01, max_range), st.floats(0.01, max_range),
+        st.just(max_range))))
+    angles = np.linspace(-1.5, 1.5, beams) if beams > 1 else np.zeros(1)
+    scan = RangeScan(angles, ranges, max_range)
+    param_sets = [ScanLikelihoodParams(
+        sigma_hit=draw(st.sampled_from((0.05, 0.2, 1.3))),
+        z_hit=z_hit, z_rand=1.0 - z_hit,
+        beam_stride=draw(st.integers(1, 5)),
+        likelihood_exponent=draw(st.sampled_from((0.3, 1.0))))
+        for z_hit in draw(st.lists(st.sampled_from((0.9, 0.5, 0.75)),
+                                   min_size=1, max_size=3))]
+    return grid, poses, scan, param_sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_likelihood_cases())
+def test_scan_log_likelihoods_matches_per_beam_formula_bitwise(case):
+    # the table gather equals the per-beam formula bit for bit, with
+    # endpoints off the grid, max-range beams and no used beam at all; one
+    # grid serves several params, each from its own cached table
+    grid, poses, scan, param_sets = case
+    for params in param_sets + param_sets[::-1]:
+        got = scan_log_likelihoods(grid, poses, scan, params)
+        want = _scan_log_likelihoods_per_beam(grid, poses, scan, params)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -270,3 +270,19 @@ class TestTrajectoryLog:
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
             sim.load_trajectory("0 1.0 2.0 0.0 0.1 0.0 0.0 5.0\n")
+
+    def test_short_header_names_line_1(self):
+        with pytest.raises(ValueError, match="^line 1: "):
+            sim.load_trajectory("beams 181\n")
+
+    @pytest.mark.parametrize("record", [
+        "0 1.0 2.0",                                  # too short
+        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0",          # a range too many
+        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 x 5.0",        # not a number
+        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 9.0 5.0",      # beyond max range
+    ])
+    def test_bad_record_names_its_line(self, record):
+        text = ("beams 3 fov 3.14 max_range 8.0 truncated 0\n"
+                "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n" + record + "\n")
+        with pytest.raises(ValueError, match="^line 3: "):
+            sim.load_trajectory(text)

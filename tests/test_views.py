@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapmerge import fixtures
+from mapmerge import fixtures, sim
+from mapmerge import views as views_module
 from mapmerge.grid import Pose, default_bearings, raycast
 from mapmerge.views import (ExtractionParams, RangeScan, ViewAlphabet,
                             alphabet_build, canonicalize, extract_scan_string,
@@ -53,6 +54,65 @@ class TestRangeScan:
         m = s.mirrored()
         np.testing.assert_allclose(m.ranges, s.ranges[::-1])
         np.testing.assert_allclose(m.angles, -s.angles[::-1])
+
+    def test_writable_input_is_copied_and_locked(self):
+        angles = np.array([0.0, 0.1, 0.2])
+        ranges = np.array([1.0, 2.0, 3.0])
+        scan = RangeScan(angles, ranges, 8.0)
+        ranges[0] = 5.0
+        assert scan.ranges[0] == 1.0
+        for arr in (scan.angles, scan.ranges):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_read_only_input_is_shared(self):
+        angles = np.array([0.0, 0.1, 0.2])
+        angles.flags.writeable = False
+        scan = RangeScan(angles, [1.0, 2.0, 3.0], 8.0)
+        assert scan.angles is angles
+
+    def test_loaded_scans_share_one_bearing_array(self):
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(2.0, 2.5, 0.0),
+                                       "waypoints", 2.0, cfg, waypoints=[(8.0, 2.5)])
+        loaded, _ = sim.load_trajectory(sim.dump_trajectory(traj, cfg))
+        assert len({id(r.scan.angles) for r in loaded.records}) == 1
+
+
+@st.composite
+def _scans_and_params(draw):
+    n = draw(st.integers(3, 60))
+    ranges = draw(st.lists(st.one_of(st.floats(0.3, MAX_RANGE), st.just(MAX_RANGE)),
+                           min_size=n, max_size=n))
+    params = draw(st.lists(st.builds(
+        ExtractionParams,
+        gap_threshold=st.sampled_from((0.3, 1.0)),
+        max_range_margin=st.sampled_from((0.2, 0.5)),
+        corner_angle_threshold=st.sampled_from((0.3, 0.6)),
+        line_fit_tolerance=st.sampled_from((0.05, 0.1)),
+        min_group_beams=st.integers(1, 5)), min_size=1, max_size=6))
+    return default_bearings(n, math.pi), np.array(ranges), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scans_and_params())
+def test_memoised_strings_equal_fresh_extraction(case):
+    # repeated and interleaved params: every answer is the one a fresh
+    # extraction gives for that params, never another params' entry
+    angles, ranges, params = case
+    scan = RangeScan(angles, ranges, MAX_RANGE)
+    for p in params + params[::-1]:
+        fresh = views_module._extract(RangeScan(angles, ranges, MAX_RANGE), p)
+        assert extract_scan_string(scan, p) == fresh
+    assert set(scan._strings) == set(params)
+
+
+def test_memo_left_out_of_repr():
+    a, b = corridor_scan(), corridor_scan()
+    extract_scan_string(a, PARAMS)
+    assert a._strings and not b._strings
+    assert repr(a) == repr(b)
 
 
 class TestCanonicalize:
