@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .views import ExtractionParams, RangeScan, ViewAlphabet, canonicalize
+from .views import ExtractionParams, RangeScan, ViewAlphabet
 from . import views
 
 FREE, OCCUPIED, UNKNOWN = 0, 1, 2
@@ -109,25 +109,37 @@ def dump_map(grid: OccupancyGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_values(lines: list[str], k: int, key: str,
+                   names: tuple[str, ...]) -> list[float]:
+    """The finite numbers after key on line k + 1, one per name."""
+    parts = lines[k].split()
+    form = " ".join([key] + [f"<{name}>" for name in names])
+    try:
+        if len(parts) != len(names) + 1 or parts[0] != key:
+            raise ValueError
+        values = [float(v) for v in parts[1:]]
+    except ValueError:
+        raise MapParseError(f"line {k + 1}: expected '{form}'") from None
+    if not all(map(math.isfinite, values)):
+        raise MapParseError(f"line {k + 1}: {key} must be finite")
+    return values
+
+
 def load_map(text: str) -> OccupancyGrid:
+    """Parse a dump_map file; a malformed line raises a MapParseError that
+    names it."""
     lines = text.splitlines()
     if len(lines) < 3:
         raise MapParseError("map file needs a resolution line, an origin line, and rows")
-    try:
-        key, value = lines[0].split()
-        assert key == "resolution"
-        resolution = float(value)
-    except (ValueError, AssertionError):
-        raise MapParseError("line 1: expected 'resolution <meters>'") from None
-    try:
-        parts = lines[1].split()
-        assert parts[0] == "origin" and len(parts) == 3
-        origin = (float(parts[1]), float(parts[2]))
-    except (ValueError, AssertionError):
-        raise MapParseError("line 2: expected 'origin <x> <y>'") from None
+    resolution, = _header_values(lines, 0, "resolution", ("meters",))
+    if resolution <= 0:
+        raise MapParseError("line 1: resolution must be positive")
+    origin = _header_values(lines, 1, "origin", ("x", "y"))
     rows = []
     width = len(lines[2])
     for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            raise MapParseError(f"line {lineno}: empty row")
         if len(line) != width:
             raise MapParseError(f"line {lineno}: ragged row (expected width {width})")
         try:
@@ -228,15 +240,16 @@ def expected_view(grid: OccupancyGrid, pose: Pose, alphabet: ViewAlphabet,
 
     With headings, returns one view id per heading at the pose's position
     (pose.theta is then ignored).  Their rays are cast once over the
-    distinct ray angles.  memo maps a scan's first-hit sample indices to its
-    view id; it is exact only while grid resolution, bearings, max_range,
-    params and alphabet stay fixed, as within one ViewField build.
+    distinct ray angles, and their scans are extracted in one call.  memo
+    maps a scan's first-hit sample indices to its view id; it is exact only
+    while grid resolution, bearings, max_range, params and alphabet stay
+    fixed, as within one ViewField build.
     """
     if not is_inside(grid, pose):
         raise ValueError("expected_view requires a pose inside the partial map")
     if bearings is None:
         bearings = default_bearings()
-    bearings = views.readonly(bearings)  # shared by the scans built below
+    bearings = np.asarray(bearings, dtype=float)
     if headings is None:
         thetas = np.array([pose.theta])
     else:
@@ -259,15 +272,18 @@ def expected_view(grid: OccupancyGrid, pose: Pose, alphabet: ViewAlphabet,
     keys = keys.astype(np.int16 if max_range / step < 2**15 - 1 else np.int32)
     if memo is None:
         memo = {}
-    out = np.empty(len(thetas), dtype=np.int64)
+    keys = [key.tobytes() for key in keys]
+    # headings whose scan is new to the memo, the first of each equal scan
+    todo = {}
     for k, key in enumerate(keys):
-        key = key.tobytes()
-        vid = memo.get(key)
-        if vid is None:
-            scan = RangeScan(bearings, ranges[k], max_range)
-            s = views.extract_scan_string(scan, params)
-            vid = memo[key] = views.view_of(alphabet, canonicalize(s))
-        out[k] = vid
+        if key not in memo:
+            todo.setdefault(key, k)
+    if todo:
+        strings = views.extract_scan_strings(ranges[list(todo.values())], bearings,
+                                             max_range, params)
+        for key, s in zip(todo, strings):
+            memo[key] = views.view_of(alphabet, s)
+    out = np.array([memo[key] for key in keys], dtype=np.int64)
     return int(out[0]) if headings is None else out
 
 

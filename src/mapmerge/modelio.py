@@ -5,7 +5,7 @@ travel together so they can never be mixed across alphabets."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,19 +53,60 @@ def dump_prior(bundle: PriorBundle) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def _field(doc: dict, name: str, check, what: str):
+    """doc[name], which check accepts; a ValueError names a missing or
+    wrongly typed field."""
+    if name not in doc:
+        raise ValueError(f"prior file has no {name!r} field")
+    if not check(doc[name]):
+        raise ValueError(f"prior field {name!r} must be {what}")
+    return doc[name]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _array(doc: dict, name: str, dtype=float) -> np.ndarray:
+    """doc[name] as an array of finite numbers."""
+    what = "a (nested) list of finite numbers"
+    value = _field(doc, name, lambda v: isinstance(v, list), what)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        raise ValueError(f"prior field {name!r} must be {what}") from None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"prior field {name!r} must be {what}")
+    return arr.astype(dtype)
+
+
 def load_prior(text: str) -> PriorBundle:
+    """Parse a dump_prior file; a missing or wrongly typed field raises a
+    ValueError that names it."""
     doc = json.loads(text)
-    alphabet = ViewAlphabet(tuple(doc["alphabet"]))
-    if doc["alphabet_hash"] != alphabet.content_hash():
+    if not isinstance(doc, dict):
+        raise ValueError("prior file must hold a JSON object")
+    entries = _field(doc, "alphabet",
+                     lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                     "a list of strings")
+    alphabet = ViewAlphabet(tuple(entries))
+    if _field(doc, "alphabet_hash", lambda v: isinstance(v, str),
+              "a string") != alphabet.content_hash():
         raise ValueError("alphabet hash mismatch: corrupt or mixed model file")
-    if doc["nu"] != alphabet.nu:
+    if _field(doc, "nu", lambda v: isinstance(v, int) and not isinstance(v, bool),
+              "an integer") != alphabet.nu:
         raise ValueError("declared nu disagrees with the alphabet")
-    counts = np.asarray(doc["counts"], dtype=np.int64) if "counts" in doc else None
+    names = {f.name for f in fields(ExtractionParams)}
+    extraction = _field(
+        doc, "extraction_params",
+        lambda v: isinstance(v, dict) and set(v) <= names
+        and all(map(_is_number, v.values())),
+        "an object of numbers with keys among " + ", ".join(sorted(names)))
     return PriorBundle(
         alphabet=alphabet,
-        alpha=np.asarray(doc["alpha"], dtype=float),
-        obs_model=np.asarray(doc["observation_model"], dtype=float),
-        marginals=np.asarray(doc["marginals"], dtype=float),
-        extraction=ExtractionParams(**doc["extraction_params"]),
-        counts=counts,
+        alpha=_array(doc, "alpha"),
+        obs_model=_array(doc, "observation_model"),
+        marginals=_array(doc, "marginals"),
+        extraction=ExtractionParams(**extraction),
+        counts=_array(doc, "counts", np.int64) if "counts" in doc else None,
     )

@@ -236,23 +236,29 @@ def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory,
     return OccupancyGrid(carved, grid.resolution, grid.origin)
 
 
-def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
-                     params: ExtractionParams, spacing: float = 2.0):
-    """Scan strings (or view ids, when an alphabet is given) sampled every
-    >= spacing meters of travel along the trajectory."""
+def _subsample(records: list[TrajectoryRecord], spacing: float):
+    """The records every >= spacing meters of travel, the first included."""
     out = []
-    dist = math.inf  # emit at the first record
+    dist = math.inf  # take the first record
     prev = None
-    for rec in trajectory.records:
+    for rec in records:
         if prev is not None:
             dist += math.hypot(rec.true_pose.x - prev.x, rec.true_pose.y - prev.y)
         prev = rec.true_pose
         if dist < spacing:
             continue
         dist = 0.0
-        s = _views.extract_scan_string(rec.scan, params)
-        out.append(view_of(alphabet, s) if alphabet is not None else s)
+        out.append(rec)
     return out
+
+
+def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
+                     params: ExtractionParams, spacing: float = 2.0):
+    """Scan strings (or view ids, when an alphabet is given) sampled every
+    >= spacing meters of travel along the trajectory."""
+    strings = [_views.extract_scan_string(rec.scan, params)
+               for rec in _subsample(trajectory.records, spacing)]
+    return strings if alphabet is None else [view_of(alphabet, s) for s in strings]
 
 
 @dataclass
@@ -288,6 +294,7 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     if not maps:
         raise ValueError("need at least one training map")
     rng = np.random.default_rng(cfg.seed)
+    bearings = cfg.bearings
     # view strings per map per trajectory, noisy and reference ("true")
     noisy: list[list[list[str]]] = []
     clean: list[list[list[str]]] = []
@@ -308,30 +315,21 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
         clean.append([])
         for j, traj in enumerate(trajs):
             partner = partials[(j + 1) % len(partials)]
-            n_strings: list[str] = []
-            c_strings: list[str] = []
-            dist = math.inf
-            prev_pose = None
-            for rec in traj.records:
-                if prev_pose is not None:
-                    dist += math.hypot(rec.true_pose.x - prev_pose.x,
-                                       rec.true_pose.y - prev_pose.y)
-                prev_pose = rec.true_pose
-                if dist < 2.0:
-                    continue
-                dist = 0.0
-                n_strings.append(_views.extract_scan_string(rec.scan, params))
+            picked = _subsample(traj.records, 2.0)
+            ranges = np.empty((len(picked), len(bearings)))
+            for k, rec in enumerate(picked):
                 if is_inside(partner, rec.true_pose):
-                    ranges, crossed = raycast_full(partner, rec.true_pose,
-                                                   cfg.bearings, cfg.max_range)
-                    ranges = np.where(crossed, cfg.max_range, ranges)
+                    part, crossed = raycast_full(partner, rec.true_pose,
+                                                 bearings, cfg.max_range)
+                    ranges[k] = np.where(crossed, cfg.max_range, part)
                 else:
-                    ranges, _ = raycast_full(grid, rec.true_pose, cfg.bearings,
-                                             cfg.max_range)
-                c_strings.append(_views.extract_scan_string(
-                    RangeScan(cfg.bearings, ranges, cfg.max_range), params))
-            noisy[-1].append(n_strings)
-            clean[-1].append(c_strings)
+                    ranges[k], _ = raycast_full(grid, rec.true_pose, bearings,
+                                                cfg.max_range)
+            # the noisy scans are RangeScans, extracted through their memo
+            noisy[-1].append([_views.extract_scan_string(rec.scan, params)
+                              for rec in picked])
+            clean[-1].append(_views.extract_scan_strings(ranges, bearings,
+                                                         cfg.max_range, params))
 
     if alphabet is None:
         corpus = [s for per_map in noisy for traj in per_map for s in traj]
@@ -406,6 +404,9 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
     except ValueError:
         raise ValueError("line 1: expected 'beams <N> fov <F> max_range <R> "
                          "truncated <T>'") from None
+    if not (header["beam_count"] > 0 and all(
+            math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range"))):
+        raise ValueError("line 1: beams, fov and max_range must be finite and positive")
     bearings = np.linspace(-header["fov"] / 2.0, header["fov"] / 2.0,
                            header["beam_count"])
     bearings.flags.writeable = False  # shared by every record's scan
@@ -420,6 +421,8 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
         try:
             pose = Pose(float(parts[1]), float(parts[2]), float(parts[3]))
             odom = (float(parts[4]), float(parts[5]), float(parts[6]))
+            if not all(map(math.isfinite, odom)):
+                raise ValueError("odometry must be finite")
             ranges = np.array([float(v) for v in parts[7:]])
             scan = RangeScan(bearings, ranges, header["max_range"])
         except ValueError as exc:

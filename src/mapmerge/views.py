@@ -14,8 +14,10 @@ strings to integer ids, with a reserved catch-all slot for everything else.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -37,7 +39,8 @@ def readonly(a) -> np.ndarray:
 @dataclass(frozen=True)
 class RangeScan:
     """One planar scan: strictly increasing bearings (radians, robot frame)
-    and ranges in (0, max_range].  A range equal to max_range means no return.
+    and ranges in (0, max_range], all finite, with a finite positive
+    max_range.  A range equal to max_range means no return.
 
     Both arrays are stored read-only (see readonly), so a scan never changes
     and the scan strings memoised on it stay valid."""
@@ -56,6 +59,10 @@ class RangeScan:
         object.__setattr__(self, "ranges", ranges)
         if angles.shape != ranges.shape or angles.ndim != 1:
             raise ValueError("angles and ranges must be 1-D and equal length")
+        if not (math.isfinite(self.max_range) and self.max_range > 0):
+            raise ValueError("max_range must be finite and positive")
+        if not (np.isfinite(angles).all() and np.isfinite(ranges).all()):
+            raise ValueError("angles and ranges must be finite")
         if len(angles) >= 2 and not np.all(np.diff(angles) > 0):
             raise ValueError("angles must be strictly increasing")
         if np.any(ranges <= 0) or np.any(ranges > self.max_range + 1e-12):
@@ -92,41 +99,6 @@ def canonicalize(s: str) -> str:
     return min(s, s[::-1])
 
 
-def _split_max_distance(points: np.ndarray) -> tuple[float, int]:
-    """Max perpendicular distance of interior points from the endpoint chord."""
-    p0, p1 = points[0], points[-1]
-    chord = p1 - p0
-    norm = np.hypot(*chord)
-    rel = points - p0
-    if norm < 1e-12:
-        d = np.hypot(rel[:, 0], rel[:, 1])
-    else:
-        d = np.abs(chord[0] * rel[:, 1] - chord[1] * rel[:, 0]) / norm
-    k = int(np.argmax(d))
-    return float(d[k]), k
-
-
-def _segment_breaks(points: np.ndarray, tol: float) -> list[int]:
-    """Indices (exclusive of endpoints) where the polyline must be split so
-    every piece fits a chord within tol.  Recursive split keeps the result
-    invariant under point-order reversal (ties are measure zero for
-    continuous ranges)."""
-    breaks: list[int] = []
-
-    def recurse(lo: int, hi: int):
-        if hi - lo < 2:
-            return
-        dmax, k = _split_max_distance(points[lo:hi + 1])
-        if dmax > tol:
-            k += lo
-            recurse(lo, k)
-            breaks.append(k)
-            recurse(k, hi)
-
-    recurse(0, len(points) - 1)
-    return breaks
-
-
 def _segment_direction(points: np.ndarray) -> float:
     """Undirected orientation of the best-fit line through points (radians)."""
     centered = points - points.mean(axis=0)
@@ -143,150 +115,192 @@ def _direction_change(a: float, b: float) -> float:
     return min(d, np.pi - d)
 
 
-class _Group:
-    __slots__ = ("symbol", "indices", "mean_range")
-
-    def __init__(self, symbol: str, indices: list[int], ranges: np.ndarray):
-        self.symbol = symbol
-        self.indices = indices
-        self.mean_range = float(np.mean(ranges[indices]))
-
-
 def extract_scan_string(scan: RangeScan, params: ExtractionParams) -> str:
     """Deterministic symbol sequence for a scan, beams in counterclockwise
     (increasing bearing) order.  Memoised on the scan per params."""
     s = scan._strings.get(params)
     if s is None:
-        s = scan._strings[params] = _extract(scan, params)
+        s = scan._strings[params] = extract_scan_strings(
+            scan.ranges[None, :], scan.angles, scan.max_range, params)[0]
     return s
 
 
-def _extract(scan: RangeScan, params: ExtractionParams) -> str:
-    n = len(scan)
+def extract_scan_strings(ranges, angles, max_range: float,
+                         params: ExtractionParams) -> list[str]:
+    """The scan string of every row of ranges (scans, beams), all scans
+    taken at the same bearings angles and max_range.
+
+    Beams split into runs of max-range beams ('m') and obstacle runs; an
+    obstacle run splits into pieces at range jumps ('g'); a piece splits
+    recursively at the beam farthest from its endpoint chord until every
+    part fits within line_fit_tolerance (Ramer 1972; Douglas & Peucker
+    1973), and parts whose fitted lines turn sharply stay apart as 'w'
+    groups with a corner ('c') between them.  Groups shorter than
+    min_group_beams then merge into a neighbor.  Runs, pieces and every
+    level of the recursive split are array operations over all scans at
+    once; only segment directions, merging and emission run per scan.
+    """
+    r = np.asarray(ranges, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    if r.ndim != 2 or angles.shape != r.shape[1:]:
+        raise ValueError("ranges must be (scans, beams) with one angle per beam")
+    n_scans, n = r.shape
     if n < 3:
         raise ValueError("scan must have at least 3 beams")
-    r = scan.ranges
-    is_max = r >= scan.max_range - params.max_range_margin
+    if not np.isfinite(r).all():
+        raise ValueError("ranges must be finite")
+    is_max = r >= max_range - params.max_range_margin
+    xs = r * np.cos(angles)
+    ys = r * np.sin(angles)
 
-    points = np.column_stack((r * np.cos(scan.angles), r * np.sin(scan.angles)))
+    # A piece starts at beam 0, where max-range and obstacle beams alternate,
+    # and at a jump between adjacent obstacle beams.  Pieces in flat
+    # (scan-major) beam indices: [starts[p], stops[p]).
+    after_gap = np.zeros(r.shape, dtype=bool)
+    after_gap[:, 1:] = np.abs(np.diff(r, axis=1)) >= params.gap_threshold
+    after_gap[:, 1:] &= ~is_max[:, 1:] & ~is_max[:, :-1]
+    start = np.ones(r.shape, dtype=bool)
+    start[:, 1:] = is_max[:, 1:] != is_max[:, :-1]
+    start |= after_gap
+    starts = np.flatnonzero(start)
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1:] = r.size
+    piece_is_max = is_max.ravel()[starts]
+    piece_after_gap = after_gap.ravel()[starts]
+    breaks = _line_breaks(xs.ravel(), ys.ravel(), starts, stops, piece_is_max,
+                          params.line_fit_tolerance).tolist()
 
-    # First pass: runs of max-range beams and obstacle runs, the latter split
-    # into groups at large jumps ('g') and at corners ('c').
-    groups: list[_Group] = []
-    seps: list[str | None] = []  # separator before groups[k], None for k == 0
-
-    def add_group(symbol: str, idx: list[int], sep: str | None):
-        if groups:
+    points = np.stack((xs, ys), axis=-1).reshape(-1, 2)
+    flat_ranges = r.ravel()
+    first_piece = np.searchsorted(starts, np.arange(n_scans + 1) * n).tolist()
+    starts, stops = starts.tolist(), stops.tolist()
+    piece_is_max, piece_after_gap = piece_is_max.tolist(), piece_after_gap.tolist()
+    strings = []
+    b = 0  # next unused break
+    for i in range(n_scans):
+        # groups are [symbol, beam count, first beam, stop beam, mean range]
+        # with the mean filled in when read; adjacent 'w' groups of one
+        # piece share their corner beam
+        groups: list[list] = []
+        seps: list[str | None] = []  # separator before groups[k]
+        for p in range(first_piece[i], first_piece[i + 1]):
+            lo, stop = starts[p], stops[p]
+            if piece_is_max[p]:
+                groups.append(["m", stop - lo, lo, stop, None])
+                seps.append(None)
+                continue
+            sep = "g" if piece_after_gap[p] else None
+            bounds = [lo]
+            while b < len(breaks) and breaks[b] < stop:
+                bounds.append(breaks[b])
+                b += 1
+            bounds.append(stop - 1)
+            dirs = ([_segment_direction(points[bounds[t]:bounds[t + 1] + 1])
+                     for t in range(len(bounds) - 1)] if len(bounds) > 2 else [])
+            # each boundary is judged once between its two original segments,
+            # so the grouping is identical when the beam order is reversed
+            for t in range(1, len(dirs)):
+                if _direction_change(dirs[t - 1], dirs[t]) > params.corner_angle_threshold:
+                    groups.append(["w", bounds[t] - lo + 1, lo, bounds[t] + 1, None])
+                    seps.append(sep)
+                    lo, sep = bounds[t], "c"
+            groups.append(["w", stop - lo, lo, stop, None])
             seps.append(sep)
-        groups.append(_Group(symbol, idx, r))
-
-    i = 0
-    while i < n:
-        if is_max[i]:
-            j = i
-            while j < n and is_max[j]:
-                j += 1
-            add_group("m", list(range(i, j)), None)
-            i = j
-            continue
-        # obstacle run: consecutive non-max beams
-        j = i
-        while j < n and not is_max[j]:
-            j += 1
-        run = list(range(i, j))
-        # split at big jumps between adjacent obstacle beams
-        pieces: list[list[int]] = [[run[0]]]
-        for k in run[1:]:
-            if abs(r[k] - r[k - 1]) >= params.gap_threshold:
-                pieces.append([k])
-            else:
-                pieces[-1].append(k)
-        first_piece = True
-        for piece in pieces:
-            sep = None if first_piece else "g"
-            first_piece = False
-            # split the piece into line segments; emit 'c' at sharp corners
-            sub = _line_groups(points, piece, params)
-            for t, seg in enumerate(sub):
-                add_group("w", seg, sep if t == 0 else "c")
-        i = j
-
-    _merge_small_groups(groups, seps, params.min_group_beams)
-    return _emit(groups, seps)
+        del seps[0]  # now the separator before groups[k + 1]
+        _merge_small_groups(groups, seps, params.min_group_beams, flat_ranges)
+        out = [groups[0][0]]
+        for g, sep in zip(groups[1:], seps):
+            if sep is not None:
+                out.append(sep)
+            out.append(g[0])
+        # collapse accidental identical neighbors
+        strings.append("".join(ch for ch, _ in groupby(out)))
+    return strings
 
 
-def _line_groups(points: np.ndarray, piece: list[int],
-                 params: ExtractionParams) -> list[list[int]]:
-    """Split one contiguous obstacle piece into 'w' groups separated by
-    corners.  Segment boundaries without a sharp direction change are merged
-    back into a single group."""
-    if len(piece) <= 2:
-        return [piece]
-    pts = points[piece]
-    breaks = _segment_breaks(pts, params.line_fit_tolerance)
-    if not breaks:
-        return [piece]
-    bounds = [0] + breaks + [len(piece) - 1]
-    segs = [list(range(bounds[t], bounds[t + 1] + 1)) for t in range(len(bounds) - 1)]
-    dirs = [_segment_direction(pts[s]) for s in segs]
-    # each boundary is judged once between its two original segments, so the
-    # grouping is identical when the beam order is reversed
-    merged: list[list[int]] = [list(segs[0])]
-    for s, d_prev, d in zip(segs[1:], dirs, dirs[1:]):
-        if _direction_change(d_prev, d) > params.corner_angle_threshold:
-            merged.append(list(s))
-        else:
-            merged[-1].extend(s[1:])
-    return [[piece[k] for k in seg] for seg in merged]
+def _line_breaks(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray, is_max: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted flat beam indices where the obstacle pieces [starts, stops)
+    split so every part between consecutive breaks fits its endpoint chord
+    within tol.  The recursive split runs one level per round over every
+    part of every piece: a part splits at its first beam farthest from the
+    chord if that beam lies beyond tol."""
+    obstacle = ~is_max & (stops - starts >= 3)
+    lo, hi = starts[obstacle], stops[obstacle] - 1
+    found = []
+    while len(lo):
+        size = hi - lo + 1
+        first = np.cumsum(size) - size  # offset of each part in the gather
+        part = np.repeat(np.arange(len(lo)), size)
+        beam = np.arange(len(part)) - first[part] + lo[part]
+        x0, y0 = xs[lo], ys[lo]
+        cx, cy = xs[hi] - x0, ys[hi] - y0
+        norm = np.hypot(cx, cy)
+        rx = xs[beam] - x0[part]
+        ry = ys[beam] - y0[part]
+        # a part whose chord has (nearly) no length measures distances from
+        # its first point instead
+        point_chord = norm < 1e-12
+        any_point_chord = point_chord.any()
+        if any_point_chord:
+            norm[point_chord] = 1.0
+        d = np.abs(cx[part] * ry - cy[part] * rx) / norm[part]
+        if any_point_chord:
+            near = point_chord[part]
+            d[near] = np.hypot(rx[near], ry[near])
+        dmax = np.maximum.reduceat(d, first)
+        at = np.flatnonzero(d == dmax[part])
+        lead = np.ones(len(at), dtype=bool)
+        lead[1:] = part[at[1:]] != part[at[:-1]]
+        split = dmax > tol
+        k = beam[at[lead]][split]
+        found.append(k)
+        lo = np.concatenate((lo[split], k))
+        hi = np.concatenate((k, hi[split]))
+        small = hi - lo >= 2
+        lo, hi = lo[small], hi[small]
+    return np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.intp)
 
 
-def _merge_small_groups(groups: list[_Group], seps: list[str | None], min_beams: int):
+def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: int,
+                        ranges: np.ndarray):
     """Absorb groups shorter than min_beams into a neighbor.  Selection and
     merge direction use position-free keys (length, mean range) so the result
-    is stable under beam-order reversal."""
+    is stable under beam-order reversal.  A group's mean range is that of
+    its own beams before any merge; it is computed on first read."""
+    def mean_range(g):
+        # the contiguous slice's pairwise sum over n is bit for bit what
+        # np.mean gave; np.add.reduceat sums in another order
+        if g[4] is None:
+            g[4] = float(ranges[g[2]:g[3]].sum() / (g[3] - g[2]))
+        return g[4]
+
     while len(groups) > 1:
-        small = [g for g in groups if len(g.indices) < min_beams]
+        small = [k for k, g in enumerate(groups) if g[1] < min_beams]
         if not small:
             return
-        victim = min(small, key=lambda g: (len(g.indices), g.mean_range))
-        k = groups.index(victim)
+        k = min(small, key=lambda k: (groups[k][1], mean_range(groups[k])))
+        victim = groups[k]
         if k == 0:
             target = 1
         elif k == len(groups) - 1:
             target = k - 1
         else:
-            left, right = groups[k - 1], groups[k + 1]
-            key = lambda g: (-len(g.indices), abs(g.mean_range - victim.mean_range))
-            target = k - 1 if key(left) <= key(right) else k + 1
-        host = groups[target]
-        host.indices = sorted(host.indices + victim.indices)
-        # mean_range keyed on the host's own beams only; recompute lazily is
-        # unnecessary since the host keeps its symbol
+            key = lambda g: (-g[1], abs(mean_range(g) - mean_range(victim)))
+            target = k - 1 if key(groups[k - 1]) <= key(groups[k + 1]) else k + 1
+        groups[target][1] += victim[1]
         del groups[k]
         del seps[k - 1 if target < k else k]
         # adjacent same-symbol groups with no separator collapse
         k2 = 1
         while k2 < len(groups):
-            if seps[k2 - 1] is None and groups[k2].symbol == groups[k2 - 1].symbol:
-                groups[k2 - 1].indices = sorted(groups[k2 - 1].indices + groups[k2].indices)
+            if seps[k2 - 1] is None and groups[k2][0] == groups[k2 - 1][0]:
+                groups[k2 - 1][1] += groups[k2][1]
                 del groups[k2]
                 del seps[k2 - 1]
             else:
                 k2 += 1
-
-
-def _emit(groups: list[_Group], seps: list[str | None]) -> str:
-    out: list[str] = []
-    for k, g in enumerate(groups):
-        if k > 0 and seps[k - 1] is not None:
-            out.append(seps[k - 1])
-        out.append(g.symbol)
-    # collapse accidental identical neighbors
-    collapsed = [out[0]]
-    for ch in out[1:]:
-        if ch != collapsed[-1]:
-            collapsed.append(ch)
-    return "".join(collapsed)
 
 
 @dataclass(frozen=True)

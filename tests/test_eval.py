@@ -270,6 +270,64 @@ class TestCLI:
         assert code == 1
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("resolution 0.1\n\n...\n", "line 2: expected 'origin <x> <y>'"),
+        ("resolutoin 0.1\norigin 0 0\n...\n", "line 1: expected 'resolution <meters>'"),
+        ("resolution 0.1\norigin 0 0\n\n", "line 3: empty row")])
+    def test_malformed_map_one_line_error(self, workdir, capsys, text, message):
+        (workdir / "bad.map").write_text(text)
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(3.0, 2.5, 0.0),
+                                       "waypoints", 1.0, cfg, waypoints=[(8.0, 2.5)])
+        (workdir / "ok.traj").write_text(sim.dump_trajectory(traj, cfg))
+        code = cli.main(["carve", "--map", str(workdir / "bad.map"),
+                         "--trajectory", str(workdir / "ok.traj"),
+                         "--out", str(workdir / "x.map")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "prior file must hold a JSON object"),
+        (lambda doc: {"alphabet": 5}, "prior field 'alphabet' must be a list of strings"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "alphabet"},
+         "prior file has no 'alphabet' field"),
+        (lambda doc: {**doc, "alphabet": ["w", 3, "*"]},
+         "prior field 'alphabet' must be a list of strings"),
+        (lambda doc: {**doc, "alphabet_hash": None},
+         "prior field 'alphabet_hash' must be a string"),
+        (lambda doc: {**doc, "nu": "3"}, "prior field 'nu' must be an integer"),
+        (lambda doc: {**doc, "alpha": "dense"},
+         "prior field 'alpha' must be a (nested) list of finite numbers"),
+        (lambda doc: {**doc, "alpha": [[1.0, "x"], [1.0, 1.0]]},
+         "prior field 'alpha' must be a (nested) list of finite numbers"),
+        (lambda doc: {**doc, "observation_model": [[1.0], [1.0, 2.0]]},
+         "prior field 'observation_model' must be a (nested) list of finite numbers"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "marginals"},
+         "prior file has no 'marginals' field"),
+        (lambda doc: {**doc, "extraction_params": [1.0]},
+         "prior field 'extraction_params' must be an object of numbers"),
+        (lambda doc: {**doc, "extraction_params": {"gap": 1.0}},
+         "prior field 'extraction_params' must be an object of numbers"),
+        (lambda doc: {**doc, "extraction_params": {"gap_threshold": "1"}},
+         "prior field 'extraction_params' must be an object of numbers"),
+        (lambda doc: {**doc, "counts": {"a": 1}},
+         "prior field 'counts' must be a (nested) list of finite numbers"),
+    ])
+    def test_malformed_prior_one_line_error(self, workdir, capsys, edit, message):
+        doc = json.loads(dump_prior(tiny_bundle()))
+        (workdir / "bad.json").write_text(json.dumps(edit(doc)))
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(3.0, 2.5, 0.0),
+                                       "waypoints", 1.0, cfg, waypoints=[(8.0, 2.5)])
+        (workdir / "ok.traj").write_text(sim.dump_trajectory(traj, cfg))
+        code = cli.main(["localize", "--map", str(workdir / "world.map"),
+                         "--prior", str(workdir / "bad.json"),
+                         "--trajectory", str(workdir / "ok.traj"),
+                         "--out", str(workdir / "steps.log")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_filter_divergence_one_line_error(self, workdir, capsys, monkeypatch):
         def diverging(*args, **kwargs):
             raise FilterDivergence("all particle weights underflowed")

@@ -403,7 +403,8 @@ def _reference_localization(grid, structure, alphabet, trajectory, config,
         if ps.distance_since_update < config.view_update_distance:
             continue
         # a fresh extraction every step, never the scan's memo
-        s = views_module._extract(rec.scan, config.extraction)
+        s = views_module.extract_scan_strings(rec.scan.ranges[None], rec.scan.angles,
+                                              rec.scan.max_range, config.extraction)[0]
         z = views_module.view_of(alphabet, s)
         log_out = _reference_measurement_update(
             ps, rec.scan, z, structure, grid, config.scan_params,

@@ -2,6 +2,10 @@
 and the likelihood-field scan model."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,39 @@ class TestMapIO:
     def test_missing_header(self):
         with pytest.raises(MapParseError, match="line 1"):
             load_map("nonsense\norigin 0 0\n...\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("resolutoin 0.1\norigin 0 0\n...\n", "line 1: expected 'resolution <meters>'"),
+        ("resolution\norigin 0 0\n...\n", "line 1: expected 'resolution <meters>'"),
+        ("resolution 0.1 0.2\norigin 0 0\n...\n", "line 1: expected 'resolution <meters>'"),
+        ("resolution nan\norigin 0 0\n...\n", "line 1: resolution must be finite"),
+        ("resolution 0\norigin 0 0\n...\n", "line 1: resolution must be positive"),
+        ("resolution 0.1\norogin 0 0\n...\n", "line 2: expected 'origin <x> <y>'"),
+        ("resolution 0.1\n\n...\n", "line 2: expected 'origin <x> <y>'"),
+        ("resolution 0.1\norigin 0\n...\n", "line 2: expected 'origin <x> <y>'"),
+        ("resolution 0.1\norigin 0 inf\n...\n", "line 2: origin must be finite"),
+        ("resolution 0.1\norigin 0 0\n\n", "line 3: empty row"),
+        ("resolution 0.1\norigin 0 0\n\n...\n", "line 3: empty row"),
+    ])
+    def test_malformed_header_or_row_names_its_line(self, text, message):
+        with pytest.raises(MapParseError) as info:
+            load_map(text)
+        assert str(info.value) == message
+
+    def test_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the parser must not rely on them
+        code = ("from mapmerge.grid import load_map, MapParseError\n"
+                "for text in ('resolutoin 0.1\\norigin 0 0\\n...\\n',\n"
+                "             'resolution 0.1\\norogin 0 0\\n...\\n'):\n"
+                "    try:\n"
+                "        load_map(text)\n"
+                "    except MapParseError as exc:\n"
+                "        print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.splitlines() == ["line 1: expected 'resolution <meters>'",
+                                           "line 2: expected 'origin <x> <y>'"]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 12))

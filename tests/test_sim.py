@@ -280,9 +280,31 @@ class TestTrajectoryLog:
         "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0",          # a range too many
         "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 x 5.0",        # not a number
         "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 9.0 5.0",      # beyond max range
+        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 nan 5.0",      # a NaN range
+        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 inf 5.0",      # an infinite range
+        "0 1.0 2.0 0.0 nan 0.0 0.0 5.0 5.0 5.0",      # NaN odometry
+        "0 1.0 2.0 0.0 0.1 -inf 0.0 5.0 5.0 5.0",     # infinite odometry
+        "0 nan 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0",      # NaN pose
     ])
     def test_bad_record_names_its_line(self, record):
         text = ("beams 3 fov 3.14 max_range 8.0 truncated 0\n"
                 "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n" + record + "\n")
         with pytest.raises(ValueError, match="^line 3: "):
+            sim.load_trajectory(text)
+
+    @pytest.mark.parametrize("header", [
+        "beams 3 fov 3.14 max_range nan truncated 0",
+        "beams 3 fov 3.14 max_range inf truncated 0",
+        "beams 3 fov nan max_range 8.0 truncated 0",
+        "beams 3 fov 3.14 max_range -1.0 truncated 0",
+        "beams 0 fov 3.14 max_range 8.0 truncated 0",
+    ])
+    def test_bad_header_values_name_line_1(self, header):
+        with pytest.raises(ValueError, match="^line 1: "):
+            sim.load_trajectory(header + "\n0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n")
+
+    def test_non_finite_odometry_message(self):
+        text = ("beams 3 fov 3.14 max_range 8.0 truncated 0\n"
+                "0 1.0 2.0 0.0 0.1 nan 0.0 5.0 5.0 5.0\n")
+        with pytest.raises(ValueError, match="^line 2: odometry must be finite$"):
             sim.load_trajectory(text)

@@ -13,6 +13,7 @@ from mapmerge import views as views_module
 from mapmerge.grid import Pose, default_bearings, raycast
 from mapmerge.views import (ExtractionParams, RangeScan, ViewAlphabet,
                             alphabet_build, canonicalize, extract_scan_string,
+                            extract_scan_strings,
                             learn_observation_model, observation_likelihood,
                             view_of, OTHER)
 
@@ -48,6 +49,27 @@ class TestRangeScan:
     def test_rejects_out_of_range_readings(self):
         with pytest.raises(ValueError):
             RangeScan(np.array([0.0, 0.1]), np.array([1.0, 9.0]), 8.0)
+
+    @pytest.mark.parametrize("angles, ranges, max_range", [
+        ([0.0, 0.1, 0.2], [1.0, np.nan, 1.0], 8.0),
+        ([0.0, 0.1, 0.2], [1.0, np.inf, 1.0], np.inf),
+        ([0.0, np.nan, 0.2], [1.0, 1.0, 1.0], 8.0),
+        ([0.0, 0.1, np.inf], [1.0, 1.0, 1.0], 8.0),
+        ([0.0, 0.1, 0.2], [1.0, 1.0, 1.0], np.nan),
+        ([0.0, 0.1, 0.2], [1.0, 1.0, 1.0], 0.0),
+    ])
+    def test_rejects_non_finite_input(self, angles, ranges, max_range):
+        with pytest.raises(ValueError, match="finite"):
+            RangeScan(np.array(angles), np.array(ranges), max_range)
+
+    def test_nan_range_no_longer_reads_as_wall(self):
+        # a NaN used to pass validation and extract as the wall around it
+        angles = default_bearings(181, math.pi)
+        ranges = np.full(181, 3.0)
+        assert extract_scan_string(RangeScan(angles, ranges, MAX_RANGE), PARAMS) == "w"
+        ranges[50] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RangeScan(angles, ranges, MAX_RANGE)
 
     def test_mirrored_flips_beams(self):
         s = corridor_scan()
@@ -103,7 +125,7 @@ def test_memoised_strings_equal_fresh_extraction(case):
     angles, ranges, params = case
     scan = RangeScan(angles, ranges, MAX_RANGE)
     for p in params + params[::-1]:
-        fresh = views_module._extract(RangeScan(angles, ranges, MAX_RANGE), p)
+        fresh = views_module.extract_scan_strings(ranges[None], angles, MAX_RANGE, p)[0]
         assert extract_scan_string(scan, p) == fresh
     assert set(scan._strings) == set(params)
 
@@ -185,6 +207,271 @@ def test_mirror_symmetry_random_scans(seed):
     s_m = extract_scan_string(scan.mirrored(), PARAMS)
     assert canonicalize(s) == canonicalize(s_m)
     assert s_m == s[::-1]
+
+
+# ---------------------------------------------------------- per-scan oracle
+# The recursive per-scan extractor that extract_scan_strings replaced, kept
+# verbatim as the reference the batched strings must equal.
+
+def _ref_split_max_distance(points):
+    p0, p1 = points[0], points[-1]
+    chord = p1 - p0
+    norm = np.hypot(*chord)
+    rel = points - p0
+    if norm < 1e-12:
+        d = np.hypot(rel[:, 0], rel[:, 1])
+    else:
+        d = np.abs(chord[0] * rel[:, 1] - chord[1] * rel[:, 0]) / norm
+    k = int(np.argmax(d))
+    return float(d[k]), k
+
+
+def _ref_segment_breaks(points, tol):
+    breaks = []
+
+    def recurse(lo, hi):
+        if hi - lo < 2:
+            return
+        dmax, k = _ref_split_max_distance(points[lo:hi + 1])
+        if dmax > tol:
+            k += lo
+            recurse(lo, k)
+            breaks.append(k)
+            recurse(k, hi)
+
+    recurse(0, len(points) - 1)
+    return breaks
+
+
+def _ref_segment_direction(points):
+    centered = points - points.mean(axis=0)
+    cov = centered.T @ centered
+    _, vecs = np.linalg.eigh(cov)
+    v = vecs[:, -1]
+    return float(np.arctan2(v[1], v[0]))
+
+
+def _ref_direction_change(a, b):
+    d = abs(a - b) % np.pi
+    return min(d, np.pi - d)
+
+
+class _RefGroup:
+    __slots__ = ("symbol", "indices", "mean_range")
+
+    def __init__(self, symbol, indices, ranges):
+        self.symbol = symbol
+        self.indices = indices
+        self.mean_range = float(np.mean(ranges[indices]))
+
+
+def _ref_line_groups(points, piece, params):
+    if len(piece) <= 2:
+        return [piece]
+    pts = points[piece]
+    breaks = _ref_segment_breaks(pts, params.line_fit_tolerance)
+    if not breaks:
+        return [piece]
+    bounds = [0] + breaks + [len(piece) - 1]
+    segs = [list(range(bounds[t], bounds[t + 1] + 1)) for t in range(len(bounds) - 1)]
+    dirs = [_ref_segment_direction(pts[s]) for s in segs]
+    merged = [list(segs[0])]
+    for s, d_prev, d in zip(segs[1:], dirs, dirs[1:]):
+        if _ref_direction_change(d_prev, d) > params.corner_angle_threshold:
+            merged.append(list(s))
+        else:
+            merged[-1].extend(s[1:])
+    return [[piece[k] for k in seg] for seg in merged]
+
+
+def _ref_merge_small_groups(groups, seps, min_beams):
+    while len(groups) > 1:
+        small = [g for g in groups if len(g.indices) < min_beams]
+        if not small:
+            return
+        victim = min(small, key=lambda g: (len(g.indices), g.mean_range))
+        k = groups.index(victim)
+        if k == 0:
+            target = 1
+        elif k == len(groups) - 1:
+            target = k - 1
+        else:
+            left, right = groups[k - 1], groups[k + 1]
+            key = lambda g: (-len(g.indices), abs(g.mean_range - victim.mean_range))
+            target = k - 1 if key(left) <= key(right) else k + 1
+        host = groups[target]
+        host.indices = sorted(host.indices + victim.indices)
+        del groups[k]
+        del seps[k - 1 if target < k else k]
+        k2 = 1
+        while k2 < len(groups):
+            if seps[k2 - 1] is None and groups[k2].symbol == groups[k2 - 1].symbol:
+                groups[k2 - 1].indices = sorted(groups[k2 - 1].indices + groups[k2].indices)
+                del groups[k2]
+                del seps[k2 - 1]
+            else:
+                k2 += 1
+
+
+def _ref_emit(groups, seps):
+    out = []
+    for k, g in enumerate(groups):
+        if k > 0 and seps[k - 1] is not None:
+            out.append(seps[k - 1])
+        out.append(g.symbol)
+    collapsed = [out[0]]
+    for ch in out[1:]:
+        if ch != collapsed[-1]:
+            collapsed.append(ch)
+    return "".join(collapsed)
+
+
+def _ref_extract(scan, params):
+    n = len(scan)
+    if n < 3:
+        raise ValueError("scan must have at least 3 beams")
+    r = scan.ranges
+    is_max = r >= scan.max_range - params.max_range_margin
+    points = np.column_stack((r * np.cos(scan.angles), r * np.sin(scan.angles)))
+    groups, seps = [], []
+
+    def add_group(symbol, idx, sep):
+        if groups:
+            seps.append(sep)
+        groups.append(_RefGroup(symbol, idx, r))
+
+    i = 0
+    while i < n:
+        if is_max[i]:
+            j = i
+            while j < n and is_max[j]:
+                j += 1
+            add_group("m", list(range(i, j)), None)
+            i = j
+            continue
+        j = i
+        while j < n and not is_max[j]:
+            j += 1
+        run = list(range(i, j))
+        pieces = [[run[0]]]
+        for k in run[1:]:
+            if abs(r[k] - r[k - 1]) >= params.gap_threshold:
+                pieces.append([k])
+            else:
+                pieces[-1].append(k)
+        first_piece = True
+        for piece in pieces:
+            sep = None if first_piece else "g"
+            first_piece = False
+            sub = _ref_line_groups(points, piece, params)
+            for t, seg in enumerate(sub):
+                add_group("w", seg, sep if t == 0 else "c")
+        i = j
+
+    _ref_merge_small_groups(groups, seps, params.min_group_beams)
+    return _ref_emit(groups, seps)
+
+
+LATTICE = 0.025  # half a 0.05 m cell: the step of ray-cast ranges
+_extraction_params = st.builds(
+    ExtractionParams,
+    gap_threshold=st.sampled_from((0.3, 1.0)),
+    max_range_margin=st.sampled_from((0.2, 0.5)),
+    corner_angle_threshold=st.sampled_from((0.3, 0.6)),
+    line_fit_tolerance=st.sampled_from((0.05, 0.1)),
+    min_group_beams=st.integers(1, 5))
+
+
+@st.composite
+def _structured_ranges(draw, n, max_range):
+    """Ranges built from runs of 1-8 beams: lattice walls (so chord
+    distances tie), no-return and near-max runs, sudden jumps, near-zero
+    ranges (chords shorter than 1e-12) and arbitrary floats."""
+    out = []
+    while len(out) < n:
+        length = draw(st.integers(1, 8))
+        kind = draw(st.sampled_from(("wall", "max", "near_max", "tiny", "float")))
+        if kind == "wall":
+            base = draw(st.integers(4, int(max_range / LATTICE) - 1))
+            steps = draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length))
+            vals = [min(max(base + s, 1), int(max_range / LATTICE)) * LATTICE
+                    for s in np.cumsum(steps)]
+        elif kind == "max":
+            vals = [max_range] * length
+        elif kind == "near_max":
+            vals = [max_range - draw(st.sampled_from((0.1, 0.2, 0.3)))] * length
+        elif kind == "tiny":
+            vals = [draw(st.sampled_from((1e-13, 2e-13, 5e-13)))] * length
+        else:
+            vals = draw(st.lists(st.floats(1e-3, max_range), min_size=length,
+                                 max_size=length))
+        out.extend(vals)
+    return np.array(out[:n])
+
+
+@st.composite
+def _scan_batches(draw):
+    n = draw(st.integers(3, 40))
+    max_range = draw(st.sampled_from((MAX_RANGE, 3.0)))
+    angle_kind = draw(st.sampled_from(("half", "full", "random")))
+    if angle_kind == "random":
+        # strictly increasing, spanning more than a full turn at times
+        angles = np.cumsum(draw(st.lists(st.floats(1e-3, 0.8), min_size=n,
+                                         max_size=n))) - 1.5
+    else:
+        angles = default_bearings(n, math.pi if angle_kind == "half" else 2 * math.pi)
+    rows = draw(st.lists(_structured_ranges(n, max_range), min_size=1, max_size=6))
+    return angles, max_range, np.array(rows), draw(_extraction_params)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scan_batches())
+def test_batched_strings_equal_per_scan_reference(case):
+    angles, max_range, ranges, params = case
+    expected = [_ref_extract(RangeScan(angles, row, max_range), params)
+                for row in ranges]
+    assert extract_scan_strings(ranges, angles, max_range, params) == expected
+    for row, s in zip(ranges, expected):  # the one-row case
+        assert extract_scan_strings(row[None], angles, max_range, params) == [s]
+
+
+@pytest.mark.parametrize("ranges", [
+    np.full(9, 1e-13),                           # every chord shorter than 1e-12
+    np.array([1e-13, 2e-13, 1.0, 1.0, 2e-13, 1e-13, 3.0, 3.0, 3.0]),
+    np.full(9, 2.0),                             # full turn: first and last points meet
+])
+def test_point_chords_match_reference(ranges):
+    angles = default_bearings(len(ranges), 2 * math.pi)
+    params = ExtractionParams(min_group_beams=1)
+    expected = _ref_extract(RangeScan(angles, ranges, MAX_RANGE), params)
+    assert extract_scan_strings(ranges[None], angles, MAX_RANGE, params) == [expected]
+
+
+def test_batched_strings_on_raycast_scans():
+    # every heading of every lattice site of a fixture map, as a ViewField
+    # would extract them, in one batch and one at a time
+    grid = fixtures.corridor_with_left_opening()
+    bearings = default_bearings()
+    scans = [raycast(grid, Pose(x, 5.0, th), bearings, MAX_RANGE)
+             for x in (1.0, 3.0, 5.0, 8.0) for th in np.linspace(-3.0, 3.0, 7)]
+    expected = [_ref_extract(s, PARAMS) for s in scans]
+    batch = np.array([s.ranges for s in scans])
+    assert extract_scan_strings(batch, bearings, MAX_RANGE, PARAMS) == expected
+    assert [extract_scan_string(s, PARAMS) for s in scans] == expected
+
+
+def test_batched_strings_reject_bad_input():
+    angles = default_bearings(5, math.pi)
+    with pytest.raises(ValueError, match="3 beams"):
+        extract_scan_strings(np.ones((2, 2)), angles[:2], MAX_RANGE, PARAMS)
+    with pytest.raises(ValueError, match="one angle per beam"):
+        extract_scan_strings(np.ones(5), angles, MAX_RANGE, PARAMS)
+    with pytest.raises(ValueError, match="one angle per beam"):
+        extract_scan_strings(np.ones((2, 4)), angles, MAX_RANGE, PARAMS)
+    with pytest.raises(ValueError, match="finite"):
+        extract_scan_strings(np.array([[1.0, 1.0, np.nan, 1.0, 1.0]]), angles,
+                             MAX_RANGE, PARAMS)
+    assert extract_scan_strings(np.empty((0, 5)), angles, MAX_RANGE, PARAMS) == []
 
 
 class TestAlphabet:
