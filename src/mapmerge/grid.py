@@ -5,6 +5,7 @@ particles."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,13 @@ _CHAR_FOR = {FREE: ".", OCCUPIED: "#", UNKNOWN: "?"}
 _CELL_FOR = {v: k for k, v in _CHAR_FOR.items()}
 
 RAY_STEP_FRACTION = 0.5  # ray sampling step, in cell widths
+CAST_CHUNK_RAYS = 10_000  # rays per batched cast in expected_view
+# A batched cast samples its last DENSE_FINISH_RAYS rays densely, in blocks
+# of DENSE_BLOCK_RAYS.  Above 1,023 rays the skipping loop's per-ray masks
+# stay out of numpy's cache of small buffers, which keeps up to 7 freed
+# buffers of every size under 1 KiB.
+DENSE_FINISH_RAYS = 1024
+DENSE_BLOCK_RAYS = 256
 
 
 def wrap_angle(theta):
@@ -58,6 +66,7 @@ class OccupancyGrid:
         self.origin = (float(origin[0]), float(origin[1]))
         self._distance_field = None
         self._likelihood_tables: dict = {}
+        self._skip_tables: dict = {}
 
     @property
     def shape(self):
@@ -98,6 +107,35 @@ class OccupancyGrid:
             table = np.log(params.z_hit * np.exp(-0.5 * (d / params.sigma_hit) ** 2)
                            + params.z_rand)
             self._likelihood_tables[params] = table
+        return table
+
+    def skip_table(self, unknown_stops: bool) -> np.ndarray:
+        """Ray samples a batched cast may advance from a sample in each cell,
+        flattened, as uint8; 0 marks the cells where a ray stops: OCCUPIED,
+        and UNKNOWN with unknown_stops.
+
+        From a sample in another cell at clearance D (meters between cell
+        centers to the nearest stopping cell), every sample closer than
+        D - res*sqrt(2) lies in a non-stopping cell or off the grid, so the
+        advance is floor((D - res*sqrt(2)) / step) - 1 samples, at least 1
+        and at most 255 (Cohen & Sheffer, "Proximity clouds", 1994)."""
+        table = self._skip_tables.get(unknown_stops)
+        if table is None:
+            stops = self.cells != FREE if unknown_stops else self.cells == OCCUPIED
+            if stops.any():
+                advance = distance_transform_edt(~stops)
+                advance *= self.resolution
+            else:
+                advance = np.full(self.cells.shape, np.inf)
+            # in place: the transform is as large as the grid
+            advance -= self.resolution * math.sqrt(2.0)
+            advance /= self.resolution * RAY_STEP_FRACTION
+            np.floor(advance, out=advance)
+            advance -= 1
+            np.clip(advance, 1, 255, out=advance)
+            table = advance.astype(np.uint8)
+            table[stops] = 0
+            table = self._skip_tables[unknown_stops] = table.ravel()
         return table
 
 
@@ -166,36 +204,108 @@ def inside_mask(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return out
 
 
+def _sample_distances(grid: OccupancyGrid, max_range: float) -> np.ndarray:
+    """Distances of the samples along every ray, half a cell apart."""
+    step = grid.resolution * RAY_STEP_FRACTION
+    return np.arange(step, max_range + step, step)
+
+
+def _sample_cells(grid: OccupancyGrid, t, x, y, cos, sin):
+    """(flat, on) of the ray samples at distances t from (x, y) along
+    (cos, sin), all broadcast together: each sample's index into the
+    flattened cells, and whether it lies on the grid.  Every caster takes
+    its samples here, so all see the same cells."""
+    h, w = grid.shape
+    # in place, in the order of x + cos * t, minus origin, over resolution;
+    # the floored cell coordinates stay floats until the flat index
+    cols = cos * t
+    cols += x
+    cols -= grid.origin[0]
+    cols /= grid.resolution
+    np.floor(cols, out=cols)
+    rows = sin * t
+    rows += y
+    rows -= grid.origin[1]
+    rows /= grid.resolution
+    np.floor(rows, out=rows)
+    on = cols >= 0
+    on &= cols < w
+    on &= rows >= 0
+    on &= rows < h
+    rows *= w
+    rows += cols
+    return rows.astype(np.intp), on
+
+
 def _ray_samples(grid: OccupancyGrid, x: float, y: float, angles: np.ndarray,
                  max_range: float):
     """Sample cell states along each ray.  Returns (ts, states, flat, ok):
     sample distances, states of shape (n_rays, n_steps) with samples off the
     grid read as FREE, each sample's index into the flattened cells, and
     whether the sample lies on the grid."""
-    step = grid.resolution * RAY_STEP_FRACTION
-    ts = np.arange(step, max_range + step, step)
-    h, w = grid.shape
-    # in place, in the order of x + cos * t, minus origin, over resolution;
-    # the floored cell coordinates stay floats until the flat index
-    cols = np.cos(angles)[:, None] * ts[None, :]
-    cols += x
-    cols -= grid.origin[0]
-    cols /= grid.resolution
-    np.floor(cols, out=cols)
-    rows = np.sin(angles)[:, None] * ts[None, :]
-    rows += y
-    rows -= grid.origin[1]
-    rows /= grid.resolution
-    np.floor(rows, out=rows)
-    ok = cols >= 0
-    ok &= cols < w
-    ok &= rows >= 0
-    ok &= rows < h
-    rows *= w
-    rows += cols
-    flat = rows.astype(np.intp)
+    ts = _sample_distances(grid, max_range)
+    flat, ok = _sample_cells(grid, ts[None, :], x, y, np.cos(angles)[:, None],
+                             np.sin(angles)[:, None])
     states = np.where(ok, grid.cells.ravel().take(flat, mode="clip"), FREE)
     return ts, states.astype(np.int8, copy=False), flat, ok
+
+
+def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
+                unknown_stops: bool):
+    """Cast many rays at once, ray i from (xs[i], ys[i]) on the grid at
+    angles[i].  Returns (ts, first, state): the sample distances, each ray's
+    first sample in a stopping cell (OCCUPIED, and UNKNOWN with
+    unknown_stops; len(ts) when there is none) and that cell's state (FREE
+    when there is none).
+
+    Each round every active ray takes one sample, through _sample_cells
+    like every other cast.  A ray ends in a stopping cell or when it leaves
+    the grid: its floored cell coordinates are monotone in t, so it never
+    comes back.  Otherwise it advances by its cell's skip_table entry.  The
+    last DENSE_FINISH_RAYS rays, mostly ones grazing a wall, then take all
+    their remaining samples at once.
+    """
+    ts = _sample_distances(grid, max_range)
+    h, w = grid.shape
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    col = np.floor((xs - grid.origin[0]) / grid.resolution)
+    row = np.floor((ys - grid.origin[1]) / grid.resolution)
+    if not ((col >= 0) & (col < w) & (row >= 0) & (row < h)).all():
+        raise ValueError("rays must start on the grid")
+    shape = np.broadcast_shapes(xs.shape, ys.shape, angles.shape)
+    x, y, c, s = (np.broadcast_to(a, shape).ravel()
+                  for a in (xs, ys, np.cos(angles), np.sin(angles)))
+    cells = grid.cells.ravel()
+    skip = grid.skip_table(unknown_stops)
+    first = np.full(len(c), len(ts), dtype=np.intp)
+    state = np.full(len(c), FREE, dtype=np.int8)
+    ray = np.arange(len(c))
+    k = np.zeros(len(c), dtype=np.intp)
+    while len(ray) > DENSE_FINISH_RAYS:
+        flat, on = _sample_cells(grid, ts[k], x, y, c, s)
+        advance = skip.take(flat, mode="clip")
+        stop = on & (advance == 0)
+        first[ray[stop]] = k[stop]
+        state[ray[stop]] = cells[flat[stop]]
+        k += advance
+        keep = on & (advance > 0) & (k < len(ts))
+        ray, k, x, y, c, s = ray[keep], k[keep], x[keep], y[keep], c[keep], s[keep]
+    # every sample before k is known not to stop, so sampling densely from
+    # a block's smallest k finds the same first stop; blocks take the rays
+    # in order of k
+    order = np.argsort(k, kind="stable")
+    for lo in range(0, len(order), DENSE_BLOCK_RAYS):
+        block = order[lo:lo + DENSE_BLOCK_RAYS]
+        start = k[block[0]]
+        flat, on = _sample_cells(grid, ts[None, start:], x[block, None],
+                                 y[block, None], c[block, None], s[block, None])
+        stop = on & (skip.take(flat, mode="clip") == 0)
+        hit = stop.any(axis=1)
+        at = np.argmax(stop, axis=1)[hit]
+        first[ray[block[hit]]] = start + at
+        state[ray[block[hit]]] = cells[flat[hit, at]]
+    return ts, first, state
 
 
 def raycast_full(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
@@ -230,61 +340,80 @@ def default_bearings(beam_count: int = 181, fov: float = math.pi) -> np.ndarray:
     return np.linspace(-fov / 2.0, fov / 2.0, beam_count)
 
 
-def expected_view(grid: OccupancyGrid, pose: Pose, alphabet: ViewAlphabet,
-                  params: ExtractionParams, bearings: np.ndarray | None = None,
+def _distinct_angles(bearings: np.ndarray, headings: np.ndarray):
+    """(angles, inverse): the distinct values of heading + bearing over the
+    wrapped headings, and the index of each (heading, bearing) into them."""
+    thetas = wrap_angle(np.asarray(headings, dtype=float))
+    angles, inverse = np.unique(thetas[:, None] + bearings[None, :],
+                                return_inverse=True)
+    return angles, inverse.reshape(len(thetas), len(bearings))
+
+
+def expected_view(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
+                  alphabet: ViewAlphabet, params: ExtractionParams,
+                  bearings: np.ndarray | None = None,
                   max_range: float = 8.0, headings: np.ndarray | None = None,
                   memo: dict | None = None):
-    """View id the partial map predicts at a pose.  Beams that crossed
+    """View id the partial map predicts at a pose.  Beams that reach
     unexplored cells are reported as max-range, matching what the mapping
     robot could have seen from its frontier.
 
-    With headings, returns one view id per heading at the pose's position
-    (pose.theta is then ignored).  Their rays are cast once over the
-    distinct ray angles, and their scans are extracted in one call.  memo
-    maps a scan's first-hit sample indices to its view id; it is exact only
-    while grid resolution, bearings, max_range, params and alphabet stay
-    fixed, as within one ViewField build.
+    pose may also be a sequence of poses; the result then has one entry
+    (or row, with headings) per pose.  With headings, returns one view id
+    per heading at the pose's position (pose.theta is then ignored), and
+    the distinct ray angles of all headings are cast once per pose.  Rays
+    are cast in batches of about CAST_CHUNK_RAYS with unexplored cells
+    stopping them, and each batch's new scans are extracted in one call.
+    memo maps a scan's first-hit sample indices to its view id; it is exact
+    only while grid resolution, bearings, max_range, params and alphabet
+    stay fixed, as within one ViewField build.
     """
-    if not is_inside(grid, pose):
+    poses = [pose] if isinstance(pose, Pose) else list(pose)
+    if not all(is_inside(grid, p) for p in poses):
         raise ValueError("expected_view requires a pose inside the partial map")
     if bearings is None:
         bearings = default_bearings()
     bearings = np.asarray(bearings, dtype=float)
+    xs = np.array([p.x for p in poses])
+    ys = np.array([p.y for p in poses])
     if headings is None:
-        thetas = np.array([pose.theta])
+        # each pose's own rays, one scan per pose
+        angles = np.array([p.theta for p in poses])[:, None] + bearings[None, :]
+        inverse = np.arange(len(bearings))[None, :]
     else:
-        thetas = wrap_angle(np.asarray(headings, dtype=float))
-    uniq, inv = np.unique(thetas[:, None] + bearings[None, :], return_inverse=True)
-    # at most one scan's worth of rays per call: the allocator reuses
-    # temporaries that size, while one call over all angles measured ~1.7x
-    # slower, mostly in page faults on fresh temporaries at every site
-    origin = Pose(pose.x, pose.y, 0.0)
-    ranges = np.empty(len(uniq))
-    for lo in range(0, len(uniq), len(bearings)):
-        part, crossed_unknown = raycast_full(grid, origin,
-                                             uniq[lo:lo + len(bearings)], max_range)
-        ranges[lo:lo + len(part)] = np.where(crossed_unknown, max_range, part)
-    ranges = ranges[inv].reshape(len(thetas), len(bearings))
-    # ranges are ray sample distances or max_range, so the rounded sample
-    # number identifies a scan exactly; -1 stands for max_range
-    step = grid.resolution * RAY_STEP_FRACTION
-    keys = np.where(ranges == max_range, -1, np.rint(ranges / step))
-    keys = keys.astype(np.int16 if max_range / step < 2**15 - 1 else np.int32)
+        shared, inverse = _distinct_angles(bearings, headings)
+        angles = np.broadcast_to(shared, (len(poses), len(shared)))
+    n_scans, n_rays = inverse.shape[0], angles.shape[1]
     if memo is None:
         memo = {}
-    keys = [key.tobytes() for key in keys]
-    # headings whose scan is new to the memo, the first of each equal scan
-    todo = {}
-    for k, key in enumerate(keys):
-        if key not in memo:
-            todo.setdefault(key, k)
-    if todo:
-        strings = views.extract_scan_strings(ranges[list(todo.values())], bearings,
-                                             max_range, params)
-        for key, s in zip(todo, strings):
-            memo[key] = views.view_of(alphabet, s)
-    out = np.array([memo[key] for key in keys], dtype=np.int64)
-    return int(out[0]) if headings is None else out
+    out = np.empty((len(poses), n_scans), dtype=np.int64)
+    per_cast = max(1, CAST_CHUNK_RAYS // n_rays)
+    for lo in range(0, len(poses), per_cast):
+        hi = min(lo + per_cast, len(poses))
+        ts, first, state = _first_stop(grid, xs[lo:hi, None], ys[lo:hi, None],
+                                       angles[lo:hi], max_range, unknown_stops=True)
+        # the sample index of each beam's hit, len(ts) for max range; it
+        # identifies a scan exactly
+        hit = np.where(state == OCCUPIED, first, len(ts))
+        hit = hit.reshape(hi - lo, n_rays)[:, inverse].reshape(-1, len(bearings))
+        keys = [key.tobytes() for key in
+                hit.astype(np.int16 if len(ts) < 2**15 else np.int32)]
+        # scans new to the memo, the first of each equal scan
+        todo = {}
+        for k, key in enumerate(keys):
+            if key not in memo:
+                todo.setdefault(key, k)
+        if todo:
+            ranges = np.append(ts, max_range)[hit[list(todo.values())]]
+            strings = views.extract_scan_strings(ranges, bearings, max_range, params)
+            for key, s in zip(todo, strings):
+                memo[key] = views.view_of(alphabet, s)
+        out[lo:hi] = np.reshape([memo[key] for key in keys], (hi - lo, n_scans))
+    if headings is None:
+        out = out[:, 0]
+    if isinstance(pose, Pose):
+        return int(out[0]) if headings is None else out[0]
+    return out
 
 
 class ViewField:
@@ -292,10 +421,11 @@ class ViewField:
 
     Views vary slowly with pose, so a lattice of a few cells' spacing and a
     handful of heading bins is enough; lattice sites whose center cell is not
-    FREE borrow the value of the nearest computed neighbor.  Each site casts
-    the distinct ray angles of all its headings once, and scans repeated
-    within one build are extracted once.  Lookup is a pure array index, cheap
-    enough for per-particle weighting.
+    FREE borrow the value of the nearest computed neighbor.  The FREE sites
+    go to expected_view in chunks of about CAST_CHUNK_RAYS rays, each site
+    casting the distinct ray angles of all its headings once, and scans
+    repeated within one build are extracted once.  Lookup is a pure array
+    index, cheap enough for per-particle weighting.
     """
 
     def __init__(self, grid: OccupancyGrid, alphabet: ViewAlphabet,
@@ -306,6 +436,7 @@ class ViewField:
             raise ValueError("stride_cells and n_headings must be >= 1")
         if bearings is None:
             bearings = default_bearings()
+        bearings = np.asarray(bearings, dtype=float)
         self.grid = grid
         self.stride = int(stride_cells)
         self.n_headings = int(n_headings)
@@ -315,18 +446,17 @@ class ViewField:
         table = np.full((lat_h, lat_w, self.n_headings), -1, dtype=np.int16)
         thetas = -np.pi + 2.0 * np.pi * np.arange(self.n_headings) / self.n_headings
         half = self.stride // 2
+        rows = np.minimum(np.arange(lat_h) * self.stride + half, h - 1)
+        cols = np.minimum(np.arange(lat_w) * self.stride + half, w - 1)
+        site_i, site_j = np.nonzero(grid.cells[np.ix_(rows, cols)] == FREE)
+        sites = [Pose(*grid.cell_center(rows[i], cols[j]), 0.0)
+                 for i, j in zip(site_i, site_j)]
+        per_call = max(1, CAST_CHUNK_RAYS // len(_distinct_angles(bearings, thetas)[0]))
         memo: dict = {}
-        for i in range(lat_h):
-            row = min(i * self.stride + half, h - 1)
-            for j in range(lat_w):
-                col = min(j * self.stride + half, w - 1)
-                if grid.cells[row, col] != FREE:
-                    continue
-                x = grid.origin[0] + (col + 0.5) * grid.resolution
-                y = grid.origin[1] + (row + 0.5) * grid.resolution
-                table[i, j] = expected_view(
-                    grid, Pose(x, y, 0.0), alphabet, params, bearings, max_range,
-                    headings=thetas, memo=memo)
+        for lo in range(0, len(sites), per_call):
+            table[site_i[lo:lo + per_call], site_j[lo:lo + per_call]] = expected_view(
+                grid, sites[lo:lo + per_call], alphabet, params, bearings, max_range,
+                headings=thetas, memo=memo)
         self.table = _fill_missing(table)
 
     def views_at(self, poses: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, is_inside,
-                   raycast_full, _ray_samples, wrap_angle)
+from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, default_bearings,
+                   is_inside, raycast_full, _first_stop, _ray_samples, wrap_angle)
 from .pfilter import MotionNoise
 from .views import ExtractionParams, RangeScan, ViewAlphabet, alphabet_build, view_of
 from . import views as _views
@@ -39,7 +39,7 @@ class WorldConfig:
 
     @property
     def bearings(self) -> np.ndarray:
-        return np.linspace(-self.fov / 2.0, self.fov / 2.0, self.beam_count)
+        return default_bearings(self.beam_count, self.fov)
 
 
 @dataclass(frozen=True)
@@ -270,6 +270,32 @@ class TrainingData:
     confusion_pairs: list[list[tuple[int, int]]]  # per-sample (true, observed)
 
 
+def _reference_ranges(grid: OccupancyGrid, partner: OccupancyGrid,
+                      poses: list[Pose], cfg: WorldConfig) -> np.ndarray:
+    """Noise-free ranges (poses, beams) a noisy scan at each pose is paired
+    with: cast in the partner partial map where the pose lies inside it,
+    beams that reach unexplored cells censored to max range, and in the
+    full map, unexplored cells transparent, elsewhere.  One batched cast
+    per map."""
+    bearings = cfg.bearings
+    ranges = np.empty((len(poses), len(bearings)))
+    inside = np.array([is_inside(partner, p) for p in poses], dtype=bool)
+    for source, picked, unknown_stops in ((partner, inside, True),
+                                          (grid, ~inside, False)):
+        sel = np.flatnonzero(picked)
+        if len(sel) == 0:
+            continue
+        xs = np.array([poses[k].x for k in sel])
+        ys = np.array([poses[k].y for k in sel])
+        thetas = np.array([poses[k].theta for k in sel])
+        ts, first, state = _first_stop(source, xs[:, None], ys[:, None],
+                                       thetas[:, None] + bearings[None, :],
+                                       cfg.max_range, unknown_stops)
+        hit = np.where(state == OCCUPIED, first, len(ts))
+        ranges[sel] = np.append(ts, cfg.max_range)[hit].reshape(len(sel), -1)
+    return ranges
+
+
 def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                        cfg: WorldConfig, params: ExtractionParams,
                        max_views: int = 16, trajectory_length: float = 60.0,
@@ -316,15 +342,8 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
         for j, traj in enumerate(trajs):
             partner = partials[(j + 1) % len(partials)]
             picked = _subsample(traj.records, 2.0)
-            ranges = np.empty((len(picked), len(bearings)))
-            for k, rec in enumerate(picked):
-                if is_inside(partner, rec.true_pose):
-                    part, crossed = raycast_full(partner, rec.true_pose,
-                                                 bearings, cfg.max_range)
-                    ranges[k] = np.where(crossed, cfg.max_range, part)
-                else:
-                    ranges[k], _ = raycast_full(grid, rec.true_pose, bearings,
-                                                cfg.max_range)
+            ranges = _reference_ranges(grid, partner,
+                                       [rec.true_pose for rec in picked], cfg)
             # the noisy scans are RangeScans, extracted through their memo
             noisy[-1].append([_views.extract_scan_string(rec.scan, params)
                               for rec in picked])
@@ -407,8 +426,7 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
     if not (header["beam_count"] > 0 and all(
             math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range"))):
         raise ValueError("line 1: beams, fov and max_range must be finite and positive")
-    bearings = np.linspace(-header["fov"] / 2.0, header["fov"] / 2.0,
-                           header["beam_count"])
+    bearings = default_bearings(header["beam_count"], header["fov"])
     bearings.flags.writeable = False  # shared by every record's scan
     n_fields = 7 + header["beam_count"]
     records = []

@@ -99,14 +99,21 @@ def canonicalize(s: str) -> str:
     return min(s, s[::-1])
 
 
-def _segment_direction(points: np.ndarray) -> float:
-    """Undirected orientation of the best-fit line through points (radians)."""
+def _segment_covariance(points: np.ndarray) -> np.ndarray:
+    """2x2 scatter matrix of points about their mean."""
     centered = points - points.mean(axis=0)
-    cov = centered.T @ centered
-    # principal eigenvector of the 2x2 covariance
-    _, vecs = np.linalg.eigh(cov)
-    v = vecs[:, -1]
-    return float(np.arctan2(v[1], v[0]))
+    return centered.T @ centered
+
+
+def _segment_directions(covs: list[np.ndarray]) -> list[float]:
+    """Undirected orientation (radians) of the best-fit line of each
+    segment, from its _segment_covariance: the principal eigenvector, all
+    segments in one stacked eigh, which is bit for bit the per-matrix one."""
+    if not covs:
+        return []
+    _, vecs = np.linalg.eigh(np.stack(covs))
+    v = vecs[:, :, -1]
+    return np.arctan2(v[:, 1], v[:, 0]).tolist()
 
 
 def _direction_change(a: float, b: float) -> float:
@@ -176,8 +183,28 @@ def extract_scan_strings(ranges, angles, max_range: float,
     first_piece = np.searchsorted(starts, np.arange(n_scans + 1) * n).tolist()
     starts, stops = starts.tolist(), stops.tolist()
     piece_is_max, piece_after_gap = piece_is_max.tolist(), piece_after_gap.tolist()
-    strings = []
+    # each obstacle piece's segment bounds: its first beam, its breaks and
+    # its last beam; the directions of the segments of every piece that
+    # splits, in piece order
+    piece_bounds: list[list[int] | None] = []
+    covs = []
     b = 0  # next unused break
+    for lo, stop, is_max_piece in zip(starts, stops, piece_is_max):
+        if is_max_piece:
+            piece_bounds.append(None)
+            continue
+        bounds = [lo]
+        while b < len(breaks) and breaks[b] < stop:
+            bounds.append(breaks[b])
+            b += 1
+        bounds.append(stop - 1)
+        if len(bounds) > 2:
+            covs.extend(_segment_covariance(points[bounds[t]:bounds[t + 1] + 1])
+                        for t in range(len(bounds) - 1))
+        piece_bounds.append(bounds)
+    seg_dirs = _segment_directions(covs)
+    d = 0  # next unused direction
+    strings = []
     for i in range(n_scans):
         # groups are [symbol, beam count, first beam, stop beam, mean range]
         # with the mean filled in when read; adjacent 'w' groups of one
@@ -185,19 +212,14 @@ def extract_scan_strings(ranges, angles, max_range: float,
         groups: list[list] = []
         seps: list[str | None] = []  # separator before groups[k]
         for p in range(first_piece[i], first_piece[i + 1]):
-            lo, stop = starts[p], stops[p]
-            if piece_is_max[p]:
+            lo, stop, bounds = starts[p], stops[p], piece_bounds[p]
+            if bounds is None:
                 groups.append(["m", stop - lo, lo, stop, None])
                 seps.append(None)
                 continue
             sep = "g" if piece_after_gap[p] else None
-            bounds = [lo]
-            while b < len(breaks) and breaks[b] < stop:
-                bounds.append(breaks[b])
-                b += 1
-            bounds.append(stop - 1)
-            dirs = ([_segment_direction(points[bounds[t]:bounds[t + 1] + 1])
-                     for t in range(len(bounds) - 1)] if len(bounds) > 2 else [])
+            n_dirs = len(bounds) - 1 if len(bounds) > 2 else 0
+            dirs, d = seg_dirs[d:d + n_dirs], d + n_dirs
             # each boundary is judged once between its two original segments,
             # so the grouping is identical when the beam order is reversed
             for t in range(1, len(dirs)):

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from mapmerge import fixtures
+from mapmerge import fixtures, grid as grid_module
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, MapParseError, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, ViewField, _fill_missing,
-                           default_bearings, dump_map, expected_view,
+                           _first_stop, default_bearings, dump_map, expected_view,
                            inside_mask, is_inside, load_map, raycast,
                            raycast_full, scan_likelihood, scan_log_likelihoods,
                            ScanLikelihoodParams, wrap_angle)
-from mapmerge.views import ExtractionParams, RangeScan, alphabet_build
+from mapmerge.views import (ExtractionParams, RangeScan, alphabet_build,
+                            extract_scan_strings, view_of)
 
 MAX_RANGE = 8.0
 
@@ -226,6 +229,155 @@ class TestRaycast:
         np.testing.assert_array_equal(crossed, want_crossed)
 
 
+def reference_first_stop(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
+                         max_range: float, unknown_stops: bool):
+    """_first_stop for rays from one position, one ray and one sample at a
+    time: every sample is read, off-grid samples as FREE."""
+    step = g.resolution * RAY_STEP_FRACTION
+    ts = np.arange(step, max_range + step, step)
+    cos, sin = np.cos(angles), np.sin(angles)
+    h, w = g.shape
+    stops = (OCCUPIED, UNKNOWN) if unknown_stops else (OCCUPIED,)
+    first, state = [], []
+    for c, s in zip(cos, sin):
+        at, what = len(ts), FREE
+        for k, t in enumerate(ts):
+            col = math.floor((x + c * t - g.origin[0]) / g.resolution)
+            row = math.floor((y + s * t - g.origin[1]) / g.resolution)
+            cell = g.cells[row, col] if 0 <= row < h and 0 <= col < w else FREE
+            if cell in stops:
+                at, what = k, cell
+                break
+        first.append(at)
+        state.append(what)
+    return ts, np.array(first), np.array(state)
+
+
+@st.composite
+def _caster_cases(draw):
+    """A grid, positions on it and ray angles for _first_stop."""
+    side = st.one_of(st.integers(1, 12), st.integers(100, 300))
+    h, w = draw(side), draw(side)
+    res = draw(st.sampled_from((0.02, 0.05, 0.1, 0.25, 0.5)))
+    origin = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sparse grids have long clearances; density 0 has no stopping cell
+    density = draw(st.sampled_from((0.0, 0.001, 0.01, 0.1, 0.5)))
+    cells = np.where(rng.random((h, w)) < density,
+                     rng.choice(np.array([OCCUPIED, UNKNOWN], dtype=np.int8), (h, w)),
+                     FREE).astype(np.int8)
+    for _ in range(draw(st.integers(0, 3))):  # straight walls and room corners
+        r0, c0 = int(rng.integers(h)), int(rng.integers(w))
+        state = draw(st.sampled_from((OCCUPIED, UNKNOWN)))
+        cells[r0, c0:c0 + int(rng.integers(1, w + 1))] = state
+        cells[r0:r0 + int(rng.integers(1, h + 1)), c0] = state
+    g = OccupancyGrid(cells, res, origin)
+    # cell fractions at the cell's edges and center; cells next to stopping
+    # cells and corners, or anywhere
+    near = np.argwhere(cells != FREE)
+    positions = []
+    for _ in range(draw(st.integers(1, 4))):
+        if len(near) and draw(st.booleans()):
+            r, c = near[rng.integers(len(near))] + rng.integers(-1, 2, size=2)
+            r, c = int(np.clip(r, 0, h - 1)), int(np.clip(c, 0, w - 1))
+        else:
+            r, c = int(rng.integers(h)), int(rng.integers(w))
+        fraction = st.one_of(st.sampled_from((0.0, 1e-9, 0.5, 0.999999)),
+                             st.floats(0.0, 0.999))
+        fx, fy = draw(fraction), draw(fraction)
+        positions.append((origin[0] + (c + fx) * res, origin[1] + (r + fy) * res))
+    # axis-aligned and diagonal rays graze walls; the rest are arbitrary
+    special = [0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4, -3 * math.pi / 4,
+               1e-9, -1e-9, math.pi / 2 + 1e-12]
+    angles = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(-7.0, 7.0)),
+                           min_size=1, max_size=16))
+    # up to 800 samples: more than the 255 one skip can advance
+    max_range = draw(st.sampled_from((0.3, 2.0, 8.0)))
+    return g, positions, np.array(angles), max_range
+
+
+class TestFirstStop:
+    @settings(max_examples=150, deadline=None)
+    @given(_caster_cases(), st.sampled_from(((0, 1), (2, 3), (16, 4), (1024, 5), (1024, 256))))
+    def test_matches_per_sample_reference(self, case, dense):
+        # (rays sampled densely, rays per dense block): with 0 the skipping
+        # loop runs to the end, with 1024 these small batches are all dense
+        g, positions, angles, max_range = case
+        xs = np.repeat([p[0] for p in positions], len(angles))
+        ys = np.repeat([p[1] for p in positions], len(angles))
+        for unknown_stops in (False, True):
+            with mock.patch.multiple(grid_module, DENSE_FINISH_RAYS=dense[0],
+                                     DENSE_BLOCK_RAYS=dense[1]):
+                ts, first, state = _first_stop(g, xs, ys, np.tile(angles, len(positions)),
+                                               max_range, unknown_stops)
+            for k, (x, y) in enumerate(positions):
+                want_ts, want_first, want_state = reference_first_stop(
+                    g, x, y, angles, max_range, unknown_stops)
+                rays = slice(k * len(angles), (k + 1) * len(angles))
+                assert ts.tobytes() == want_ts.tobytes()
+                np.testing.assert_array_equal(first[rays], want_first)
+                np.testing.assert_array_equal(state[rays], want_state)
+
+    def test_skips_long_runs_up_to_255_samples(self):
+        cells = np.full((3, 600), FREE, dtype=np.int8)
+        cells[:, 0] = OCCUPIED
+        cells[:, 1:3] = UNKNOWN
+        g = OccupancyGrid(cells, 0.1)
+        for unknown_stops, wall in ((False, 0), (True, 2)):
+            skip = g.skip_table(unknown_stops).reshape(g.shape)[1]
+            clearance = (np.arange(600) - wall) * 0.1
+            want = np.floor((clearance - 0.1 * math.sqrt(2)) / 0.05) - 1
+            np.testing.assert_array_equal(skip[wall + 1:], np.clip(want[wall + 1:], 1, 255))
+            assert not skip[:wall + 1].any()  # stopping cells
+            assert skip.max() == 255
+        # a far wall is found through 255-sample skips: 59.7 m away
+        with mock.patch.object(grid_module, "DENSE_FINISH_RAYS", 0):
+            ts, first, state = _first_stop(g, 59.95, 0.15, np.pi, 60.0, True)
+        assert state[0] == UNKNOWN and first[0] == 1193
+        assert ts[first[0]] == pytest.approx(59.7)
+        np.testing.assert_array_equal(
+            first, reference_first_stop(g, 59.95, 0.15, np.array([np.pi]), 60.0, True)[1])
+
+    def test_dense_block_starts_at_its_rays_first_unread_sample(self):
+        # after one skipping round the ray along the open top row is over 100
+        # samples ahead of the one about to hit the bottom wall, and the two
+        # share a dense block, in either order
+        cells = np.full((60, 400), FREE, dtype=np.int8)
+        cells[0, :] = OCCUPIED
+        g = OccupancyGrid(cells, 0.1)
+        along = (0.05, 5.95, 0.0)        # row 59, east: advances 114 samples
+        toward = (5.0, 0.27, -np.pi / 2)  # row 2, south: advances 1, hits at 3
+        gone = (10.0, 0.11, -np.pi / 2)   # hits at sample 0, in the first round
+        for rays in ((along, toward, gone), (toward, along, gone)):
+            xs, ys, angles = (np.array(v) for v in zip(*rays))
+            with mock.patch.multiple(grid_module, DENSE_FINISH_RAYS=2, DENSE_BLOCK_RAYS=2):
+                _, first, state = _first_stop(g, xs, ys, angles, MAX_RANGE, False)
+            for r, (x, y, a) in enumerate(rays):
+                _, want_first, want_state = reference_first_stop(
+                    g, x, y, np.array([a]), MAX_RANGE, False)
+                assert (first[r], state[r]) == (want_first[0], want_state[0])
+            assert first[rays.index(toward)] == 3
+
+    def test_grid_without_stops(self):
+        g = OccupancyGrid(np.full((4, 5), FREE, dtype=np.int8), 0.5, (1.0, -2.0))
+        assert (g.skip_table(True) == 255).all()
+        ts, first, state = _first_stop(g, 2.0, -1.0, np.linspace(-3, 3, 7), 8.0, True)
+        assert (first == len(ts)).all() and (state == FREE).all()
+
+    def test_rejects_rays_off_the_grid(self):
+        with pytest.raises(ValueError, match="start on the grid"):
+            _first_stop(box_world(), np.array([3.0, -1.0]), 3.0, 0.0, MAX_RANGE, True)
+
+
+def dense_scan_string(g: OccupancyGrid, pose: Pose, params) -> str:
+    """expected_view's scan string from raycast_full's dense samples, beams
+    that crossed UNKNOWN cells censored to max range."""
+    bearings = default_bearings()
+    ranges, crossed = raycast_full(g, pose, bearings, MAX_RANGE)
+    ranges = np.where(crossed, MAX_RANGE, ranges)
+    return extract_scan_strings(ranges[None, :], bearings, MAX_RANGE, params)[0]
+
+
 class TestExpectedView:
     def test_corridor_view(self):
         g = fixtures.corridor()
@@ -268,6 +420,46 @@ class TestExpectedView:
         np.testing.assert_array_equal(got, want)
 
 
+    @pytest.mark.parametrize("chunk_rays", [1, 1500, 20_000])
+    def test_several_poses_match_one_call_per_pose(self, chunk_rays):
+        # chunk_rays 1 casts one pose per batch, 1500 two; a memo shared
+        # over calls gives the same views as none; the east half is
+        # unexplored, so frontier beams are censored
+        g = fixtures.office_world()
+        g = OccupancyGrid(np.where(np.arange(g.shape[1]) < 150, g.cells, UNKNOWN),
+                          g.resolution, g.origin)
+        rows, cols = np.nonzero(g.cells == FREE)
+        pick = np.random.default_rng(5).choice(len(rows), 7, replace=False)
+        poses = [Pose(*g.cell_center(rows[k], cols[k]), th)
+                 for k, th in zip(pick, np.linspace(-3.0, 3.0, 7))]
+        headings = np.array([-math.pi, -1.0, 0.0, 0.5, 2.0])
+        params = ExtractionParams()
+        dense = [[dense_scan_string(g, Pose(p.x, p.y, th), params)
+                  for th in (p.theta, *headings)] for p in poses]
+        # every scan string here has its own id
+        alphabet = alphabet_build([s for row in dense for s in row], max_views=64)
+        assert alphabet.nu < 64
+        memo = {}
+        with mock.patch.object(grid_module, "CAST_CHUNK_RAYS", chunk_rays):
+            each = expected_view(g, poses, alphabet, params, memo=memo)
+            rows_ = expected_view(g, poses, alphabet, params, headings=headings, memo=memo)
+        assert each.shape == (7,) and rows_.shape == (7, len(headings))
+        np.testing.assert_array_equal(
+            each, [expected_view(g, p, alphabet, params) for p in poses])
+        np.testing.assert_array_equal(
+            rows_, [expected_view(g, p, alphabet, params, headings=headings)
+                    for p in poses])
+        want = [[view_of(alphabet, s) for s in row] for row in dense]
+        np.testing.assert_array_equal(np.column_stack((each, rows_)), want)
+
+    def test_rejects_any_pose_outside(self):
+        g = fixtures.corridor()
+        alphabet = alphabet_build(["wmw"], max_views=4)
+        with pytest.raises(ValueError):
+            expected_view(g, [Pose(3.0, 2.5, 0.0), Pose(0.05, 0.05, 0.0)], alphabet,
+                          ExtractionParams())
+
+
 FIELD_ALPHABET = alphabet_build(["m", "mwm", "wmw", "mw", "w", "mwmwm", "wgw"],
                                 max_views=8)
 
@@ -307,6 +499,22 @@ class TestViewField:
                           max_range, stride_cells=stride, n_headings=n_headings)
         np.testing.assert_array_equal(
             field.table, reference_table(g, bearings, max_range, stride, n_headings))
+
+
+    def test_build_peak_memory_stays_small(self):
+        # a 300 x 200 partial map, explored in its west 4 m: 124 FREE sites,
+        # nine cast batches of about CAST_CHUNK_RAYS rays.  A build peaked
+        # at 2.4 MB; batches twice that size peak at 3.4 MB
+        g = fixtures.office_world()
+        partial = OccupancyGrid(np.where(np.arange(g.shape[1]) < 40, g.cells, UNKNOWN),
+                                g.resolution, g.origin)
+        tracemalloc.start()
+        try:
+            ViewField(partial, FIELD_ALPHABET, ExtractionParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestScanLikelihood:

@@ -8,7 +8,7 @@ import pytest
 
 from mapmerge import fixtures, sim
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
-                           raycast)
+                           is_inside, raycast, raycast_full)
 from mapmerge.pfilter import MotionNoise
 from mapmerge.views import ExtractionParams
 
@@ -186,7 +186,71 @@ class TestCarvePartialMap:
         assert free_recovered / free_total > 0.8
 
 
+def per_record_reference_ranges(grid, partner, poses, cfg):
+    """sim._reference_ranges one raycast_full per pose, in the partner map
+    where the pose is inside it, censoring beams that crossed UNKNOWN, and
+    in the full map elsewhere."""
+    ranges = np.empty((len(poses), len(cfg.bearings)))
+    for k, pose in enumerate(poses):
+        if is_inside(partner, pose):
+            part, crossed = raycast_full(partner, pose, cfg.bearings, cfg.max_range)
+            ranges[k] = np.where(crossed, cfg.max_range, part)
+        else:
+            ranges[k], _ = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
+    return ranges
+
+
 class TestTrainingData:
+    @pytest.mark.parametrize("split", [False, True])
+    def test_batched_reference_casts_match_per_record_casts(self, monkeypatch, split):
+        maps = [fixtures.loop_world(), fixtures.office_world()]
+        cfg = sim.WorldConfig(seed=7)
+        args = (maps, 2, cfg, ExtractionParams())
+        kwargs = dict(max_views=12, trajectory_length=30.0, split_trajectories=split,
+                      partial_fraction=0.4)
+        got = sim.make_training_data(*args, **kwargs)
+        inside = []
+
+        def reference(grid, partner, poses, cfg):
+            inside.extend(is_inside(partner, p) for p in poses)
+            return per_record_reference_ranges(grid, partner, poses, cfg)
+
+        monkeypatch.setattr(sim, "_reference_ranges", reference)
+        want = sim.make_training_data(*args, **kwargs)
+        assert 0 < sum(inside) < len(inside)  # both maps were cast in
+        assert got.alphabet == want.alphabet
+        assert got.map_index == want.map_index
+        assert len(got.counts) == len(want.counts)
+        for a, b in zip(got.counts, want.counts):
+            np.testing.assert_array_equal(a, b)
+        assert got.confusion_pairs == want.confusion_pairs
+        assert got.marginals.tobytes() == want.marginals.tobytes()
+
+    def test_reference_ranges_match_per_record_casts(self):
+        # partner maps half unexplored, fully explored and not explored at
+        # all, poses inside and outside them
+        grid = fixtures.rooms_world()
+        cfg = sim.WorldConfig(beam_count=37, max_range=5.0)
+        rng = np.random.default_rng(11)
+        rows, cols = np.nonzero(grid.cells == FREE)
+        pick = rng.choice(len(rows), 40, replace=False)
+        poses = [Pose(*grid.cell_center(rows[k], cols[k]), float(th))
+                 for k, th in zip(pick, rng.uniform(-np.pi, np.pi, 40))]
+        censored = grid.cells.copy()
+        censored[:, grid.shape[1] // 2:] = UNKNOWN
+        censored = OccupancyGrid(censored, grid.resolution, grid.origin)
+        unexplored = OccupancyGrid(np.full(grid.shape, UNKNOWN), grid.resolution,
+                                   grid.origin)
+        # a full map with UNKNOWN cells, which its casts see through
+        banded = grid.cells.copy()
+        banded[::7][banded[::7] == FREE] = UNKNOWN
+        banded = OccupancyGrid(banded, grid.resolution, grid.origin)
+        for full, partner in ((grid, censored), (grid, grid), (grid, unexplored),
+                              (banded, unexplored)):
+            got = sim._reference_ranges(full, partner, poses, cfg)
+            want = per_record_reference_ranges(full, partner, poses, cfg)
+            assert got.tobytes() == want.tobytes()
+
     def test_corridor_counts_dominated_by_hallway_view(self):
         grid = fixtures.corridor(length=30.0)
         cfg = quiet_config(seed=2)

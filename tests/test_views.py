@@ -447,6 +447,46 @@ def test_point_chords_match_reference(ranges):
     assert extract_scan_strings(ranges[None], angles, MAX_RANGE, params) == [expected]
 
 
+@st.composite
+def _segment_points(draw):
+    """The endpoints of scan segments: row slices of one (beams, 2) array,
+    as extraction takes them.  Random, collinear (some axis-aligned),
+    two-point and degenerate (one point repeated) segments."""
+    parts = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("random", "collinear", "axis", "two", "point")))
+        n = 2 if kind == "two" else draw(st.integers(2, 30))
+        coord = st.floats(-10.0, 10.0)
+        x0, y0 = draw(coord), draw(coord)
+        if kind == "random":
+            pts = np.column_stack((draw(st.lists(coord, min_size=n, max_size=n)),
+                                   draw(st.lists(coord, min_size=n, max_size=n))))
+        elif kind in ("collinear", "axis"):
+            a = draw(st.sampled_from((0.0, math.pi / 2))) if kind == "axis" \
+                else draw(st.floats(-math.pi, math.pi))
+            t = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+            pts = np.column_stack((x0 + t * math.cos(a), y0 + t * math.sin(a)))
+        else:
+            pts = np.column_stack((np.full(n, x0), np.full(n, y0)))
+            if kind == "two":
+                pts[1] = (draw(coord), draw(coord))
+        parts.append(pts)
+    bounds = np.cumsum([0] + [len(p) for p in parts])
+    points = np.concatenate(parts)
+    return [points[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_points())
+def test_stacked_segment_directions_equal_per_segment_bitwise(segments):
+    # _ref_segment_direction is one segment's own eigh, as extraction did it
+    got = views_module._segment_directions(
+        [views_module._segment_covariance(p) for p in segments])
+    want = [_ref_segment_direction(p) for p in segments]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert views_module._segment_directions([]) == []
+
+
 def test_batched_strings_on_raycast_scans():
     # every heading of every lattice site of a fixture map, as a ViewField
     # would extract them, in one batch and one at a time
