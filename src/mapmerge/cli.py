@@ -22,15 +22,25 @@ def _world_config(args) -> sim.WorldConfig:
     return sim.WorldConfig(seed=args.seed)
 
 
+def _numbers(text: str, option: str, form: str) -> tuple[float, ...]:
+    """The finite comma-separated numbers of an option, one per name in
+    form ('x,y,theta')."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(form.split(",")) or not all(map(math.isfinite, values)):
+        raise ValueError(f"{option} must be {form} (finite numbers), got {text!r}")
+    return values
+
+
 def cmd_simulate(args) -> int:
     grid = load_map(Path(args.map).read_text())
     cfg = _world_config(args)
-    start = Pose(*(float(v) for v in args.start.split(",")))
+    start = Pose(*_numbers(args.start, "--start", "x,y,theta"))
     waypoints = None
-    if args.policy == "waypoints":
-        if not args.waypoints:
-            raise SystemExit("--waypoints required for the waypoints policy")
-        waypoints = [tuple(float(v) for v in wp.split(","))
+    if args.policy == "waypoints" and args.waypoints:
+        waypoints = [_numbers(wp, "each --waypoints entry", "x,y")
                      for wp in args.waypoints.split(";")]
     traj = sim.generate_trajectory(grid, start, args.policy, args.length, cfg,
                                    waypoints=waypoints)
@@ -75,13 +85,16 @@ def cmd_localize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
+    pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
+    if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
+        raise ValueError("manifest must be a JSON object whose 'pairs' is a list of objects")
     thresholds = tuple(float(t) for t in args.thresholds.split(","))
     eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
     fc = FilterConfig(n_particles=args.particles, seed=args.seed,
                       view_update_distance=args.view_distance)
     results = []
     view_fields: dict[tuple, ViewField] = {}
-    for pair in manifest["pairs"]:
+    for pair in pairs:
         partial = load_map(Path(pair["partial_map"]).read_text())
         traj, _ = sim.load_trajectory(Path(pair["trajectory"]).read_text())
         bundle = load_prior(Path(pair["prior"]).read_text())

@@ -21,7 +21,9 @@ from .modelio import PriorBundle
 from .pfilter import FilterConfig, run_localization
 from .sim import Trajectory
 
-METHODS = ("hierarchical_adaptive", "prior_only", "frequency_only", "scaled_counts")
+# structural method name -> StructureState mode
+METHODS = {"hierarchical_adaptive": "adaptive", "prior_only": "prior_only",
+           "frequency_only": "frequency_only", "scaled_counts": "scaled_counts"}
 DEFAULT_FIXED = (1e-4, 1e-3, 1e-2, 1e-1, 0.3)
 
 
@@ -80,14 +82,9 @@ def make_outside_model(method: str, bundle: PriorBundle,
     the same units the filter uses for in-map particles."""
     if method.startswith("fixed:"):
         return _structure.FixedOutsideModel(float(method.split(":", 1)[1]))
-    if method == "hierarchical_adaptive":
-        mode = "adaptive"
-    elif method in ("prior_only", "frequency_only"):
-        mode = method
-    elif method == "scaled_counts":
-        mode = "scaled_counts"
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    mode = METHODS[method]
     scale = 1.0
     if mode == "scaled_counts":
         if partial is None:
@@ -202,7 +199,7 @@ def auc_pr(points: list[PRPoint]) -> float:
     best_p = max(p for _, p in pts)
     xs = [0.0] + [r for r, _ in pts]
     ys = [best_p] + [p for _, p in pts]
-    return float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
+    return float(np.trapezoid(ys, xs))
 
 
 def precision_at_recall(points: list[PRPoint], recall: float) -> float | None:

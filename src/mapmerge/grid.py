@@ -78,10 +78,14 @@ class OccupancyGrid:
                 and self.origin == other.origin
                 and np.array_equal(self.cells, other.cells))
 
-    def cell_of(self, x, y):
+    def free_at(self, x: float, y: float) -> bool:
+        """Whether the point (x, y) lies in a FREE cell.  The scalar twin of
+        cell_index, in Python floats for callers that ask one point at a
+        time."""
         col = math.floor((x - self.origin[0]) / self.resolution)
         row = math.floor((y - self.origin[1]) / self.resolution)
-        return row, col
+        h, w = self.cells.shape
+        return 0 <= row < h and 0 <= col < w and self.cells.item(row, col) == FREE
 
     def cell_center(self, row, col):
         return (self.origin[0] + (col + 0.5) * self.resolution,
@@ -189,19 +193,40 @@ def load_map(text: str) -> OccupancyGrid:
 
 def is_inside(grid: OccupancyGrid, pose: Pose) -> bool:
     """A pose is inside the partial map iff its cell exists and is FREE."""
-    row, col = grid.cell_of(pose.x, pose.y)
+    return grid.free_at(pose.x, pose.y)
+
+
+def cell_index(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray):
+    """(flat, on) of the points (xs, ys), float arrays of one shape: each
+    point's index into the flattened cells, meaningful only where on, and
+    whether the point lies on the grid.  Every array lookup of a world
+    point takes its cell here; OccupancyGrid.free_at is the scalar twin.
+
+    xs and ys are overwritten, so callers pass arrays of their own: the
+    work runs in place, which for the ray casters' large sample arrays is
+    much faster than allocating each step."""
     h, w = grid.shape
-    return 0 <= row < h and 0 <= col < w and grid.cells[row, col] == FREE
+    # (x - origin) / resolution, floored; the floored coordinates stay
+    # floats until the flat index
+    xs -= grid.origin[0]
+    xs /= grid.resolution
+    np.floor(xs, out=xs)
+    ys -= grid.origin[1]
+    ys /= grid.resolution
+    np.floor(ys, out=ys)
+    on = xs >= 0
+    on &= xs < w
+    on &= ys >= 0
+    on &= ys < h
+    ys *= w
+    ys += xs
+    return ys.astype(np.intp), on
 
 
 def inside_mask(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    cols = np.floor((xs - grid.origin[0]) / grid.resolution).astype(np.int64)
-    rows = np.floor((ys - grid.origin[1]) / grid.resolution).astype(np.int64)
-    h, w = grid.shape
-    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    out = np.zeros(xs.shape, dtype=bool)
-    out[ok] = grid.cells[rows[ok], cols[ok]] == FREE
-    return out
+    # copies: cell_index overwrites its arguments
+    flat, on = cell_index(grid, xs.astype(float), ys.astype(float))
+    return on & (grid.cells.ravel().take(flat, mode="clip") == FREE)
 
 
 def _sample_distances(grid: OccupancyGrid, max_range: float) -> np.ndarray:
@@ -211,43 +236,14 @@ def _sample_distances(grid: OccupancyGrid, max_range: float) -> np.ndarray:
 
 
 def _sample_cells(grid: OccupancyGrid, t, x, y, cos, sin):
-    """(flat, on) of the ray samples at distances t from (x, y) along
-    (cos, sin), all broadcast together: each sample's index into the
-    flattened cells, and whether it lies on the grid.  Every caster takes
-    its samples here, so all see the same cells."""
-    h, w = grid.shape
-    # in place, in the order of x + cos * t, minus origin, over resolution;
-    # the floored cell coordinates stay floats until the flat index
-    cols = cos * t
-    cols += x
-    cols -= grid.origin[0]
-    cols /= grid.resolution
-    np.floor(cols, out=cols)
-    rows = sin * t
-    rows += y
-    rows -= grid.origin[1]
-    rows /= grid.resolution
-    np.floor(rows, out=rows)
-    on = cols >= 0
-    on &= cols < w
-    on &= rows >= 0
-    on &= rows < h
-    rows *= w
-    rows += cols
-    return rows.astype(np.intp), on
-
-
-def _ray_samples(grid: OccupancyGrid, x: float, y: float, angles: np.ndarray,
-                 max_range: float):
-    """Sample cell states along each ray.  Returns (ts, states, flat, ok):
-    sample distances, states of shape (n_rays, n_steps) with samples off the
-    grid read as FREE, each sample's index into the flattened cells, and
-    whether the sample lies on the grid."""
-    ts = _sample_distances(grid, max_range)
-    flat, ok = _sample_cells(grid, ts[None, :], x, y, np.cos(angles)[:, None],
-                             np.sin(angles)[:, None])
-    states = np.where(ok, grid.cells.ravel().take(flat, mode="clip"), FREE)
-    return ts, states.astype(np.int8, copy=False), flat, ok
+    """cell_index of the ray samples at distances t from (x, y) along
+    (cos, sin), all broadcast together.  Every caster takes its samples
+    here, so all see the same cells."""
+    xs = cos * t
+    xs += x
+    ys = sin * t
+    ys += y
+    return cell_index(grid, xs, ys)
 
 
 def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
@@ -266,16 +262,13 @@ def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
     their remaining samples at once.
     """
     ts = _sample_distances(grid, max_range)
-    h, w = grid.shape
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    col = np.floor((xs - grid.origin[0]) / grid.resolution)
-    row = np.floor((ys - grid.origin[1]) / grid.resolution)
-    if not ((col >= 0) & (col < w) & (row >= 0) & (row < h)).all():
+    # each ray's start and direction, broadcast together
+    rays = np.empty((4,) + np.broadcast(xs, ys, angles).shape)
+    rays[0], rays[1], rays[2], rays[3] = xs, ys, np.cos(angles), np.sin(angles)
+    x, y, c, s = rays.reshape(4, -1)
+    if not cell_index(grid, x.copy(), y.copy())[1].all():
         raise ValueError("rays must start on the grid")
-    shape = np.broadcast_shapes(xs.shape, ys.shape, angles.shape)
-    x, y, c, s = (np.broadcast_to(a, shape).ravel()
-                  for a in (xs, ys, np.cos(angles), np.sin(angles)))
     cells = grid.cells.ravel()
     skip = grid.skip_table(unknown_stops)
     first = np.full(len(c), len(ts), dtype=np.intp)
@@ -292,47 +285,38 @@ def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
         keep = on & (advance > 0) & (k < len(ts))
         ray, k, x, y, c, s = ray[keep], k[keep], x[keep], y[keep], c[keep], s[keep]
     # every sample before k is known not to stop, so sampling densely from
-    # a block's smallest k finds the same first stop; blocks take the rays
-    # in order of k
-    order = np.argsort(k, kind="stable")
-    for lo in range(0, len(order), DENSE_BLOCK_RAYS):
-        block = order[lo:lo + DENSE_BLOCK_RAYS]
-        start = k[block[0]]
+    # a block's smallest k finds the same first stop; several blocks take
+    # the rays in order of k
+    if len(ray) > DENSE_BLOCK_RAYS:
+        order = np.argsort(k, kind="stable")
+        ray, k, x, y, c, s = ray[order], k[order], x[order], y[order], c[order], s[order]
+    for lo in range(0, len(ray), DENSE_BLOCK_RAYS):
+        block = slice(lo, lo + DENSE_BLOCK_RAYS)
+        start = k[block].min()
         flat, on = _sample_cells(grid, ts[None, start:], x[block, None],
                                  y[block, None], c[block, None], s[block, None])
         stop = on & (skip.take(flat, mode="clip") == 0)
-        hit = stop.any(axis=1)
-        at = np.argmax(stop, axis=1)[hit]
-        first[ray[block[hit]]] = start + at
-        state[ray[block[hit]]] = cells[flat[hit, at]]
+        at = np.argmax(stop, axis=1)
+        hit = stop[np.arange(len(at)), at]
+        done, at = ray[block][hit], at[hit]
+        first[done] = start + at
+        state[done] = cells[flat[hit, at]]
     return ts, first, state
 
 
 def raycast_full(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
-                 max_range: float):
-    """Cast rays from a pose.  Returns (ranges, crossed_unknown): distance to
-    the first OCCUPIED cell per bearing (max_range when nothing is hit), and
-    whether the ray traversed any UNKNOWN cell before terminating.  UNKNOWN
-    cells are transparent."""
-    row, col = grid.cell_of(pose.x, pose.y)
-    h, w = grid.shape
-    if not (0 <= row < h and 0 <= col < w):
-        raise ValueError("raycast pose is off the grid")
-    angles = pose.theta + np.asarray(bearings, dtype=float)
-    ts, states, _, _ = _ray_samples(grid, pose.x, pose.y, angles, max_range)
-    occ = states == OCCUPIED
-    hit_any = occ.any(axis=1)
-    first = np.argmax(occ, axis=1)
-    ranges = np.where(hit_any, ts[first], max_range)
-    unknown = states == UNKNOWN
-    stop = np.where(hit_any, first, len(ts))
-    crossed_unknown = unknown.any(axis=1) & (np.argmax(unknown, axis=1) < stop)
-    return ranges, crossed_unknown
+                 max_range: float) -> np.ndarray:
+    """Distance from a pose to the first OCCUPIED cell along each bearing,
+    max_range when nothing is hit.  UNKNOWN cells are transparent."""
+    ts, first, _ = _first_stop(grid, pose.x, pose.y,
+                               pose.theta + np.asarray(bearings, dtype=float),
+                               max_range, unknown_stops=False)
+    return np.append(ts, max_range)[first]
 
 
 def raycast(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
             max_range: float) -> RangeScan:
-    ranges, _ = raycast_full(grid, pose, bearings, max_range)
+    ranges = raycast_full(grid, pose, bearings, max_range)
     return RangeScan(np.asarray(bearings, dtype=float), ranges, max_range)
 
 
@@ -340,20 +324,10 @@ def default_bearings(beam_count: int = 181, fov: float = math.pi) -> np.ndarray:
     return np.linspace(-fov / 2.0, fov / 2.0, beam_count)
 
 
-def _distinct_angles(bearings: np.ndarray, headings: np.ndarray):
-    """(angles, inverse): the distinct values of heading + bearing over the
-    wrapped headings, and the index of each (heading, bearing) into them."""
-    thetas = wrap_angle(np.asarray(headings, dtype=float))
-    angles, inverse = np.unique(thetas[:, None] + bearings[None, :],
-                                return_inverse=True)
-    return angles, inverse.reshape(len(thetas), len(bearings))
-
-
 def expected_view(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
                   alphabet: ViewAlphabet, params: ExtractionParams,
                   bearings: np.ndarray | None = None,
-                  max_range: float = 8.0, headings: np.ndarray | None = None,
-                  memo: dict | None = None):
+                  max_range: float = 8.0, headings: np.ndarray | None = None):
     """View id the partial map predicts at a pose.  Beams that reach
     unexplored cells are reported as max-range, matching what the mapping
     robot could have seen from its frontier.
@@ -363,10 +337,8 @@ def expected_view(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
     per heading at the pose's position (pose.theta is then ignored), and
     the distinct ray angles of all headings are cast once per pose.  Rays
     are cast in batches of about CAST_CHUNK_RAYS with unexplored cells
-    stopping them, and each batch's new scans are extracted in one call.
-    memo maps a scan's first-hit sample indices to its view id; it is exact
-    only while grid resolution, bearings, max_range, params and alphabet
-    stay fixed, as within one ViewField build.
+    stopping them, and each batch's scans not seen earlier in the call,
+    keyed by their first-hit sample indices, are extracted in one call.
     """
     poses = [pose] if isinstance(pose, Pose) else list(pose)
     if not all(is_inside(grid, p) for p in poses):
@@ -381,11 +353,15 @@ def expected_view(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
         angles = np.array([p.theta for p in poses])[:, None] + bearings[None, :]
         inverse = np.arange(len(bearings))[None, :]
     else:
-        shared, inverse = _distinct_angles(bearings, headings)
+        # the distinct values of heading + bearing over the wrapped headings,
+        # and the index of each (heading, bearing) into them
+        thetas = wrap_angle(np.asarray(headings, dtype=float))
+        shared, inverse = np.unique(thetas[:, None] + bearings[None, :],
+                                    return_inverse=True)
+        inverse = inverse.reshape(len(thetas), len(bearings))
         angles = np.broadcast_to(shared, (len(poses), len(shared)))
     n_scans, n_rays = inverse.shape[0], angles.shape[1]
-    if memo is None:
-        memo = {}
+    memo: dict = {}  # view id per scan key
     out = np.empty((len(poses), n_scans), dtype=np.int64)
     per_cast = max(1, CAST_CHUNK_RAYS // n_rays)
     for lo in range(0, len(poses), per_cast):
@@ -421,11 +397,11 @@ class ViewField:
 
     Views vary slowly with pose, so a lattice of a few cells' spacing and a
     handful of heading bins is enough; lattice sites whose center cell is not
-    FREE borrow the value of the nearest computed neighbor.  The FREE sites
-    go to expected_view in chunks of about CAST_CHUNK_RAYS rays, each site
-    casting the distinct ray angles of all its headings once, and scans
-    repeated within one build are extracted once.  Lookup is a pure array
-    index, cheap enough for per-particle weighting.
+    FREE borrow the value of the nearest computed neighbor.  All FREE sites
+    go to one expected_view call, which casts them in batches of about
+    CAST_CHUNK_RAYS rays, each site casting the distinct ray angles of all
+    its headings once, and extracts scans repeated within the build once.
+    Lookup is a pure array index, cheap enough for per-particle weighting.
     """
 
     def __init__(self, grid: OccupancyGrid, alphabet: ViewAlphabet,
@@ -451,12 +427,8 @@ class ViewField:
         site_i, site_j = np.nonzero(grid.cells[np.ix_(rows, cols)] == FREE)
         sites = [Pose(*grid.cell_center(rows[i], cols[j]), 0.0)
                  for i, j in zip(site_i, site_j)]
-        per_call = max(1, CAST_CHUNK_RAYS // len(_distinct_angles(bearings, thetas)[0]))
-        memo: dict = {}
-        for lo in range(0, len(sites), per_call):
-            table[site_i[lo:lo + per_call], site_j[lo:lo + per_call]] = expected_view(
-                grid, sites[lo:lo + per_call], alphabet, params, bearings, max_range,
-                headings=thetas, memo=memo)
+        table[site_i, site_j] = expected_view(grid, sites, alphabet, params,
+                                              bearings, max_range, headings=thetas)
         self.table = _fill_missing(table)
 
     def views_at(self, poses: np.ndarray) -> np.ndarray:
@@ -523,20 +495,14 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
     world_ang = poses[:, 2:3] + a[None, :]
     ex = poses[:, 0:1] + r[None, :] * np.cos(world_ang)
     ey = poses[:, 1:2] + r[None, :] * np.sin(world_ang)
-    cols = np.floor((ex - grid.origin[0]) / grid.resolution).astype(np.int64)
-    rows = np.floor((ey - grid.origin[1]) / grid.resolution).astype(np.int64)
-    h, w = grid.shape
-    ok = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    flat = np.where(ok, rows * w + cols, h * w)
-    logp = grid.likelihood_table(params)[flat]
+    flat, on = cell_index(grid, ex, ey)
+    logp = grid.likelihood_table(params)[np.where(on, flat, grid.cells.size)]
     return params.likelihood_exponent * logp.sum(axis=1)
 
 
 def scan_likelihood(grid: OccupancyGrid, pose: Pose, scan: RangeScan,
                     params: ScanLikelihoodParams) -> float:
-    row, col = grid.cell_of(pose.x, pose.y)
-    h, w = grid.shape
-    if not (0 <= row < h and 0 <= col < w):
+    if not cell_index(grid, np.array([pose.x], float), np.array([pose.y], float))[1][0]:
         raise ValueError("scan_likelihood pose is off the grid")
     logp = scan_log_likelihoods(grid, np.array([[pose.x, pose.y, pose.theta]]),
                                 scan, params)

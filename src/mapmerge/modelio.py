@@ -19,7 +19,6 @@ class PriorBundle:
     obs_model: np.ndarray
     marginals: np.ndarray
     extraction: ExtractionParams
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         nu = self.alphabet.nu
@@ -48,8 +47,6 @@ def dump_prior(bundle: PriorBundle) -> str:
             "min_group_beams": ex.min_group_beams,
         },
     }
-    if bundle.counts is not None:
-        doc["counts"] = np.asarray(bundle.counts).tolist()
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
@@ -67,7 +64,7 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _array(doc: dict, name: str, dtype=float) -> np.ndarray:
+def _array(doc: dict, name: str) -> np.ndarray:
     """doc[name] as an array of finite numbers."""
     what = "a (nested) list of finite numbers"
     value = _field(doc, name, lambda v: isinstance(v, list), what)
@@ -77,12 +74,13 @@ def _array(doc: dict, name: str, dtype=float) -> np.ndarray:
         raise ValueError(f"prior field {name!r} must be {what}") from None
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValueError(f"prior field {name!r} must be {what}")
-    return arr.astype(dtype)
+    return arr.astype(float)
 
 
 def load_prior(text: str) -> PriorBundle:
     """Parse a dump_prior file; a missing or wrongly typed field raises a
-    ValueError that names it."""
+    ValueError that names it.  Other keys, such as the transition counts
+    older files carry, are ignored."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("prior file must hold a JSON object")
@@ -108,5 +106,4 @@ def load_prior(text: str) -> PriorBundle:
         obs_model=_array(doc, "observation_model"),
         marginals=_array(doc, "marginals"),
         extraction=ExtractionParams(**extraction),
-        counts=_array(doc, "counts", np.int64) if "counts" in doc else None,
     )

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, default_bearings,
-                   is_inside, raycast_full, _first_stop, _ray_samples, wrap_angle)
+from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, cell_index,
+                   default_bearings, is_inside, raycast_full, _first_stop,
+                   _sample_cells, _sample_distances, wrap_angle)
 from .pfilter import MotionNoise
 from .views import ExtractionParams, RangeScan, ViewAlphabet, alphabet_build, view_of
 from . import views as _views
@@ -69,11 +70,9 @@ def simulate_scan(grid: OccupancyGrid, pose: Pose, cfg: WorldConfig,
                   rng: np.random.Generator) -> RangeScan:
     """Raycast truth plus Gaussian range noise and random dropout to
     max-range.  Deterministic given the generator state."""
-    row, col = grid.cell_of(pose.x, pose.y)
-    h, w = grid.shape
-    if not (0 <= row < h and 0 <= col < w) or grid.cells[row, col] != FREE:
+    if not grid.free_at(pose.x, pose.y):
         raise ValueError("scan pose must be in a FREE cell")
-    ranges, _ = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
+    ranges = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
     hit = ranges < cfg.max_range
     if cfg.range_noise_sigma > 0:
         noisy = ranges + rng.normal(0.0, cfg.range_noise_sigma, len(ranges))
@@ -84,19 +83,13 @@ def simulate_scan(grid: OccupancyGrid, pose: Pose, cfg: WorldConfig,
     return RangeScan(cfg.bearings, ranges, cfg.max_range)
 
 
-def _free_at(grid: OccupancyGrid, x: float, y: float) -> bool:
-    row, col = grid.cell_of(x, y)
-    h, w = grid.shape
-    return 0 <= row < h and 0 <= col < w and grid.cells[row, col] == FREE
-
-
 def _clearance(grid: OccupancyGrid, x: float, y: float, heading: float,
                dist: float) -> float:
     """Free distance ahead along heading, up to dist (noise-free, fine steps)."""
     step = grid.resolution * 0.5
     t = step
     while t <= dist:
-        if not _free_at(grid, x + t * math.cos(heading), y + t * math.sin(heading)):
+        if not grid.free_at(x + t * math.cos(heading), y + t * math.sin(heading)):
             return t - step
         t += step
     return dist
@@ -159,7 +152,7 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if not _free_at(grid, start.x, start.y):
+    if not grid.free_at(start.x, start.y):
         raise ValueError("start pose must be in a FREE cell")
     if policy == "waypoints" and not waypoints:
         raise ValueError("waypoints policy requires a waypoint list")
@@ -210,29 +203,31 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
 def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory,
                       cfg: WorldConfig) -> OccupancyGrid:
     """Partial map as the trajectory's robot would have built it: noise-free
-    rays from every recorded pose mark traversed cells FREE and terminating
-    obstacle cells OCCUPIED; everything else stays UNKNOWN."""
-    carved = np.full(grid.shape, UNKNOWN, dtype=np.int8)
-    carved_flat = carved.reshape(-1)
-    bearings = cfg.bearings
-    for rec in trajectory.records:
+    rays from every recorded pose reveal the cells they traverse and the
+    OCCUPIED cell that stops them, and a pose in a FREE cell reveals that
+    cell; everything else stays UNKNOWN.  A pose off the grid raises a
+    ValueError that names its record."""
+    cells = grid.cells.ravel()
+    seen = np.zeros(cells.size, dtype=bool)
+    records = trajectory.records
+    flat, on = cell_index(grid, np.array([r.true_pose.x for r in records], dtype=float),
+                          np.array([r.true_pose.y for r in records], dtype=float))
+    if not on.all():
+        k = int(np.argmin(on))
+        p = records[k].true_pose
+        raise ValueError(f"trajectory record {k}: pose ({p.x!r}, {p.y!r}) is off the map")
+    seen[flat[cells[flat] == FREE]] = True
+    ts = _sample_distances(grid, cfg.max_range)
+    for rec in records:
         pose = rec.true_pose
-        angles = pose.theta + bearings
-        ts, states, flat, ok = _ray_samples(grid, pose.x, pose.y, angles,
-                                            cfg.max_range)
-        occ = states == OCCUPIED
-        hit_any = occ.any(axis=1)
-        first = np.argmax(occ, axis=1)
-        cutoff = np.where(hit_any, first, states.shape[1])
-        before = np.arange(states.shape[1])[None, :] < cutoff[:, None]
-        free_pts = before & ok & (states == FREE)
-        carved_flat[flat[free_pts]] = FREE
-        hit_pts = ok & occ & (np.arange(states.shape[1])[None, :] == first[:, None]) \
-            & hit_any[:, None]
-        carved_flat[flat[hit_pts]] = OCCUPIED
-        prow, pcol = grid.cell_of(pose.x, pose.y)
-        if grid.cells[prow, pcol] == FREE:
-            carved[prow, pcol] = FREE
+        angles = pose.theta + cfg.bearings
+        # every sample up to and including the first OCCUPIED one
+        flat, on = _sample_cells(grid, ts[None, :], pose.x, pose.y,
+                                 np.cos(angles)[:, None], np.sin(angles)[:, None])
+        occ = on & (cells.take(flat, mode="clip") == OCCUPIED)
+        last = np.where(occ.any(axis=1), np.argmax(occ, axis=1), len(ts))
+        seen[flat[on & (np.arange(len(ts)) <= last[:, None])]] = True
+    carved = np.where(seen, cells, UNKNOWN).reshape(grid.shape)
     return OccupancyGrid(carved, grid.resolution, grid.origin)
 
 
@@ -387,9 +382,7 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
 def _random_free_pose(grid: OccupancyGrid, rng: np.random.Generator) -> Pose:
     rows, cols = np.nonzero(grid.cells == FREE)
     k = rng.integers(0, len(rows))
-    x = grid.origin[0] + (cols[k] + 0.5) * grid.resolution
-    y = grid.origin[1] + (rows[k] + 0.5) * grid.resolution
-    return Pose(x, y, float(rng.uniform(-math.pi, math.pi)))
+    return Pose(*grid.cell_center(rows[k], cols[k]), float(rng.uniform(-math.pi, math.pi)))
 
 
 # ---------------------------------------------------------------- log format

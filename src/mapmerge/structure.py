@@ -9,6 +9,7 @@ model over the view belief.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,8 @@ class FixedOutsideModel:
     """Baseline stand-in: a constant outside-map observation likelihood."""
 
     def __init__(self, value: float):
-        if value <= 0:
-            raise ValueError("fixed outside likelihood must be positive")
+        if not 0.0 < value < math.inf:
+            raise ValueError("fixed outside likelihood must be positive and finite")
         self.value = float(value)
 
     def step(self, z: int) -> float:

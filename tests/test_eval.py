@@ -18,7 +18,7 @@ from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
 from mapmerge.grid import UNKNOWN, FREE, OccupancyGrid, Pose, dump_map
 from mapmerge.modelio import PriorBundle, dump_prior, load_prior
 from mapmerge.pfilter import FilterConfig, FilterDivergence
-from mapmerge.structure import FixedOutsideModel, StructureState
+from mapmerge.structure import MODES, FixedOutsideModel, StructureState
 from mapmerge.views import ExtractionParams, alphabet_build
 
 
@@ -47,6 +47,15 @@ class TestModelIO:
         with pytest.raises(ValueError, match="hash"):
             load_prior(json.dumps(doc))
 
+    def test_legacy_counts_key_ignored(self):
+        # older prior files carried the training transition counts
+        bundle = tiny_bundle()
+        doc = json.loads(dump_prior(bundle))
+        assert "counts" not in doc
+        doc["counts"] = [[[1, 0, 2], [0, 0, 0], [3, 1, 0]]]
+        loaded = load_prior(json.dumps(doc))
+        assert dump_prior(loaded) == dump_prior(bundle)
+
     def test_shape_mismatch_rejected(self):
         b = tiny_bundle()
         with pytest.raises(ValueError):
@@ -67,6 +76,14 @@ class TestOutsideModels:
         assert isinstance(m, StructureState)
         assert m.mode == "adaptive"
         assert make_outside_model("prior_only", b).mode == "prior_only"
+
+    def test_method_table_names_every_mode(self):
+        assert list(evalharness.METHODS) == ["hierarchical_adaptive", "prior_only",
+                                             "frequency_only", "scaled_counts"]
+        assert sorted(evalharness.METHODS.values()) == sorted(MODES)
+        partial = OccupancyGrid(np.full((4, 4), FREE, dtype=np.int8), 0.1)
+        for method, mode in evalharness.METHODS.items():
+            assert make_outside_model(method, tiny_bundle(), partial).mode == mode
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -310,8 +327,6 @@ class TestCLI:
          "prior field 'extraction_params' must be an object of numbers"),
         (lambda doc: {**doc, "extraction_params": {"gap_threshold": "1"}},
          "prior field 'extraction_params' must be an object of numbers"),
-        (lambda doc: {**doc, "counts": {"a": 1}},
-         "prior field 'counts' must be a (nested) list of finite numbers"),
     ])
     def test_malformed_prior_one_line_error(self, workdir, capsys, edit, message):
         doc = json.loads(dump_prior(tiny_bundle()))
@@ -327,6 +342,65 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--start", "3,10"], "--start must be x,y,theta (finite numbers), got '3,10'"),
+        (["--start", "3,2.5,inf"],
+         "--start must be x,y,theta (finite numbers), got '3,2.5,inf'"),
+        (["--start", "3,2.5,0", "--policy", "waypoints", "--waypoints", "5"],
+         "each --waypoints entry must be x,y (finite numbers), got '5'"),
+        (["--start", "3,2.5,0", "--policy", "waypoints", "--waypoints", "8,2.5;x,1"],
+         "each --waypoints entry must be x,y (finite numbers), got 'x,1'"),
+        (["--start", "3,2.5,0", "--policy", "waypoints"],
+         "waypoints policy requires a waypoint list"),
+    ])
+    def test_malformed_simulate_option_one_line_error(self, workdir, capsys, args,
+                                                      message):
+        code = cli.main(["simulate", "--map", str(workdir / "world.map"),
+                         "--out", str(workdir / "x.traj"), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("manifest", [[], {}, {"pairs": [1]}, {"pairs": "x"},
+                                          {"pairs": {"partial_map": "a.map"}}])
+    def test_malformed_manifest_one_line_error(self, workdir, capsys, manifest):
+        (workdir / "bad_manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["evaluate", "--manifest", str(workdir / "bad_manifest.json"),
+                         "--out", str(workdir / "pr.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: manifest must be a JSON object whose 'pairs' is a list of objects\n")
+
+    @pytest.mark.parametrize("method", ["fixed:nan", "fixed:inf", "fixed:0", "fixed:-0.1"])
+    def test_fixed_likelihood_out_of_range_one_line_error(self, workdir, capsys,
+                                                          method):
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(3.0, 2.5, 0.0),
+                                       "waypoints", 1.0, cfg, waypoints=[(8.0, 2.5)])
+        (workdir / "short.traj").write_text(sim.dump_trajectory(traj, cfg))
+        (workdir / "tiny.json").write_text(dump_prior(tiny_bundle()))
+        code = cli.main(["localize", "--map", str(workdir / "world.map"),
+                         "--prior", str(workdir / "tiny.json"),
+                         "--trajectory", str(workdir / "short.traj"),
+                         "--method", method, "--out", str(workdir / "steps.log")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: fixed outside likelihood must be positive and finite\n")
+
+    @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5)])
+    def test_carve_pose_off_the_map_one_line_error(self, workdir, capsys, x, y):
+        # the corridor is 22 x 5 m; x = -0.35 would read column -4
+        cfg = sim.WorldConfig(seed=1)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(3.0, 2.5, 0.0),
+                                       "waypoints", 1.0, cfg, waypoints=[(8.0, 2.5)])
+        traj.records[2] = replace(traj.records[2], true_pose=Pose(x, y, 0.0))
+        (workdir / "off.traj").write_text(sim.dump_trajectory(traj, cfg))
+        code = cli.main(["carve", "--map", str(workdir / "world.map"),
+                         "--trajectory", str(workdir / "off.traj"),
+                         "--out", str(workdir / "x.map")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: trajectory record 2: pose ({x!r}, {y!r}) is off the map\n")
 
     def test_filter_divergence_one_line_error(self, workdir, capsys, monkeypatch):
         def diverging(*args, **kwargs):

@@ -18,8 +18,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from mapmerge import fixtures, grid as grid_module
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, MapParseError, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, ViewField, _fill_missing,
-                           _first_stop, default_bearings, dump_map, expected_view,
-                           inside_mask, is_inside, load_map, raycast,
+                           _first_stop, cell_index, default_bearings, dump_map,
+                           expected_view, inside_mask, is_inside, load_map, raycast,
                            raycast_full, scan_likelihood, scan_log_likelihoods,
                            ScanLikelihoodParams, wrap_angle)
 from mapmerge.views import (ExtractionParams, RangeScan, alphabet_build,
@@ -124,6 +124,29 @@ class TestMapIO:
         assert load_map(dump_map(g)) == g
 
 
+@st.composite
+def _lookup_cases(draw):
+    """A grid and points on it and around it: on cell edges and one ulp to
+    either side of them, at and beyond the far edges, at negative
+    coordinates, and anywhere nearby."""
+    cells = draw(random_cells)
+    res = draw(st.one_of(st.sampled_from((0.02, 0.05, 0.1, 0.25, 0.5)),
+                         st.floats(0.02, 0.5)))
+    origin = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+    g = OccupancyGrid(cells, res, origin)
+    h, w = g.shape
+
+    def coordinate(o, n):
+        edge = st.integers(-2, n + 2).map(lambda k: o + k * res)
+        return st.one_of(edge, edge.map(lambda v: math.nextafter(v, -math.inf)),
+                         edge.map(lambda v: math.nextafter(v, math.inf)),
+                         st.floats(o - 2 * n * res, o + 3 * n * res))
+
+    points = draw(st.lists(st.tuples(coordinate(origin[0], w), coordinate(origin[1], h)),
+                           min_size=1, max_size=30))
+    return g, points
+
+
 class TestInside:
     def test_free_cell_inside(self):
         g = box_world()
@@ -152,10 +175,36 @@ class TestInside:
             inside_mask(g, xs, ys),
             [is_inside(g, Pose(x, y, 0)) for x, y in zip(xs, ys)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(_lookup_cases())
+    def test_lookups_match_per_point_floor(self, case):
+        # cell_index, free_at, is_inside and inside_mask against one
+        # math.floor per axis and point
+        g, points = case
+        h, w = g.shape
+        xs = np.array([p[0] for p in points])
+        ys = np.array([p[1] for p in points])
+        given_xs, given_ys = xs.tobytes(), ys.tobytes()
+        flat, on = cell_index(g, xs.copy(), ys.copy())
+        mask = inside_mask(g, xs, ys)
+        assert (xs.tobytes(), ys.tobytes()) == (given_xs, given_ys)
+        for k, (x, y) in enumerate(points):
+            col = math.floor((x - g.origin[0]) / g.resolution)
+            row = math.floor((y - g.origin[1]) / g.resolution)
+            want_on = 0 <= row < h and 0 <= col < w
+            want_free = want_on and int(g.cells[row, col]) == FREE
+            assert on[k] == want_on
+            if want_on:
+                assert flat[k] == row * w + col
+            assert g.free_at(x, y) is want_free
+            assert is_inside(g, Pose(x, y, 0.0)) is want_free
+            assert mask[k] == want_free
+
 
 def reference_raycast(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
                       max_range: float):
-    """raycast_full one ray and one sample at a time."""
+    """(ranges, crossed): raycast_full one ray and one sample at a time, and
+    whether each ray traversed an UNKNOWN cell before it ended."""
     step = g.resolution * RAY_STEP_FRACTION
     ts = np.arange(step, max_range + step, step)
     cos, sin = np.cos(angles), np.sin(angles)
@@ -206,9 +255,11 @@ class TestRaycast:
         cells[:, 30:40] = UNKNOWN
         cells[:, 50] = OCCUPIED
         g = OccupancyGrid(cells, 0.1)
-        ranges, crossed = raycast_full(g, Pose(0.55, 0.25, 0.0),
-                                       np.array([0.0]), MAX_RANGE)
+        ranges = raycast_full(g, Pose(0.55, 0.25, 0.0), np.array([0.0]), MAX_RANGE)
         assert 4.3 < ranges[0] < 4.6  # hits the wall behind the unknown band
+        want_ranges, crossed = reference_raycast(g, 0.55, 0.25, np.array([0.0]),
+                                                 MAX_RANGE)
+        assert ranges.tobytes() == want_ranges.tobytes()
         assert crossed[0]
 
     @settings(max_examples=60, deadline=None)
@@ -223,10 +274,9 @@ class TestRaycast:
         x = g.origin[0] + fx * w * resolution
         y = g.origin[1] + fy * h * resolution
         angles = np.array(angles)
-        ranges, crossed = raycast_full(g, Pose(x, y, 0.0), angles, max_range)
-        want_ranges, want_crossed = reference_raycast(g, x, y, angles, max_range)
+        ranges = raycast_full(g, Pose(x, y, 0.0), angles, max_range)
+        want_ranges, _ = reference_raycast(g, x, y, angles, max_range)
         np.testing.assert_array_equal(ranges, want_ranges)
-        np.testing.assert_array_equal(crossed, want_crossed)
 
 
 def reference_first_stop(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
@@ -370,10 +420,11 @@ class TestFirstStop:
 
 
 def dense_scan_string(g: OccupancyGrid, pose: Pose, params) -> str:
-    """expected_view's scan string from raycast_full's dense samples, beams
-    that crossed UNKNOWN cells censored to max range."""
+    """expected_view's scan string from reference_raycast, beams that
+    crossed UNKNOWN cells censored to max range."""
     bearings = default_bearings()
-    ranges, crossed = raycast_full(g, pose, bearings, MAX_RANGE)
+    ranges, crossed = reference_raycast(g, pose.x, pose.y, pose.theta + bearings,
+                                        MAX_RANGE)
     ranges = np.where(crossed, MAX_RANGE, ranges)
     return extract_scan_strings(ranges[None, :], bearings, MAX_RANGE, params)[0]
 
@@ -422,8 +473,7 @@ class TestExpectedView:
 
     @pytest.mark.parametrize("chunk_rays", [1, 1500, 20_000])
     def test_several_poses_match_one_call_per_pose(self, chunk_rays):
-        # chunk_rays 1 casts one pose per batch, 1500 two; a memo shared
-        # over calls gives the same views as none; the east half is
+        # chunk_rays 1 casts one pose per batch, 1500 two; the east half is
         # unexplored, so frontier beams are censored
         g = fixtures.office_world()
         g = OccupancyGrid(np.where(np.arange(g.shape[1]) < 150, g.cells, UNKNOWN),
@@ -439,10 +489,9 @@ class TestExpectedView:
         # every scan string here has its own id
         alphabet = alphabet_build([s for row in dense for s in row], max_views=64)
         assert alphabet.nu < 64
-        memo = {}
         with mock.patch.object(grid_module, "CAST_CHUNK_RAYS", chunk_rays):
-            each = expected_view(g, poses, alphabet, params, memo=memo)
-            rows_ = expected_view(g, poses, alphabet, params, headings=headings, memo=memo)
+            each = expected_view(g, poses, alphabet, params)
+            rows_ = expected_view(g, poses, alphabet, params, headings=headings)
         assert each.shape == (7,) and rows_.shape == (7, len(headings))
         np.testing.assert_array_equal(
             each, [expected_view(g, p, alphabet, params) for p in poses])

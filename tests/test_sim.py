@@ -2,15 +2,17 @@
 training-data production, and trajectory log round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mapmerge import fixtures, sim
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
-                           is_inside, raycast, raycast_full)
+                           RAY_STEP_FRACTION, is_inside, raycast)
 from mapmerge.pfilter import MotionNoise
 from mapmerge.views import ExtractionParams
+from test_grid import reference_raycast
 
 
 def quiet_config(**kw):
@@ -104,8 +106,7 @@ class TestGenerateTrajectory:
         traj = sim.generate_trajectory(grid, Pose(2.0, 10.0, 0.0),
                                        "wall_follow", 30.0, cfg)
         for rec in traj.records:
-            row, col = grid.cell_of(rec.true_pose.x, rec.true_pose.y)
-            assert grid.cells[row, col] == FREE
+            assert grid.free_at(rec.true_pose.x, rec.true_pose.y)
 
     def test_noiseless_odometry_integrates(self):
         grid = fixtures.corridor()
@@ -151,6 +152,31 @@ class TestGenerateTrajectory:
 
 
 class TestCarvePartialMap:
+    @pytest.mark.parametrize("name, start", [("office_world", (2.0, 10.0)),
+                                             ("rooms_world", (5.0, 5.0))])
+    def test_matches_per_sample_reference(self, name, start):
+        # a full map with UNKNOWN cells too, which rays see through
+        grid = getattr(fixtures, name)()
+        banded = grid.cells.copy()
+        banded[::9][banded[::9] == FREE] = UNKNOWN
+        cfg = quiet_config(beam_count=31, max_range=5.0)
+        traj = sim.generate_trajectory(grid, Pose(*start, 0.0), "random_explore",
+                                       8.0, cfg)
+        for g in (grid, OccupancyGrid(banded, grid.resolution, grid.origin)):
+            carved = sim.carve_partial_map(g, traj, cfg)
+            np.testing.assert_array_equal(carved.cells, reference_carve(g, traj, cfg))
+
+    @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5), (3.0, -1e-9)])
+    def test_rejects_pose_off_the_map(self, x, y):
+        grid = fixtures.corridor()
+        cfg = quiet_config()
+        traj = sim.generate_trajectory(grid, Pose(3.0, 2.5, 0.0), "waypoints", 1.0,
+                                       cfg, waypoints=[(8.0, 2.5)])
+        traj.records[1] = replace(traj.records[1], true_pose=Pose(x, y, 0.0))
+        with pytest.raises(ValueError) as info:
+            sim.carve_partial_map(grid, traj, cfg)
+        assert str(info.value) == f"trajectory record 1: pose ({x!r}, {y!r}) is off the map"
+
     def test_soundness(self):
         grid = fixtures.office_world()
         cfg = quiet_config()
@@ -186,17 +212,49 @@ class TestCarvePartialMap:
         assert free_recovered / free_total > 0.8
 
 
+def reference_carve(grid, trajectory, cfg):
+    """carve_partial_map one ray and one sample at a time: a FREE pose cell
+    and every sample's cell up to the first OCCUPIED one take the full map's
+    state."""
+    carved = np.full(grid.shape, UNKNOWN, dtype=np.int8)
+    step = grid.resolution * RAY_STEP_FRACTION
+    ts = np.arange(step, cfg.max_range + step, step)
+    h, w = grid.shape
+
+    def cell(x, y):
+        col = math.floor((x - grid.origin[0]) / grid.resolution)
+        row = math.floor((y - grid.origin[1]) / grid.resolution)
+        return (row, col) if 0 <= row < h and 0 <= col < w else None
+
+    for rec in trajectory.records:
+        p = rec.true_pose
+        if grid.cells[cell(p.x, p.y)] == FREE:
+            carved[cell(p.x, p.y)] = FREE
+        angles = p.theta + cfg.bearings
+        for c, s in zip(np.cos(angles), np.sin(angles)):
+            for t in ts:
+                at = cell(p.x + c * t, p.y + s * t)
+                if at is not None:
+                    carved[at] = grid.cells[at]
+                    if grid.cells[at] == OCCUPIED:
+                        break
+    return carved
+
+
 def per_record_reference_ranges(grid, partner, poses, cfg):
-    """sim._reference_ranges one raycast_full per pose, in the partner map
-    where the pose is inside it, censoring beams that crossed UNKNOWN, and
-    in the full map elsewhere."""
+    """sim._reference_ranges one reference_raycast per pose, in the partner
+    map where the pose is inside it, censoring beams that crossed UNKNOWN,
+    and in the full map elsewhere."""
     ranges = np.empty((len(poses), len(cfg.bearings)))
     for k, pose in enumerate(poses):
+        angles = pose.theta + cfg.bearings
         if is_inside(partner, pose):
-            part, crossed = raycast_full(partner, pose, cfg.bearings, cfg.max_range)
+            part, crossed = reference_raycast(partner, pose.x, pose.y, angles,
+                                              cfg.max_range)
             ranges[k] = np.where(crossed, cfg.max_range, part)
         else:
-            ranges[k], _ = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
+            ranges[k], _ = reference_raycast(grid, pose.x, pose.y, angles,
+                                             cfg.max_range)
     return ranges
 
 

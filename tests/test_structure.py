@@ -196,3 +196,8 @@ class TestFixedOutsideModel:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             FixedOutsideModel(0.0)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FixedOutsideModel(value)
