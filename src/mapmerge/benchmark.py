@@ -10,15 +10,15 @@ environments only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dirichlet
 from .fixtures import BENCHMARK_ENVIRONMENTS
 from .modelio import PriorBundle
 from .sim import (Trajectory, WorldConfig, carve_partial_map,
                   generate_trajectory, make_training_data, _random_free_pose)
+from .training import OBS_FLOOR, fit_prior
 from .views import ExtractionParams, learn_observation_model
 
 
@@ -42,14 +42,9 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
                     eval_length: float = 55.0,
                     trajectories_per_map: int = 4,
                     training_length: float = 75.0,
-                    max_views: int = 20,
-                    obs_floor: float = 0.01,
-                    cfg: WorldConfig | None = None,
-                    params: ExtractionParams | None = None) -> Benchmark:
-    if cfg is None:
-        cfg = WorldConfig(seed=seed)
-    if params is None:
-        params = ExtractionParams()
+                    max_views: int = 20) -> Benchmark:
+    cfg = WorldConfig(seed=seed)
+    params = ExtractionParams()
     envs = {name: make() for name, make in BENCHMARK_ENVIRONMENTS.items()}
     names = list(envs)
 
@@ -61,21 +56,10 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
                             cfg, params, max_views=max_views,
                             trajectory_length=training_length,
                             split_trajectories=True)
-    nu = td.alphabet.nu
-    obs_model = learn_observation_model(td.confusion_pairs, nu, floor=obs_floor)
-
-    priors = {}
-    for i, name in enumerate(names):
-        others = [f for f, m in zip(td.counts, td.map_index) if m != i]
-        alpha = dirichlet.map_estimate(others)
-        marg = np.zeros(nu)
-        for f, m in zip(td.counts, td.map_index):
-            if m != i:
-                marg += np.sum(f, axis=1) + np.sum(f, axis=0)
-        marginals = (marg + 1.0) / (marg.sum() + nu)
-        priors[name] = PriorBundle(alphabet=td.alphabet, alpha=alpha,
-                                   obs_model=obs_model, marginals=marginals,
-                                   extraction=params)
+    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu,
+                                        floor=OBS_FLOOR)
+    priors = {name: fit_prior(td, obs_model, params, held_out=i)
+              for i, name in enumerate(names)}
 
     rng = np.random.default_rng(seed + 1)
     pairs = []

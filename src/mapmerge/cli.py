@@ -83,11 +83,26 @@ def cmd_localize(args) -> int:
     return 0
 
 
+def _check_pair(k: int, pair: dict) -> None:
+    """Reject manifest pair k's first missing or wrongly typed key."""
+    for key in ("partial_map", "trajectory", "prior", "environment"):
+        if key not in pair and key != "environment":
+            raise ValueError(f"manifest pair {k} has no {key!r}")
+        if not isinstance(pair.get(key, ""), str):
+            raise ValueError(f"manifest pair {k}: {key!r} must be a string")
+    offset = pair.get("offset", [0.0, 0.0, 0.0])
+    if not (isinstance(offset, list) and len(offset) == 3
+            and all(type(v) in (int, float) and math.isfinite(v) for v in offset)):
+        raise ValueError(f"manifest pair {k}: 'offset' must be three finite numbers")
+
+
 def cmd_evaluate(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
     if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
         raise ValueError("manifest must be a JSON object whose 'pairs' is a list of objects")
+    for k, pair in enumerate(pairs):
+        _check_pair(k, pair)
     thresholds = tuple(float(t) for t in args.thresholds.split(","))
     eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
     fc = FilterConfig(n_particles=args.particles, seed=args.seed,

@@ -10,13 +10,12 @@ averaged per environment and then across environments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import structure as _structure
-from . import views as _views
-from .grid import FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, is_inside, wrap_angle
+from .grid import UNKNOWN, OccupancyGrid, Pose, is_inside, wrap_angle
 from .modelio import PriorBundle
 from .pfilter import FilterConfig, run_localization
 from .sim import Trajectory
@@ -32,7 +31,6 @@ class EvalConfig:
     thresholds: tuple = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2)) + (0.99,)
     tolerance_xy: float = 2.0
     tolerance_theta: float = math.radians(30.0)
-    fixed_likelihoods: tuple = DEFAULT_FIXED
 
     def __post_init__(self):
         if list(self.thresholds) != sorted(self.thresholds):

@@ -64,8 +64,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _array(doc: dict, name: str) -> np.ndarray:
-    """doc[name] as an array of finite numbers."""
+def _array(doc: dict, name: str, valid, rule: str) -> np.ndarray:
+    """doc[name] as an array of finite numbers that valid accepts (rule
+    says in words what it asks for)."""
     what = "a (nested) list of finite numbers"
     value = _field(doc, name, lambda v: isinstance(v, list), what)
     try:
@@ -74,13 +75,16 @@ def _array(doc: dict, name: str) -> np.ndarray:
         raise ValueError(f"prior field {name!r} must be {what}") from None
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValueError(f"prior field {name!r} must be {what}")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    if not valid(arr):
+        raise ValueError(f"prior field {name!r} must be {rule}")
+    return arr
 
 
 def load_prior(text: str) -> PriorBundle:
-    """Parse a dump_prior file; a missing or wrongly typed field raises a
-    ValueError that names it.  Other keys, such as the transition counts
-    older files carry, are ignored."""
+    """Parse a dump_prior file; a missing, wrongly typed or unusable field
+    raises a ValueError that names it.  Other keys, such as the transition
+    counts older files carry, are ignored."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("prior file must hold a JSON object")
@@ -102,8 +106,12 @@ def load_prior(text: str) -> PriorBundle:
         "an object of numbers with keys among " + ", ".join(sorted(names)))
     return PriorBundle(
         alphabet=alphabet,
-        alpha=_array(doc, "alpha"),
-        obs_model=_array(doc, "observation_model"),
-        marginals=_array(doc, "marginals"),
+        alpha=_array(doc, "alpha", lambda a: np.all(a > 0), "positive"),
+        obs_model=_array(doc, "observation_model", lambda a: np.all(a >= 0)
+                         and np.allclose(a.sum(axis=0), 1.0, rtol=0.0, atol=1e-9),
+                         "non-negative with every column summing to 1"),
+        marginals=_array(doc, "marginals", lambda a: np.all(a > 0)
+                         and np.allclose(a.sum(), 1.0, rtol=0.0, atol=1e-9),
+                         "positive and summing to 1"),
         extraction=ExtractionParams(**extraction),
     )

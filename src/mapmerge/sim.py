@@ -261,7 +261,6 @@ class TrainingData:
     alphabet: ViewAlphabet
     counts: list[np.ndarray]        # one transition count matrix per sample
     map_index: list[int]            # source map of each count matrix
-    marginals: np.ndarray           # pooled view frequencies
     confusion_pairs: list[list[tuple[int, int]]]  # per-sample (true, observed)
 
 
@@ -294,8 +293,6 @@ def _reference_ranges(grid: OccupancyGrid, partner: OccupancyGrid,
 def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                        cfg: WorldConfig, params: ExtractionParams,
                        max_views: int = 16, trajectory_length: float = 60.0,
-                       alphabet: ViewAlphabet | None = None,
-                       policy: str = "random_explore",
                        split_trajectories: bool = False,
                        partial_fraction: float = 0.5) -> TrainingData:
     """Simulate exploration of each map, subsample views every 2 m of travel,
@@ -314,69 +311,53 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     """
     if not maps:
         raise ValueError("need at least one training map")
+    if not (0.0 < partial_fraction <= 1.0):
+        raise ValueError("partial_fraction must lie in (0, 1]")
     rng = np.random.default_rng(cfg.seed)
     bearings = cfg.bearings
-    # view strings per map per trajectory, noisy and reference ("true")
-    noisy: list[list[list[str]]] = []
-    clean: list[list[list[str]]] = []
-    for grid in maps:
+    # (map, trajectory, noisy view strings, reference ("true") view strings)
+    samples: list[tuple[int, int, list[str], list[str]]] = []
+    for m, grid in enumerate(maps):
         trajs = []
         for _ in range(trajectories_per_map):
             start = _random_free_pose(grid, rng)
-            trajs.append(generate_trajectory(grid, start, policy,
+            trajs.append(generate_trajectory(grid, start, "random_explore",
                                              trajectory_length, cfg, rng=rng))
-        if not (0.0 < partial_fraction <= 1.0):
-            raise ValueError("partial_fraction must lie in (0, 1]")
         partials = []
         for t in trajs:
             keep = max(1, int(len(t.records) * partial_fraction))
             prefix = Trajectory(records=t.records[:keep], truncated=t.truncated)
             partials.append(carve_partial_map(grid, prefix, cfg))
-        noisy.append([])
-        clean.append([])
         for j, traj in enumerate(trajs):
             partner = partials[(j + 1) % len(partials)]
             picked = _subsample(traj.records, 2.0)
             ranges = _reference_ranges(grid, partner,
                                        [rec.true_pose for rec in picked], cfg)
             # the noisy scans are RangeScans, extracted through their memo
-            noisy[-1].append([_views.extract_scan_string(rec.scan, params)
-                              for rec in picked])
-            clean[-1].append(_views.extract_scan_strings(ranges, bearings,
-                                                         cfg.max_range, params))
+            samples.append((m, j, [_views.extract_scan_string(rec.scan, params)
+                                   for rec in picked],
+                            _views.extract_scan_strings(ranges, bearings,
+                                                        cfg.max_range, params)))
 
-    if alphabet is None:
-        corpus = [s for per_map in noisy for traj in per_map for s in traj]
-        alphabet = alphabet_build(corpus, max_views)
-    nu = alphabet.nu
-
-    counts: list[np.ndarray] = []
-    map_index: list[int] = []
-    confusion: list[list[tuple[int, int]]] = []
-    marg = np.zeros(nu)
-    for m in range(len(maps)):
-        if not split_trajectories:
-            counts.append(dirichlet.new_counts(nu))
+    alphabet = alphabet_build([s for _, _, noisy, _ in samples for s in noisy],
+                              max_views)
+    counts, map_index, confusion = [], [], []  # as in TrainingData
+    for m, j, noisy, clean in samples:
+        if split_trajectories or j == 0:
+            counts.append(dirichlet.new_counts(alphabet.nu))
             map_index.append(m)
             confusion.append([])
-        for n_strings, c_strings in zip(noisy[m], clean[m]):
-            if split_trajectories:
-                counts.append(dirichlet.new_counts(nu))
-                map_index.append(m)
-                confusion.append([])
-            f, pairs = counts[-1], confusion[-1]
-            prev = None  # no transition across trajectory boundaries
-            for s_noisy, s_clean in zip(n_strings, c_strings):
-                v = view_of(alphabet, s_noisy)
-                pairs.append((view_of(alphabet, s_clean), v))
-                marg[v] += 1
-                if prev is not None:
-                    dirichlet.increment(f, prev, v)
-                prev = v
+        f, pairs = counts[-1], confusion[-1]
+        prev = None  # no transition across trajectory boundaries
+        for s_noisy, s_clean in zip(noisy, clean):
+            v = view_of(alphabet, s_noisy)
+            pairs.append((view_of(alphabet, s_clean), v))
+            if prev is not None:
+                dirichlet.increment(f, prev, v)
+            prev = v
 
-    marginals = (marg + 1.0) / (marg.sum() + nu)  # every view stays possible
     return TrainingData(alphabet=alphabet, counts=counts, map_index=map_index,
-                        marginals=marginals, confusion_pairs=confusion)
+                        confusion_pairs=confusion)
 
 
 def _random_free_pose(grid: OccupancyGrid, rng: np.random.Generator) -> Pose:

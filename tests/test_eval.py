@@ -25,7 +25,7 @@ from mapmerge.views import ExtractionParams, alphabet_build
 def tiny_bundle(nu=3):
     alphabet = alphabet_build(["wmw", "wgw"], max_views=nu)
     alpha = np.ones((alphabet.nu, alphabet.nu))
-    obs = np.eye(alphabet.nu) * 0.9 + 0.05
+    obs = np.eye(alphabet.nu) * (1.0 - 0.05 * alphabet.nu) + 0.05  # columns sum to 1
     marg = np.full(alphabet.nu, 1.0 / alphabet.nu)
     return PriorBundle(alphabet=alphabet, alpha=alpha, obs_model=obs,
                        marginals=marg, extraction=ExtractionParams())
@@ -321,6 +321,20 @@ class TestCLI:
          "prior field 'observation_model' must be a (nested) list of finite numbers"),
         (lambda doc: {k: v for k, v in doc.items() if k != "marginals"},
          "prior file has no 'marginals' field"),
+        (lambda doc: {**doc, "alpha": [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]},
+         "prior field 'alpha' must be positive"),
+        (lambda doc: {**doc, "observation_model": [[1.1, 0.0, 0.0], [-0.1, 1.0, 0.0],
+                                                   [0.0, 0.0, 1.0]]},
+         "prior field 'observation_model' must be non-negative with every column"
+         " summing to 1"),
+        (lambda doc: {**doc, "observation_model": [[0.9, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                   [0.0, 0.0, 1.0]]},
+         "prior field 'observation_model' must be non-negative with every column"
+         " summing to 1"),
+        (lambda doc: {**doc, "marginals": [0.5, 0.5, 0.0]},
+         "prior field 'marginals' must be positive and summing to 1"),
+        (lambda doc: {**doc, "marginals": [0.5, 0.5, 0.5]},
+         "prior field 'marginals' must be positive and summing to 1"),
         (lambda doc: {**doc, "extraction_params": [1.0]},
          "prior field 'extraction_params' must be an object of numbers"),
         (lambda doc: {**doc, "extraction_params": {"gap": 1.0}},
@@ -370,6 +384,28 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: manifest must be a JSON object whose 'pairs' is a list of objects\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda pair: pair.pop("trajectory"), "manifest pair 1 has no 'trajectory'"),
+        (lambda pair: pair.update(offset=5),
+         "manifest pair 1: 'offset' must be three finite numbers"),
+        (lambda pair: pair.update(partial_map=5),
+         "manifest pair 1: 'partial_map' must be a string"),
+    ])
+    def test_malformed_manifest_pair_one_line_error(self, workdir, capsys, edit,
+                                                    message):
+        # none of the files exists: reading pair 0 before pair 1 is checked
+        # would end in a different error
+        pairs = [{"partial_map": str(workdir / "missing.map"),
+                  "trajectory": str(workdir / "missing.traj"),
+                  "prior": str(workdir / "missing.json"),
+                  "environment": "a", "offset": [0.0, 0.5, 0.1]} for _ in range(2)]
+        edit(pairs[1])
+        (workdir / "bad_manifest.json").write_text(json.dumps({"pairs": pairs}))
+        code = cli.main(["evaluate", "--manifest", str(workdir / "bad_manifest.json"),
+                         "--out", str(workdir / "pr.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("method", ["fixed:nan", "fixed:inf", "fixed:0", "fixed:-0.1"])
     def test_fixed_likelihood_out_of_range_one_line_error(self, workdir, capsys,

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mapmerge import fixtures, sim
+from mapmerge import fixtures, sim, training
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
                            RAY_STEP_FRACTION, is_inside, raycast)
 from mapmerge.pfilter import MotionNoise
@@ -282,7 +282,9 @@ class TestTrainingData:
         for a, b in zip(got.counts, want.counts):
             np.testing.assert_array_equal(a, b)
         assert got.confusion_pairs == want.confusion_pairs
-        assert got.marginals.tobytes() == want.marginals.tobytes()
+        got_prior, want_prior = (training.fit_prior(td, np.eye(td.alphabet.nu), args[3])
+                                 for td in (got, want))
+        assert got_prior.marginals.tobytes() == want_prior.marginals.tobytes()
 
     def test_reference_ranges_match_per_record_casts(self):
         # partner maps half unexplored, fully explored and not explored at
@@ -352,10 +354,11 @@ class TestTrainingData:
     def test_marginals_are_distribution(self):
         grid = fixtures.corridor()
         cfg = quiet_config(seed=5)
-        td = sim.make_training_data([grid], 1, cfg, ExtractionParams(),
-                                    max_views=6, trajectory_length=15.0)
-        assert td.marginals.sum() == pytest.approx(1.0)
-        assert np.all(td.marginals > 0)
+        bundle = training.train_prior_bundle([grid], cfg, ExtractionParams(),
+                                             trajectories_per_map=1, max_views=6,
+                                             trajectory_length=15.0)
+        assert bundle.marginals.sum() == pytest.approx(1.0)
+        assert np.all(bundle.marginals > 0)
 
     def test_deterministic_under_seed(self):
         grid = fixtures.corridor()
@@ -370,6 +373,16 @@ class TestTrainingData:
     def test_rejects_no_maps(self):
         with pytest.raises(ValueError):
             sim.make_training_data([], 1, quiet_config(), ExtractionParams())
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_rejects_partial_fraction_before_simulating(self, monkeypatch, fraction):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking partial_fraction")
+
+        monkeypatch.setattr(sim, "generate_trajectory", no_simulation)
+        with pytest.raises(ValueError, match="partial_fraction"):
+            sim.make_training_data([fixtures.corridor()], 1, quiet_config(),
+                                   ExtractionParams(), partial_fraction=fraction)
 
 
 class TestTrajectoryLog:
