@@ -34,7 +34,16 @@ def _numbers(text: str, option: str, form: str) -> tuple[float, ...]:
     return values
 
 
+def _at_least(value, option: str, low: float, strict: bool = False):
+    """value, when finite and >= low (> low when strict)."""
+    if math.isfinite(value) and (value > low if strict else value >= low):
+        return value
+    raise ValueError(f"{option} must be a finite number {'>' if strict else '>='} "
+                     f"{low:g}, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
+    _at_least(args.length, "--length", 0, strict=True)
     grid = load_map(Path(args.map).read_text())
     cfg = _world_config(args)
     start = Pose(*_numbers(args.start, "--start", "x,y,theta"))
@@ -59,6 +68,8 @@ def cmd_carve(args) -> int:
 
 
 def cmd_train_prior(args) -> int:
+    _at_least(args.trajectories_per_map, "--trajectories-per-map", 1)
+    _at_least(args.length, "--length", 0, strict=True)
     maps = [load_map(Path(p).read_text()) for p in args.maps]
     cfg = _world_config(args)
     bundle = training.train_prior_bundle(
@@ -70,6 +81,8 @@ def cmd_train_prior(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    _at_least(args.view_distance, "--view-distance", 0)
+    evalharness.method_builder(args.method)
     partial = load_map(Path(args.map).read_text())
     bundle = load_prior(Path(args.prior).read_text())
     traj, _ = sim.load_trajectory(Path(args.trajectory).read_text())
@@ -97,16 +110,20 @@ def _check_pair(k: int, pair: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    methods = args.methods.split(",")
+    for method in methods:
+        evalharness.method_builder(method)
+    thresholds = tuple(float(t) for t in args.thresholds.split(","))
+    eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
+    fc = FilterConfig(n_particles=args.particles, seed=args.seed,
+                      view_update_distance=_at_least(args.view_distance,
+                                                     "--view-distance", 0))
     manifest = json.loads(Path(args.manifest).read_text())
     pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
     if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
         raise ValueError("manifest must be a JSON object whose 'pairs' is a list of objects")
     for k, pair in enumerate(pairs):
         _check_pair(k, pair)
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
-    fc = FilterConfig(n_particles=args.particles, seed=args.seed,
-                      view_update_distance=args.view_distance)
     results = []
     view_fields: dict[tuple, ViewField] = {}
     for pair in pairs:
@@ -121,7 +138,7 @@ def cmd_evaluate(args) -> int:
         if key not in view_fields:
             view_fields[key] = ViewField(partial, bundle.alphabet,
                                          bundle.extraction, bearings, max_range)
-        for method in args.methods.split(","):
+        for method in methods:
             results.append(evalharness.evaluate_pair(
                 partial, traj, method, bundle, fc, eval_cfg,
                 environment=pair.get("environment", ""), offset=offset,

@@ -14,16 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import structure as _structure
 from .grid import UNKNOWN, OccupancyGrid, Pose, is_inside, wrap_angle
 from .modelio import PriorBundle
 from .pfilter import FilterConfig, run_localization
 from .sim import Trajectory
-
-# structural method name -> StructureState mode
-METHODS = {"hierarchical_adaptive": "adaptive", "prior_only": "prior_only",
-           "frequency_only": "frequency_only", "scaled_counts": "scaled_counts"}
-DEFAULT_FIXED = (1e-4, 1e-3, 1e-2, 1e-1, 0.3)
+from .structure import FixedOutsideModel, MarginalOutsideModel, StructureState
 
 
 @dataclass(frozen=True)
@@ -33,6 +28,9 @@ class EvalConfig:
     tolerance_theta: float = math.radians(30.0)
 
     def __post_init__(self):
+        bad = [t for t in self.thresholds if not (math.isfinite(t) and 0.0 <= t <= 1.0)]
+        if bad:
+            raise ValueError(f"thresholds must be finite numbers in [0, 1], got {bad[0]!r}")
         if list(self.thresholds) != sorted(self.thresholds):
             raise ValueError("thresholds must be sorted ascending")
         if self.tolerance_xy <= 0 or self.tolerance_theta <= 0:
@@ -72,24 +70,46 @@ def known_area_ratio(partial: OccupancyGrid) -> float:
     return max(known / partial.cells.size, 1e-3)
 
 
+def _scaled_counts(bundle: PriorBundle, partial: OccupancyGrid | None):
+    if partial is None:
+        raise ValueError("scaled_counts needs the partial map for its area ratio")
+    return StructureState(bundle.alpha, bundle.obs_model,
+                          count_scale=1.0 / known_area_ratio(partial))
+
+
+# structural method name -> its outside model, built from (prior, partial map):
+# online counts weighed 1, 0 or 1/explored fraction, or view frequencies alone
+METHODS = {
+    "hierarchical_adaptive": lambda b, partial: StructureState(b.alpha, b.obs_model),
+    "prior_only": lambda b, partial: StructureState(b.alpha, b.obs_model,
+                                                    count_scale=0.0),
+    "frequency_only": lambda b, partial: MarginalOutsideModel(b.obs_model, b.marginals),
+    "scaled_counts": _scaled_counts,
+}
+DEFAULT_FIXED = (1e-4, 1e-3, 1e-2, 1e-1, 0.3)
+
+
+def method_builder(method: str):
+    """The (prior, partial map) -> outside model builder of a method name:
+    its METHODS entry, or a constant L for 'fixed:<L>'."""
+    if not method.startswith("fixed:"):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        return METHODS[method]
+    try:  # a stateless model, so every build may share it
+        fixed = FixedOutsideModel(float(method.split(":", 1)[1]))
+    except ValueError:
+        raise ValueError(f"method {method!r}: fixed outside likelihood "
+                         "must be positive and finite") from None
+    return lambda bundle, partial: fixed
+
+
 def make_outside_model(method: str, bundle: PriorBundle,
                        partial: OccupancyGrid | None = None):
-    """Outside-likelihood model for a method name.  'fixed:<L>' gives the
-    constant-likelihood baseline; the other names select a structural-model
-    variant.  Both produce observation likelihoods over the view alphabet,
-    the same units the filter uses for in-map particles."""
-    if method.startswith("fixed:"):
-        return _structure.FixedOutsideModel(float(method.split(":", 1)[1]))
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    mode = METHODS[method]
-    scale = 1.0
-    if mode == "scaled_counts":
-        if partial is None:
-            raise ValueError("scaled_counts needs the partial map for its area ratio")
-        scale = 1.0 / known_area_ratio(partial)
-    return _structure.init_structure(bundle.alpha, bundle.obs_model, mode=mode,
-                                     count_scale=scale, marginals=bundle.marginals)
+    """Outside-likelihood model for a method name.  Every model produces
+    observation likelihoods over the view alphabet, the same units the
+    filter uses for in-map particles."""
+    return method_builder(method)(bundle, partial)
 
 
 def _pose_correct(hyp_pose: Pose, gt: Pose, cfg: EvalConfig) -> bool:

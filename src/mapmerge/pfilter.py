@@ -265,13 +265,7 @@ class FilterConfig:
     n_particles: int = 10000
     seed: int = 0
     view_update_distance: float = 2.0
-    motion_noise: MotionNoise = field(default_factory=MotionNoise)
-    scan_params: ScanLikelihoodParams = field(default_factory=ScanLikelihoodParams)
     extraction: ExtractionParams = field(default_factory=ExtractionParams)
-    bounds_factor: float = 3.0
-    outside_enabled: bool = True
-    hypothesis_radius: float = 2.0
-    hypothesis_angle: float = math.radians(30.0)
 
 
 @dataclass(frozen=True)
@@ -298,22 +292,21 @@ def run_localization(grid: OccupancyGrid, structure, alphabet, trajectory,
         view_field = _grid.ViewField(grid, alphabet, config.extraction,
                                      *trajectory.scan_geometry)
     ps = init_filter(grid, config.n_particles, config.seed)
+    noise, scan_params = MotionNoise(), ScanLikelihoodParams()
     records: list[StepRecord] = []
     distance_total = 0.0
     for step, rec in enumerate(trajectory.records):
-        motion_update(ps, rec.odom, config.motion_noise, grid)
+        motion_update(ps, rec.odom, noise, grid)
         distance_total += abs(rec.odom[0])
         if ps.distance_since_update < config.view_update_distance:
             continue
         s = _views.extract_scan_string(rec.scan, config.extraction)
         z = _views.view_of(alphabet, s)
         _, _, log_out = measurement_update(
-            ps, rec.scan, z, structure, grid, config.scan_params,
-            bounds_factor=config.bounds_factor,
-            outside_enabled=config.outside_enabled,
+            ps, rec.scan, z, structure, grid, scan_params,
             obs_model=obs_model, view_field=view_field)
         resample_if_needed(ps)
-        hyp = best_hypothesis(ps, config.hypothesis_radius, config.hypothesis_angle)
+        hyp = best_hypothesis(ps)
         inside_mass = float(ps.weights()[ps.inside].sum())
         records.append(StepRecord(step=step, distance=distance_total,
                                   hypothesis=hyp, inside_mass=inside_mass,

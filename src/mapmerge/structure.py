@@ -4,7 +4,8 @@ Maintains a belief over the current view with an HMM forward recursion,
 accrues view-transition counts from the observation stream (hard most-likely
 assignments), and produces the likelihood of an observation for locations
 outside the partial map by marginalizing the posterior-predictive transition
-model over the view belief.
+model over the view belief.  The baselines are the same model with the
+online counts weighed differently, or a model without transition structure.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ import numpy as np
 
 from . import dirichlet
 
-MODES = ("adaptive", "prior_only", "frequency_only", "scaled_counts")
-
 
 @dataclass
 class StructureState:
     alpha: np.ndarray                 # prior pseudo-counts, fixed during a run
     obs_model: np.ndarray             # column j = p(observed = i | true view j)
-    mode: str = "adaptive"
-    count_scale: float = 1.0          # weight on online counts (scaled_counts mode)
-    marginals: np.ndarray | None = None  # training view frequencies (frequency_only)
+    count_scale: float = 1.0          # weight on online counts; 0 = prior only
     counts: np.ndarray = field(init=False)
     view_belief: np.ndarray = field(init=False)
     last_ml_view: int | None = field(default=None, init=False)
@@ -35,74 +32,50 @@ class StructureState:
         self.obs_model = np.asarray(self.obs_model, dtype=float)
         if self.alpha.shape != self.obs_model.shape or self.alpha.ndim != 2:
             raise ValueError("alpha and observation model must share a nu x nu shape")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not 0.0 <= self.count_scale < math.inf:
+            raise ValueError("count_scale must be finite and non-negative")
         nu = self.alpha.shape[0]
         self.counts = dirichlet.new_counts(nu)
         self.view_belief = np.full(nu, 1.0 / nu)
 
-    @property
-    def nu(self) -> int:
-        return self.alpha.shape[0]
-
-    def _effective_scale(self) -> float:
-        if self.mode == "prior_only":
-            return 0.0
-        if self.mode == "scaled_counts":
-            return self.count_scale
-        return 1.0
+    def predict_next_view(self) -> np.ndarray:
+        """Distribution over the next view, predictive transitions marginalized
+        over the current view belief."""
+        trans = dirichlet.predictive_matrix(self.alpha, self.counts, self.count_scale)
+        return trans @ self.view_belief
 
     def step(self, z: int) -> float:
         """Process one view observation; returns the outside-map likelihood
         of z computed before the count update."""
-        nu = self.nu
-        if not 0 <= z < nu:
+        if not 0 <= z < len(self.view_belief):
             raise IndexError("observed view id out of range")
-        if self.mode == "frequency_only":
-            out = frequency_only_likelihood(self, z)
-        else:
-            trans = dirichlet.predictive_matrix(self.alpha, self.counts,
-                                                self._effective_scale())
-            predicted = trans @ self.view_belief
-            out = float(self.obs_model[z] @ predicted)
-
+        out = float(self.obs_model[z] @ self.predict_next_view())
         ml = int(np.argmax(self.obs_model[z]))  # ties break to lowest index
-        if self.mode in ("adaptive", "scaled_counts") and self.last_ml_view is not None:
+        if self.last_ml_view is not None:
             dirichlet.increment(self.counts, self.last_ml_view, ml)
-
-        if self.mode != "frequency_only":
-            trans = dirichlet.predictive_matrix(self.alpha, self.counts,
-                                                self._effective_scale())
-            belief = self.obs_model[z] * (trans @ self.view_belief)
-            total = belief.sum()
-            if total > 0:
-                self.view_belief = belief / total
+        belief = self.obs_model[z] * self.predict_next_view()
+        total = belief.sum()
+        if total > 0:
+            self.view_belief = belief / total
         self.last_ml_view = ml
         return out
 
 
-def init_structure(alpha: np.ndarray, obs_model: np.ndarray,
-                   mode: str = "adaptive", count_scale: float = 1.0,
-                   marginals: np.ndarray | None = None) -> StructureState:
-    """Fresh state: zero counts, uniform view belief, no previous view."""
-    return StructureState(alpha=alpha, obs_model=obs_model, mode=mode,
-                          count_scale=count_scale, marginals=marginals)
+class MarginalOutsideModel:
+    """Baseline without transition structure: the observation model mixed
+    with the training marginal view frequencies."""
 
+    def __init__(self, obs_model: np.ndarray, marginals: np.ndarray):
+        self.obs_model = np.asarray(obs_model, dtype=float)
+        self.marginals = np.asarray(marginals, dtype=float)
+        if (self.obs_model.ndim != 2
+                or self.marginals.shape != self.obs_model.shape[1:]):
+            raise ValueError("marginals must have one entry per view of the observation model")
 
-def predict_next_view(state: StructureState) -> np.ndarray:
-    """Distribution over the next view, predictive transitions marginalized
-    over the current view belief."""
-    trans = dirichlet.predictive_matrix(state.alpha, state.counts,
-                                        state._effective_scale())
-    return trans @ state.view_belief
-
-
-def frequency_only_likelihood(state: StructureState, z: int) -> float:
-    """Outside likelihood ignoring all transition structure: observation
-    model mixed with the training marginal view frequencies."""
-    if state.marginals is None:
-        raise ValueError("frequency_only requires training marginals")
-    return float(state.obs_model[z] @ state.marginals)
+    def step(self, z: int) -> float:
+        if not 0 <= z < len(self.marginals):
+            raise IndexError("observed view id out of range")
+        return float(self.obs_model[z] @ self.marginals)
 
 
 class FixedOutsideModel:

@@ -355,6 +355,9 @@ class ViewAlphabet:
 def alphabet_build(strings, max_views: int) -> ViewAlphabet:
     """Alphabet of the most frequent canonical strings (frequency descending,
     ties lexicographic), capped at max_views including the catch-all."""
+    if max_views < 2:
+        raise ValueError(f"max_views must be at least 2 (one view and the catch-all), "
+                         f"got {max_views}")
     counter = Counter(canonicalize(s) for s in strings)
     if not counter:
         raise ValueError("cannot build an alphabet from no strings")
@@ -396,10 +399,3 @@ def learn_observation_model(labeled, nu: int,
     if floor > 0.0:
         model = (1.0 - floor) * model + floor / nu
     return model
-
-
-def observation_likelihood(model: np.ndarray, z: int, v: int) -> float:
-    nu = model.shape[0]
-    if not (0 <= z < nu and 0 <= v < nu):
-        raise IndexError("view index out of range")
-    return float(model[z, v])

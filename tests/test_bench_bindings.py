@@ -1,0 +1,45 @@
+"""The benchmark's tracer patches mapmerge functions and methods by name:
+every name it lists must still resolve, or a traced run misses a layer."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """A perfbench module, loaded from its file under a private name without
+    writing a bytecode cache beside it."""
+    key = f"_perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.dont_write_bytecode = saved
+    return sys.modules[key]
+
+
+@pytest.mark.parametrize("span", _load("tracing").SPANS, ids=lambda s: s[0])
+def test_span_target_resolves(span):
+    _, short, attr = span
+    module = importlib.import_module(f"mapmerge.{short}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        # patched on the class itself, so it must be defined in its body
+        assert meth in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, attr))
+
+
+def test_expected_spans_are_traced():
+    names = {name for name, _, _ in _load("tracing").SPANS}
+    for workload, spans in _load("workloads").EXPECTED_SPANS.items():
+        assert set(spans) <= names, workload

@@ -18,7 +18,7 @@ from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
 from mapmerge.grid import UNKNOWN, FREE, OccupancyGrid, Pose, dump_map
 from mapmerge.modelio import PriorBundle, dump_prior, load_prior
 from mapmerge.pfilter import FilterConfig, FilterDivergence
-from mapmerge.structure import MODES, FixedOutsideModel, StructureState
+from mapmerge.structure import FixedOutsideModel, MarginalOutsideModel, StructureState
 from mapmerge.views import ExtractionParams, alphabet_build
 
 
@@ -70,24 +70,34 @@ class TestOutsideModels:
         assert isinstance(m, FixedOutsideModel)
         assert m.step(0) == pytest.approx(0.037)
 
-    def test_structure_methods_modes(self):
+    def test_structure_methods_weigh_counts(self):
         b = tiny_bundle()
         m = make_outside_model("hierarchical_adaptive", b)
         assert isinstance(m, StructureState)
-        assert m.mode == "adaptive"
-        assert make_outside_model("prior_only", b).mode == "prior_only"
+        assert m.count_scale == 1.0
+        assert make_outside_model("prior_only", b).count_scale == 0.0
+        assert isinstance(make_outside_model("frequency_only", b), MarginalOutsideModel)
 
-    def test_method_table_names_every_mode(self):
+    def test_every_method_builds_a_positive_model(self):
         assert list(evalharness.METHODS) == ["hierarchical_adaptive", "prior_only",
                                              "frequency_only", "scaled_counts"]
-        assert sorted(evalharness.METHODS.values()) == sorted(MODES)
         partial = OccupancyGrid(np.full((4, 4), FREE, dtype=np.int8), 0.1)
-        for method, mode in evalharness.METHODS.items():
-            assert make_outside_model(method, tiny_bundle(), partial).mode == mode
+        for method, build in evalharness.METHODS.items():
+            for model in (build(tiny_bundle(), partial),
+                          make_outside_model(method, tiny_bundle(), partial)):
+                for z in (0, 1, 0):
+                    out = model.step(z)
+                    assert type(out) is float and out > 0.0, method
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            make_outside_model("bogus", tiny_bundle())
+    @pytest.mark.parametrize("method, message", [
+        ("bogus", "unknown method 'bogus'"),
+        ("fixed:abc", "method 'fixed:abc': fixed outside likelihood"),
+        ("fixed:", "method 'fixed:': fixed outside likelihood")])
+    def test_unknown_method_rejected(self, method, message):
+        with pytest.raises(ValueError, match=message):
+            make_outside_model(method, tiny_bundle())
+        with pytest.raises(ValueError, match=message):
+            evalharness.method_builder(method)
 
     def test_scaled_counts_uses_area_ratio(self):
         cells = np.full((10, 10), UNKNOWN, dtype=np.int8)
@@ -168,6 +178,12 @@ class TestPrecisionRecall:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(thresholds=(0.5, 0.1))
+
+    @pytest.mark.parametrize("thresholds", [(math.nan,), (0.5, 2.0), (-0.1, 0.5),
+                                            (0.5, math.inf)])
+    def test_thresholds_outside_unit_interval_rejected(self, thresholds):
+        with pytest.raises(ValueError, match=r"thresholds must be finite numbers in \[0, 1\]"):
+            EvalConfig(thresholds=thresholds)
         with pytest.raises(ValueError):
             EvalConfig(tolerance_xy=-1.0)
 
@@ -407,7 +423,8 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("method", ["fixed:nan", "fixed:inf", "fixed:0", "fixed:-0.1"])
+    @pytest.mark.parametrize("method", ["fixed:nan", "fixed:inf", "fixed:0", "fixed:-0.1",
+                                        "fixed:abc"])
     def test_fixed_likelihood_out_of_range_one_line_error(self, workdir, capsys,
                                                           method):
         cfg = sim.WorldConfig(seed=1)
@@ -421,7 +438,75 @@ class TestCLI:
                          "--method", method, "--out", str(workdir / "steps.log")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: fixed outside likelihood must be positive and finite\n")
+            f"error: method {method!r}: fixed outside likelihood must be positive"
+            " and finite\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--max-views", "0"],
+         "max_views must be at least 2 (one view and the catch-all), got 0"),
+        (["--max-views", "1"],
+         "max_views must be at least 2 (one view and the catch-all), got 1"),
+        (["--trajectories-per-map", "0"],
+         "--trajectories-per-map must be a finite number >= 1, got 0"),
+        (["--length", "0"], "--length must be a finite number > 0, got 0.0"),
+        (["--length", "nan"], "--length must be a finite number > 0, got nan"),
+        (["--length", "-4"], "--length must be a finite number > 0, got -4.0"),
+    ])
+    def test_bad_train_prior_setting_one_line_error(self, workdir, capsys, args,
+                                                    message):
+        code = cli.main(["train-prior", "--maps", str(workdir / "world.map"),
+                         "--trajectories-per-map", "1", "--length", "5",
+                         "--out", str(workdir / "bad_prior.json"), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "bad_prior.json").exists()
+
+    @pytest.mark.parametrize("length", ["nan", "-4", "0", "inf"])
+    def test_bad_simulate_length_one_line_error(self, workdir, capsys, length):
+        code = cli.main(["simulate", "--map", str(workdir / "world.map"),
+                         "--start", "3,2.5,0", "--length", length,
+                         "--out", str(workdir / "rejected.traj")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --length must be a finite number > 0, got {float(length)!r}\n")
+        assert not (workdir / "rejected.traj").exists()
+
+    # the option errors come before any input file is read: none exists here
+    @pytest.mark.parametrize("args, message", [
+        (["--view-distance", "nan"], "--view-distance must be a finite number >= 0, got nan"),
+        (["--view-distance", "-1"], "--view-distance must be a finite number >= 0, got -1.0"),
+        (["--method", "bogus"], "unknown method 'bogus'"),
+        (["--method", "fixed:abc"],
+         "method 'fixed:abc': fixed outside likelihood must be positive and finite"),
+    ])
+    def test_bad_localize_option_one_line_error(self, workdir, capsys, args, message):
+        code = cli.main(["localize", "--map", str(workdir / "missing.map"),
+                         "--prior", str(workdir / "missing.json"),
+                         "--trajectory", str(workdir / "missing.traj"),
+                         "--out", str(workdir / "steps.log"), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--methods", "hierarchical_adaptive,bogus"], "unknown method 'bogus'"),
+        (["--methods", "prior_only,fixed:x"],
+         "method 'fixed:x': fixed outside likelihood must be positive and finite"),
+        (["--thresholds", "nan"], "thresholds must be finite numbers in [0, 1], got nan"),
+        (["--thresholds", "0.5,2.0"],
+         "thresholds must be finite numbers in [0, 1], got 2.0"),
+        (["--view-distance", "inf"], "--view-distance must be a finite number >= 0, got inf"),
+    ])
+    def test_bad_evaluate_option_one_line_error(self, workdir, capsys, args, message):
+        # the manifest names files that do not exist: reading any of them
+        # before the options are checked would end in a different error
+        pair = {"partial_map": str(workdir / "missing.map"),
+                "trajectory": str(workdir / "missing.traj"),
+                "prior": str(workdir / "missing.json")}
+        (workdir / "missing_manifest.json").write_text(json.dumps({"pairs": [pair]}))
+        code = cli.main(["evaluate", "--manifest", str(workdir / "missing_manifest.json"),
+                         "--out", str(workdir / "pr.csv"), *args])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5)])
     def test_carve_pose_off_the_map_one_line_error(self, workdir, capsys, x, y):

@@ -398,7 +398,7 @@ def _reference_localization(grid, structure, alphabet, trajectory, config,
     records = []
     distance_total = 0.0
     for step, rec in enumerate(trajectory.records):
-        _eager_motion_update(ps, rec.odom, config.motion_noise, grid)
+        _eager_motion_update(ps, rec.odom, MotionNoise(), grid)
         distance_total += abs(rec.odom[0])
         if ps.distance_since_update < config.view_update_distance:
             continue
@@ -407,10 +407,10 @@ def _reference_localization(grid, structure, alphabet, trajectory, config,
                                               rec.scan.max_range, config.extraction)[0]
         z = views_module.view_of(alphabet, s)
         log_out = _reference_measurement_update(
-            ps, rec.scan, z, structure, grid, config.scan_params,
-            config.bounds_factor, obs_model, view_field)
+            ps, rec.scan, z, structure, grid, ScanLikelihoodParams(), 3.0,
+            obs_model, view_field)
         resample_if_needed(ps)
-        hyp = best_hypothesis(ps, config.hypothesis_radius, config.hypothesis_angle)
+        hyp = best_hypothesis(ps, 2.0, math.radians(30.0))
         records.append(StepRecord(step=step, distance=distance_total,
                                   hypothesis=hyp,
                                   inside_mass=float(ps.weights()[ps.inside].sum()),

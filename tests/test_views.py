@@ -14,7 +14,7 @@ from mapmerge.grid import Pose, default_bearings, raycast
 from mapmerge.views import (ExtractionParams, RangeScan, ViewAlphabet,
                             alphabet_build, canonicalize, extract_scan_string,
                             extract_scan_strings,
-                            learn_observation_model, observation_likelihood,
+                            learn_observation_model,
                             view_of, OTHER)
 
 MAX_RANGE = 8.0
@@ -530,6 +530,14 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             alphabet_build([], max_views=4)
 
+    @pytest.mark.parametrize("max_views", [-1, 0, 1])
+    def test_rejects_fewer_than_two_views(self, max_views):
+        with pytest.raises(ValueError, match=f"max_views must be at least 2.*got {max_views}"):
+            alphabet_build(["wmw", "wgw"], max_views=max_views)
+
+    def test_two_views_keep_the_most_frequent(self):
+        assert alphabet_build(["wgw", "wmw", "wmw"], max_views=2).entries == ("wmw", OTHER)
+
     def test_other_always_last(self):
         alphabet = alphabet_build(["a", "b", "c"], max_views=3)
         assert alphabet.entries[-1] == OTHER
@@ -599,12 +607,3 @@ class TestObservationModel:
     def test_rejects_empty_environment(self):
         with pytest.raises(ValueError):
             learn_observation_model([[(0, 0)], []], nu=2)
-
-    def test_observation_likelihood_lookup(self):
-        model = np.array([[0.9, 0.2], [0.1, 0.8]])
-        assert observation_likelihood(model, 1, 0) == pytest.approx(0.1)
-        with pytest.raises(IndexError):
-            observation_likelihood(model, 2, 0)
-        for v in range(2):
-            total = sum(observation_likelihood(model, z, v) for z in range(2))
-            assert total == pytest.approx(1.0)
