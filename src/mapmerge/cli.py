@@ -61,7 +61,7 @@ def cmd_carve(args) -> int:
     grid = load_map(Path(args.map).read_text())
     traj, header = sim.load_trajectory(Path(args.trajectory).read_text())
     cfg = sim.WorldConfig(beam_count=header["beam_count"], fov=header["fov"],
-                          max_range=header["max_range"], seed=args.seed)
+                          max_range=header["max_range"])
     partial = sim.carve_partial_map(grid, traj, cfg)
     Path(args.out).write_text(dump_map(partial))
     return 0
@@ -81,6 +81,7 @@ def cmd_train_prior(args) -> int:
 
 
 def cmd_localize(args) -> int:
+    _at_least(args.particles, "--particles", 1)
     _at_least(args.view_distance, "--view-distance", 0)
     evalharness.method_builder(args.method)
     partial = load_map(Path(args.map).read_text())
@@ -88,10 +89,8 @@ def cmd_localize(args) -> int:
     traj, _ = sim.load_trajectory(Path(args.trajectory).read_text())
     outside = evalharness.make_outside_model(args.method, bundle, partial)
     fc = FilterConfig(n_particles=args.particles, seed=args.seed,
-                      view_update_distance=args.view_distance,
-                      extraction=bundle.extraction)
-    records = run_localization(partial, outside, bundle.alphabet, traj, fc,
-                               obs_model=bundle.obs_model)
+                      view_update_distance=args.view_distance)
+    records = run_localization(partial, outside, bundle, traj, fc)
     Path(args.out).write_text(format_step_log(records))
     return 0
 
@@ -113,9 +112,14 @@ def cmd_evaluate(args) -> int:
     methods = args.methods.split(",")
     for method in methods:
         evalharness.method_builder(method)
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
+    try:
+        thresholds = tuple(float(t) for t in args.thresholds.split(","))
+    except ValueError:
+        raise ValueError("--thresholds must be comma-separated numbers, "
+                         f"got {args.thresholds!r}") from None
     eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
-    fc = FilterConfig(n_particles=args.particles, seed=args.seed,
+    fc = FilterConfig(n_particles=_at_least(args.particles, "--particles", 1),
+                      seed=args.seed,
                       view_update_distance=_at_least(args.view_distance,
                                                      "--view-distance", 0))
     manifest = json.loads(Path(args.manifest).read_text())
@@ -168,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("carve", help="carve a partial map from a trajectory")
     p.add_argument("--map", required=True)
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_carve)
 

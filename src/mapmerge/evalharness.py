@@ -10,7 +10,7 @@ averaged per environment and then across environments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,9 +137,8 @@ def evaluate_pair(partial: OccupancyGrid, trajectory: Trajectory, method: str,
     times; otherwise one is built per call.
     """
     outside = make_outside_model(method, bundle, partial)
-    fc = replace(filter_config, extraction=bundle.extraction)
-    records = run_localization(partial, outside, bundle.alphabet, trajectory, fc,
-                               obs_model=bundle.obs_model, view_field=view_field)
+    records = run_localization(partial, outside, bundle, trajectory, filter_config,
+                               view_field=view_field)
     steps = []
     for rec in records:
         gt = apply_offset(trajectory.records[rec.step].true_pose, offset)

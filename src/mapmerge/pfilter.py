@@ -1,9 +1,9 @@
 """SISR particle filter for localizing a robot against a partial map.
 
 Particles live in continuous (x, y, theta); each is either inside the map
-(weighted by the likelihood-field scan model) or outside (weighted by the
-structural model's outside-map observation likelihood).  Weights are kept in
-log space and the particle count is constant through systematic resampling.
+(weighted at the view the map predicts at its pose) or outside (weighted by
+the structural model's outside-map observation likelihood).  Weights are kept
+in log space and the particle count is constant through systematic resampling.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .grid import (FREE, OccupancyGrid, Pose, ScanLikelihoodParams, inside_mask,
                    scan_log_likelihoods, wrap_angle)
-from .views import ExtractionParams, RangeScan
+from .modelio import PriorBundle
+from .views import RangeScan
 from . import grid as _grid
 from . import views as _views
 
@@ -164,27 +165,25 @@ def _bounds_log_penalty(ps: ParticleSet, grid: OccupancyGrid,
     return penalty
 
 
-def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int,
-                       structure, grid: OccupancyGrid,
-                       scan_params: ScanLikelihoodParams | None,
-                       bounds_factor: float = 3.0,
-                       outside_enabled: bool = True,
-                       obs_model: np.ndarray | None = None,
-                       view_field=None):
-    """One observation step, then weight normalization.
+def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int, structure,
+                       grid: OccupancyGrid, scan_params: ScanLikelihoodParams | None,
+                       *, obs_model: np.ndarray, view_field,
+                       bounds_factor: float | None = 3.0,
+                       outside_enabled: bool = True) -> float:
+    """One observation step, then weight normalization, in place on ps;
+    returns the log outside likelihood (0.0 with outside_enabled False).
 
     Outside particles get the structural model's outside likelihood
     (structure.step(z_view)); with outside_enabled False the structural model
     is never consulted and outside particles keep their weight (complete-map
     reduction).
 
-    Inside particles: when obs_model and view_field are given, each inside
-    particle is weighted by p(z_view | expected view at its pose) — the same
-    units as the outside likelihood, so the inside/outside mass split is a
-    fair competition.  The raw scan then only redistributes weight among the
-    inside particles (its contribution is normalized to preserve their total
-    mass), sharpening position without touching the in-map probability.
-    Without a view field the raw scan likelihood is the full inside weight.
+    Each inside particle is weighted by p(z_view | expected view at its pose),
+    read from view_field — the same units as the outside likelihood, so the
+    inside/outside mass split is a fair competition.  With scan_params the raw
+    scan then only redistributes weight among the inside particles (normalized
+    to keep their total mass), sharpening position without touching the
+    in-map probability.
     """
     log_out = 0.0
     if outside_enabled:
@@ -192,23 +191,15 @@ def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int,
         log_out = math.log(l_out)
     ins = ps.inside
     if ins.any():
-        if view_field is not None:
-            if obs_model is None:
-                raise ValueError("view_field weighting needs an obs_model")
-            vids = view_field.views_at(ps.poses[ins])
-            nu = obs_model.shape[0]
-            lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)],
-                           1.0 / nu)
-            ps.log_weights[ins] += np.log(lik)
-            if scan_params is not None:
-                refine = scan_log_likelihoods(grid, ps.poses[ins], scan,
-                                              scan_params)
-                prior = ps.log_weights[ins]
-                refine -= logsumexp(prior + refine) - logsumexp(prior)
-                ps.log_weights[ins] += refine
-        else:
-            ps.log_weights[ins] += scan_log_likelihoods(
-                grid, ps.poses[ins], scan, scan_params)
+        vids = view_field.views_at(ps.poses[ins])
+        nu = obs_model.shape[0]
+        lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)], 1.0 / nu)
+        ps.log_weights[ins] += np.log(lik)
+        if scan_params is not None:
+            refine = scan_log_likelihoods(grid, ps.poses[ins], scan, scan_params)
+            prior = ps.log_weights[ins]
+            refine -= logsumexp(prior + refine) - logsumexp(prior)
+            ps.log_weights[ins] += refine
     if outside_enabled and (~ins).any():
         ps.log_weights[~ins] += log_out
     if bounds_factor is not None:
@@ -218,7 +209,7 @@ def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int,
         raise FilterDivergence("all particle weights underflowed")
     ps.log_weights -= total
     ps.distance_since_update = 0.0
-    return ps, structure, log_out
+    return log_out
 
 
 def effective_sample_size(ps: ParticleSet) -> float:
@@ -265,7 +256,6 @@ class FilterConfig:
     n_particles: int = 10000
     seed: int = 0
     view_update_distance: float = 2.0
-    extraction: ExtractionParams = field(default_factory=ExtractionParams)
 
 
 @dataclass(frozen=True)
@@ -277,19 +267,18 @@ class StepRecord:
     log_outside: float
 
 
-def run_localization(grid: OccupancyGrid, structure, alphabet, trajectory,
-                     config: FilterConfig, obs_model: np.ndarray | None = None,
-                     view_field=None) -> list[StepRecord]:
+def run_localization(grid: OccupancyGrid, structure, bundle: PriorBundle, trajectory,
+                     config: FilterConfig, view_field=None) -> list[StepRecord]:
     """Drive the filter over a trajectory: motion update per odometry record,
     measurement update every view_update_distance meters traveled.
 
-    With an obs_model, inside particles are weighted through the map's
-    expected views (a ViewField with the trajectory's beam geometry is built
-    over the grid unless one is passed in); otherwise the raw scan likelihood
-    alone weights inside particles.
+    Scans are read as views with the prior's alphabet and extraction
+    parameters, and inside particles are weighted by its observation model
+    through the map's expected views: a ViewField with the trajectory's beam
+    geometry is built over the grid unless one is passed in.
     """
-    if obs_model is not None and view_field is None:
-        view_field = _grid.ViewField(grid, alphabet, config.extraction,
+    if view_field is None:
+        view_field = _grid.ViewField(grid, bundle.alphabet, bundle.extraction,
                                      *trajectory.scan_geometry)
     ps = init_filter(grid, config.n_particles, config.seed)
     noise, scan_params = MotionNoise(), ScanLikelihoodParams()
@@ -300,11 +289,11 @@ def run_localization(grid: OccupancyGrid, structure, alphabet, trajectory,
         distance_total += abs(rec.odom[0])
         if ps.distance_since_update < config.view_update_distance:
             continue
-        s = _views.extract_scan_string(rec.scan, config.extraction)
-        z = _views.view_of(alphabet, s)
-        _, _, log_out = measurement_update(
-            ps, rec.scan, z, structure, grid, scan_params,
-            obs_model=obs_model, view_field=view_field)
+        s = _views.extract_scan_string(rec.scan, bundle.extraction)
+        z = _views.view_of(bundle.alphabet, s)
+        log_out = measurement_update(ps, rec.scan, z, structure, grid, scan_params,
+                                     obs_model=bundle.obs_model,
+                                     view_field=view_field)
         resample_if_needed(ps)
         hyp = best_hypothesis(ps)
         inside_mass = float(ps.weights()[ps.inside].sum())

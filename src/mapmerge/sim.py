@@ -313,6 +313,9 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
         raise ValueError("need at least one training map")
     if not (0.0 < partial_fraction <= 1.0):
         raise ValueError("partial_fraction must lie in (0, 1]")
+    for k, grid in enumerate(maps):  # before any map is simulated
+        if not (grid.cells == FREE).any():
+            raise ValueError(f"training map {k} has no FREE cell")
     rng = np.random.default_rng(cfg.seed)
     bearings = cfg.bearings
     # (map, trajectory, noisy view strings, reference ("true") view strings)
@@ -397,9 +400,10 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
     except ValueError:
         raise ValueError("line 1: expected 'beams <N> fov <F> max_range <R> "
                          "truncated <T>'") from None
-    if not (header["beam_count"] > 0 and all(
-            math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range"))):
-        raise ValueError("line 1: beams, fov and max_range must be finite and positive")
+    if header["beam_count"] < 3:
+        raise ValueError(f"line 1: need at least 3 beams, got {header['beam_count']}")
+    if not all(math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range")):
+        raise ValueError("line 1: fov and max_range must be finite and positive")
     bearings = default_bearings(header["beam_count"], header["fov"])
     bearings.flags.writeable = False  # shared by every record's scan
     n_fields = 7 + header["beam_count"]

@@ -1,5 +1,7 @@
 """The benchmark's tracer patches mapmerge functions and methods by name:
-every name it lists must still resolve, or a traced run misses a layer."""
+every name it lists must still resolve, or a traced run misses a layer.
+Its workloads call mapmerge's public API: each must still run clean at the
+tiny size."""
 
 import importlib
 import importlib.util
@@ -43,3 +45,13 @@ def test_expected_spans_are_traced():
     names = {name for name, _, _ in _load("tracing").SPANS}
     for workload, spans in _load("workloads").EXPECTED_SPANS.items():
         assert set(spans) <= names, workload
+
+
+@pytest.mark.parametrize("workload", ["prepare", "replay", "cli_pipeline"])
+def test_tiny_workload_runs_clean(workload, tmp_path):
+    workloads = _load("workloads")
+    size = workloads.SIZES["tiny"][workload.removesuffix("_pipeline")]
+    workdir = (tmp_path,) if workload == "cli_pipeline" else ()
+    res = getattr(workloads, workload)(3, 0, size, *workdir)
+    assert res.failed == 0, res.errors
+    assert res.correct, [c for c in res.checks if not c[1]]

@@ -15,7 +15,7 @@ from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
                                   auc_pr, known_area_ratio, make_outside_model,
                                   apply_offset, precision_at_recall,
                                   precision_recall, pr_table)
-from mapmerge.grid import UNKNOWN, FREE, OccupancyGrid, Pose, dump_map
+from mapmerge.grid import UNKNOWN, FREE, OCCUPIED, OccupancyGrid, Pose, dump_map
 from mapmerge.modelio import PriorBundle, dump_prior, load_prior
 from mapmerge.pfilter import FilterConfig, FilterDivergence
 from mapmerge.structure import FixedOutsideModel, MarginalOutsideModel, StructureState
@@ -461,6 +461,16 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workdir / "bad_prior.json").exists()
 
+    def test_training_map_without_free_cell_one_line_error(self, workdir, capsys):
+        solid = OccupancyGrid(np.full((10, 10), OCCUPIED, dtype=np.int8), 0.1)
+        (workdir / "solid.map").write_text(dump_map(solid))
+        code = cli.main(["train-prior", "--maps", str(workdir / "world.map"),
+                         str(workdir / "solid.map"), "--trajectories-per-map", "1",
+                         "--length", "5", "--out", str(workdir / "solid_prior.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: training map 1 has no FREE cell\n"
+        assert not (workdir / "solid_prior.json").exists()
+
     @pytest.mark.parametrize("length", ["nan", "-4", "0", "inf"])
     def test_bad_simulate_length_one_line_error(self, workdir, capsys, length):
         code = cli.main(["simulate", "--map", str(workdir / "world.map"),
@@ -478,6 +488,8 @@ class TestCLI:
         (["--method", "bogus"], "unknown method 'bogus'"),
         (["--method", "fixed:abc"],
          "method 'fixed:abc': fixed outside likelihood must be positive and finite"),
+        (["--particles", "0"], "--particles must be a finite number >= 1, got 0"),
+        (["--particles", "-3"], "--particles must be a finite number >= 1, got -3"),
     ])
     def test_bad_localize_option_one_line_error(self, workdir, capsys, args, message):
         code = cli.main(["localize", "--map", str(workdir / "missing.map"),
@@ -495,6 +507,11 @@ class TestCLI:
         (["--thresholds", "0.5,2.0"],
          "thresholds must be finite numbers in [0, 1], got 2.0"),
         (["--view-distance", "inf"], "--view-distance must be a finite number >= 0, got inf"),
+        (["--particles", "-3"], "--particles must be a finite number >= 1, got -3"),
+        (["--thresholds", "abc"], "--thresholds must be comma-separated numbers, got 'abc'"),
+        (["--thresholds", ""], "--thresholds must be comma-separated numbers, got ''"),
+        (["--thresholds", "0.5,,0.6"],
+         "--thresholds must be comma-separated numbers, got '0.5,,0.6'"),
     ])
     def test_bad_evaluate_option_one_line_error(self, workdir, capsys, args, message):
         # the manifest names files that do not exist: reading any of them

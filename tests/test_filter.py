@@ -2,6 +2,7 @@
 resampling, hypothesis extraction, and end-to-end localization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def box_world(size_m=6.0, res=0.1):
     cells = np.full((n, n), FREE, dtype=np.int8)
     cells[0, :] = cells[-1, :] = cells[:, 0] = cells[:, -1] = OCCUPIED
     return OccupancyGrid(cells, res)
+
+
+def box_view_model():
+    """A diagonal-heavy observation model and a coarse ViewField over
+    box_world(), for weighting inside particles by their expected views."""
+    obs = np.full((3, 3), 0.1)
+    np.fill_diagonal(obs, 0.8)
+    field = grid_module.ViewField(box_world(), alphabet_build(["w", "m"], max_views=3),
+                                  ExtractionParams(), stride_cells=10)
+    return obs, field
 
 
 def single_free_cell_world():
@@ -126,22 +137,29 @@ class TestMotion:
 
 
 class TestMeasurement:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def model():
+        obs, field = box_view_model()
+        return dict(obs_model=obs, view_field=field)
+
     def scan_at(self, grid, pose):
         return raycast(grid, pose, default_bearings(), MAX_RANGE)
 
-    def test_all_outside_weights_unchanged(self):
+    def test_all_outside_weights_unchanged(self, model):
         grid = box_world()
         ps = init_filter(grid, 8, seed=0)
         ps.inside[:] = False
         w = ps.weights().copy()
         scan = self.scan_at(grid, Pose(3, 3, 0))
         measurement_update(ps, scan, 0, FixedOutsideModel(0.01), grid,
-                           ScanLikelihoodParams())
+                           ScanLikelihoodParams(), **model)
         np.testing.assert_allclose(ps.weights(), w)
 
-    def test_two_particle_arithmetic(self):
-        # one inside particle at the scan's own pose (likelihood ~1) vs one
-        # outside particle with a known fixed likelihood: posterior ratio
+    def test_two_particle_arithmetic(self, model):
+        # one inside particle, whose weight is obs[z, v] for the view v the
+        # field expects at its pose (the scan refinement keeps a lone inside
+        # particle's mass), vs one outside particle with half that likelihood
         grid = box_world()
         ps = init_filter(grid, 2, seed=0)
         pose = Pose(3.0, 3.0, 0.0)
@@ -149,51 +167,53 @@ class TestMeasurement:
         ps.poses[1] = [100.0, 100.0, 0.0]
         ps.inside[:] = [True, False]
         scan = self.scan_at(grid, pose)
-        from mapmerge.grid import scan_likelihood
-        l_in = scan_likelihood(grid, pose, scan, ScanLikelihoodParams())
-        l_out = 0.5 * l_in
-        measurement_update(ps, scan, 0, FixedOutsideModel(l_out), grid,
-                           ScanLikelihoodParams(), bounds_factor=None)
+        [v] = model["view_field"].views_at(ps.poses[:1])
+        assert v >= 0
+        l_out = 0.5 * model["obs_model"][0, v]
+        log_out = measurement_update(ps, scan, 0, FixedOutsideModel(l_out), grid,
+                                     ScanLikelihoodParams(), bounds_factor=None,
+                                     **model)
+        assert log_out == math.log(l_out)
         np.testing.assert_allclose(ps.weights(), [2.0 / 3.0, 1.0 / 3.0],
                                    atol=1e-9)
 
-    def test_weights_normalized(self):
+    def test_weights_normalized(self, model):
         grid = box_world()
         ps = init_filter(grid, 50, seed=1)
         scan = self.scan_at(grid, Pose(2, 2, 0.5))
         measurement_update(ps, scan, 0, FixedOutsideModel(0.01), grid,
-                           ScanLikelihoodParams())
+                           ScanLikelihoodParams(), **model)
         assert ps.weights().sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_outside_factor_uniform(self):
+    def test_outside_factor_uniform(self, model):
         grid = box_world()
         ps = init_filter(grid, 20, seed=2)
         ps.inside[:10] = False
         w_before = ps.weights()[:10].copy()
         scan = self.scan_at(grid, Pose(3, 3, 0))
         measurement_update(ps, scan, 0, FixedOutsideModel(0.07), grid,
-                           ScanLikelihoodParams(), bounds_factor=None)
+                           ScanLikelihoodParams(), bounds_factor=None, **model)
         w_after = ps.weights()[:10]
         ratios = w_after / w_before
         np.testing.assert_allclose(ratios, ratios[0])
 
-    def test_bounds_penalty_floors_far_particles(self):
+    def test_bounds_penalty_floors_far_particles(self, model):
         grid = box_world()
         ps = init_filter(grid, 4, seed=0)
         ps.poses[0] = [500.0, 500.0, 0.0]
         ps.inside[0] = False
         scan = self.scan_at(grid, Pose(3, 3, 0))
         measurement_update(ps, scan, 0, FixedOutsideModel(0.5), grid,
-                           ScanLikelihoodParams(), bounds_factor=3.0)
+                           ScanLikelihoodParams(), bounds_factor=3.0, **model)
         assert ps.weights()[0] < 1e-6
 
-    def test_resets_distance(self):
+    def test_resets_distance(self, model):
         grid = box_world()
         ps = init_filter(grid, 10, seed=0)
         ps.distance_since_update = 2.5
         scan = self.scan_at(grid, Pose(3, 3, 0))
         measurement_update(ps, scan, 0, FixedOutsideModel(0.01), grid,
-                           ScanLikelihoodParams())
+                           ScanLikelihoodParams(), **model)
         assert ps.distance_since_update == 0.0
 
 
@@ -276,19 +296,6 @@ class TestRunLocalization:
                                              trajectory_length=30.0)
         return grid, cfg, bundle
 
-    def test_converges_in_complete_map(self):
-        grid, cfg, bundle = self.make_setup()
-        traj = sim.generate_trajectory(grid, Pose(3.0, 2.5, 0.0), "waypoints",
-                                       14.0, cfg, waypoints=[(17.0, 2.5)])
-        fc = FilterConfig(n_particles=4000, seed=9)
-        records = run_localization(grid, FixedOutsideModel(1e-3),
-                                   bundle.alphabet, traj, fc)
-        final = records[-1]
-        gt = traj.records[final.step].true_pose
-        err = math.hypot(final.hypothesis.pose.x - gt.x,
-                         final.hypothesis.pose.y - gt.y)
-        assert err < 1.0
-
     def test_deterministic_step_log(self):
         grid, cfg, bundle = self.make_setup()
         traj = sim.generate_trajectory(grid, Pose(3.0, 2.5, 0.0), "waypoints",
@@ -296,8 +303,7 @@ class TestRunLocalization:
         fc = FilterConfig(n_particles=500, seed=21)
         logs = []
         for _ in range(2):
-            records = run_localization(grid, FixedOutsideModel(1e-3),
-                                       bundle.alphabet, traj, fc)
+            records = run_localization(grid, FixedOutsideModel(1e-3), bundle, traj, fc)
             logs.append(format_step_log(records))
         assert logs[0] == logs[1]
 
@@ -305,8 +311,8 @@ class TestRunLocalization:
         grid, cfg, bundle = self.make_setup()
         traj = sim.generate_trajectory(grid, Pose(3.0, 2.5, 0.0), "waypoints",
                                        8.0, cfg, waypoints=[(17.0, 2.5)])
-        records = run_localization(grid, FixedOutsideModel(1e-3), bundle.alphabet,
-                                   traj, FilterConfig(n_particles=500, seed=21))
+        records = run_localization(grid, FixedOutsideModel(1e-3), bundle, traj,
+                                   FilterConfig(n_particles=500, seed=21))
         assert any(r.hypothesis is not None for r in records)
         rows = [line.split() for line in format_step_log(records).splitlines()[1:]]
         assert rows
@@ -333,9 +339,8 @@ class TestRunLocalization:
                 built.append((args, kwargs))
 
         monkeypatch.setattr(grid_module, "ViewField", RecordingField)
-        run_localization(grid, FixedOutsideModel(1e-3), bundle.alphabet, traj,
-                         FilterConfig(n_particles=300, seed=5),
-                         obs_model=bundle.obs_model)
+        run_localization(grid, FixedOutsideModel(1e-3), bundle, traj,
+                         FilterConfig(n_particles=300, seed=5))
         [(args, kwargs)] = built
         _, _, _, bearings, max_range = args
         np.testing.assert_array_equal(bearings, cfg.bearings)
@@ -370,20 +375,16 @@ def _reference_measurement_update(ps, scan, z_view, structure, grid, scan_params
     log_out = math.log(structure.step(z_view))
     ins = ps.inside
     if ins.any():
-        if view_field is not None:
-            vids = view_field.views_at(ps.poses[ins])
-            nu = obs_model.shape[0]
-            lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)],
-                           1.0 / nu)
-            ps.log_weights[ins] += np.log(lik)
-            refine = _scan_log_likelihoods_per_beam(grid, ps.poses[ins], scan,
-                                                    scan_params)
-            prior = ps.log_weights[ins]
-            refine -= lse(prior + refine) - lse(prior)
-            ps.log_weights[ins] += refine
-        else:
-            ps.log_weights[ins] += _scan_log_likelihoods_per_beam(
-                grid, ps.poses[ins], scan, scan_params)
+        vids = view_field.views_at(ps.poses[ins])
+        nu = obs_model.shape[0]
+        lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)],
+                       1.0 / nu)
+        ps.log_weights[ins] += np.log(lik)
+        refine = _scan_log_likelihoods_per_beam(grid, ps.poses[ins], scan,
+                                                scan_params)
+        prior = ps.log_weights[ins]
+        refine -= lse(prior + refine) - lse(prior)
+        ps.log_weights[ins] += refine
     if (~ins).any():
         ps.log_weights[~ins] += log_out
     ps.log_weights += _bounds_log_penalty(ps, grid, bounds_factor)
@@ -392,8 +393,7 @@ def _reference_measurement_update(ps, scan, z_view, structure, grid, scan_params
     return log_out
 
 
-def _reference_localization(grid, structure, alphabet, trajectory, config,
-                            obs_model, view_field):
+def _reference_localization(grid, structure, bundle, trajectory, config, view_field):
     ps = init_filter(grid, config.n_particles, config.seed)
     records = []
     distance_total = 0.0
@@ -404,11 +404,11 @@ def _reference_localization(grid, structure, alphabet, trajectory, config,
             continue
         # a fresh extraction every step, never the scan's memo
         s = views_module.extract_scan_strings(rec.scan.ranges[None], rec.scan.angles,
-                                              rec.scan.max_range, config.extraction)[0]
-        z = views_module.view_of(alphabet, s)
+                                              rec.scan.max_range, bundle.extraction)[0]
+        z = views_module.view_of(bundle.alphabet, s)
         log_out = _reference_measurement_update(
             ps, rec.scan, z, structure, grid, ScanLikelihoodParams(), 3.0,
-            obs_model, view_field)
+            bundle.obs_model, view_field)
         resample_if_needed(ps)
         hyp = best_hypothesis(ps, 2.0, math.radians(30.0))
         records.append(StepRecord(step=step, distance=distance_total,
@@ -495,8 +495,10 @@ class TestInsideFlags:
 
 class TestReplayMatchesReference:
     """run_localization against the reference loop: the same StepRecords,
-    float for float, on the ViewField and raw-scan paths, with two methods
-    replaying one trajectory (the second reads the memoised scan strings)."""
+    float for float, with a ViewField passed in or built by the filter, and
+    with a prior whose extraction parameters are not the defaults; two
+    methods replay one trajectory (the second reads the memoised scan
+    strings)."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -515,22 +517,30 @@ class TestReplayMatchesReference:
                                        20.0, cfg, waypoints=[(28.0, 2.5)])
         return partial, bundle, traj
 
-    @pytest.mark.parametrize("with_field", [True, False])
-    def test_step_records_equal_reference(self, setup, with_field):
+    @pytest.mark.parametrize("case", ["given_field", "built_field", "gap_threshold_0.5"])
+    def test_step_records_equal_reference(self, setup, case):
         partial, bundle, traj = setup
-        fc = FilterConfig(n_particles=400, seed=3, view_update_distance=1.0,
-                          extraction=bundle.extraction)
-        obs = bundle.obs_model if with_field else None
-        field = (grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
-                                       *traj.scan_geometry) if with_field else None)
+        if case == "gap_threshold_0.5":
+            bundle = replace(bundle, extraction=ExtractionParams(gap_threshold=0.5))
+            # the filter must read scans with the prior's parameters: the
+            # default ones give other views on this trajectory
+            views = [[views_module.view_of(bundle.alphabet,
+                                           views_module.extract_scan_string(r.scan, p))
+                      for r in traj.records] for p in (bundle.extraction,
+                                                       ExtractionParams())]
+            assert views[0] != views[1]
+        fc = FilterConfig(n_particles=400, seed=3, view_update_distance=1.0)
+        field = grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
+                                      *traj.scan_geometry)
         methods = ("hierarchical_adaptive", "fixed:0.01")
         got = [run_localization(partial,
                                 evalharness.make_outside_model(m, bundle, partial),
-                                bundle.alphabet, traj, fc, obs_model=obs,
-                                view_field=field) for m in methods]
+                                bundle, traj, fc,
+                                view_field=field if case == "given_field" else None)
+               for m in methods]
         want = [_reference_localization(
             partial, evalharness.make_outside_model(m, bundle, partial),
-            bundle.alphabet, traj, fc, obs, field) for m in methods]
+            bundle, traj, fc, field) for m in methods]
         assert got == want
         inside = [r.inside_mass for r in got[0]]
         assert min(inside) < 0.99 and max(inside) > 0.01
@@ -540,8 +550,7 @@ def test_divergence_is_a_filter_divergence():
     # every particle inside with a zero view likelihood underflows them all
     grid = box_world()
     ps = init_filter(grid, 10, seed=0)
-    field = grid_module.ViewField(grid, alphabet_build(["w", "m"], max_views=3),
-                                  ExtractionParams(), stride_cells=10)
+    _, field = box_view_model()
     obs = np.zeros((3, 3))
     scan = raycast(grid, Pose(3, 3, 0), default_bearings(), MAX_RANGE)
     with np.errstate(divide="ignore"), pytest.raises(FilterDivergence):

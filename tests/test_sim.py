@@ -438,6 +438,13 @@ class TestTrajectoryLog:
         with pytest.raises(ValueError, match="^line 1: "):
             sim.load_trajectory(header + "\n0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n")
 
+    def test_fewer_than_3_beams_rejected_on_line_1(self):
+        # view extraction, and so every consumer of a trajectory, needs 3 beams
+        text = ("beams 2 fov 3.14 max_range 8.0 truncated 0\n"
+                "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0\n")
+        with pytest.raises(ValueError, match="^line 1: need at least 3 beams, got 2$"):
+            sim.load_trajectory(text)
+
     def test_non_finite_odometry_message(self):
         text = ("beams 3 fov 3.14 max_range 8.0 truncated 0\n"
                 "0 1.0 2.0 0.0 0.1 nan 0.0 5.0 5.0 5.0\n")
