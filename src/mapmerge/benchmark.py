@@ -18,7 +18,7 @@ from .fixtures import BENCHMARK_ENVIRONMENTS
 from .modelio import PriorBundle
 from .sim import (Trajectory, WorldConfig, carve_partial_map,
                   generate_trajectory, make_training_data, _random_free_pose)
-from .training import OBS_FLOOR, fit_prior
+from .training import fit_prior
 from .views import ExtractionParams, learn_observation_model
 
 
@@ -56,8 +56,7 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
                             cfg, params, max_views=max_views,
                             trajectory_length=training_length,
                             split_trajectories=True)
-    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu,
-                                        floor=OBS_FLOOR)
+    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu)
     priors = {name: fit_prior(td, obs_model, params, held_out=i)
               for i, name in enumerate(names)}
 

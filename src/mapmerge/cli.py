@@ -18,10 +18,6 @@ from .pfilter import FilterConfig, FilterDivergence, format_step_log, run_locali
 from .views import ExtractionParams
 
 
-def _world_config(args) -> sim.WorldConfig:
-    return sim.WorldConfig(seed=args.seed)
-
-
 def _numbers(text: str, option: str, form: str) -> tuple[float, ...]:
     """The finite comma-separated numbers of an option, one per name in
     form ('x,y,theta')."""
@@ -42,10 +38,26 @@ def _at_least(value, option: str, low: float, strict: bool = False):
                      f"{low:g}, got {value!r}")
 
 
+def _filter_config(args) -> FilterConfig:
+    """The checked --particles, --view-distance and --seed of a filter run."""
+    return FilterConfig(n_particles=_at_least(args.particles, "--particles", 1),
+                        seed=args.seed,
+                        view_update_distance=_at_least(args.view_distance,
+                                                       "--view-distance", 0))
+
+
+def _read(path: str, parse):
+    """parse(text of the file at path); an error in its text names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:  # parse errors and undecodable bytes
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     _at_least(args.length, "--length", 0, strict=True)
-    grid = load_map(Path(args.map).read_text())
-    cfg = _world_config(args)
+    grid = _read(args.map, load_map)
+    cfg = sim.WorldConfig(seed=args.seed)
     start = Pose(*_numbers(args.start, "--start", "x,y,theta"))
     waypoints = None
     if args.policy == "waypoints" and args.waypoints:
@@ -58,8 +70,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_carve(args) -> int:
-    grid = load_map(Path(args.map).read_text())
-    traj, header = sim.load_trajectory(Path(args.trajectory).read_text())
+    grid = _read(args.map, load_map)
+    traj, header = _read(args.trajectory, sim.load_trajectory)
     cfg = sim.WorldConfig(beam_count=header["beam_count"], fov=header["fov"],
                           max_range=header["max_range"])
     partial = sim.carve_partial_map(grid, traj, cfg)
@@ -70,10 +82,10 @@ def cmd_carve(args) -> int:
 def cmd_train_prior(args) -> int:
     _at_least(args.trajectories_per_map, "--trajectories-per-map", 1)
     _at_least(args.length, "--length", 0, strict=True)
-    maps = [load_map(Path(p).read_text()) for p in args.maps]
-    cfg = _world_config(args)
+    _at_least(args.max_views, "--max-views", 2)
+    maps = [_read(p, load_map) for p in args.maps]
     bundle = training.train_prior_bundle(
-        maps, cfg, ExtractionParams(),
+        maps, sim.WorldConfig(seed=args.seed), ExtractionParams(),
         trajectories_per_map=args.trajectories_per_map,
         max_views=args.max_views, trajectory_length=args.length)
     Path(args.out).write_text(dump_prior(bundle))
@@ -81,16 +93,12 @@ def cmd_train_prior(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    _at_least(args.particles, "--particles", 1)
-    _at_least(args.view_distance, "--view-distance", 0)
-    evalharness.method_builder(args.method)
-    partial = load_map(Path(args.map).read_text())
-    bundle = load_prior(Path(args.prior).read_text())
-    traj, _ = sim.load_trajectory(Path(args.trajectory).read_text())
-    outside = evalharness.make_outside_model(args.method, bundle, partial)
-    fc = FilterConfig(n_particles=args.particles, seed=args.seed,
-                      view_update_distance=args.view_distance)
-    records = run_localization(partial, outside, bundle, traj, fc)
+    fc = _filter_config(args)
+    build = evalharness.method_builder(args.method)
+    partial = _read(args.map, load_map)
+    bundle = _read(args.prior, load_prior)
+    traj, _ = _read(args.trajectory, sim.load_trajectory)
+    records = run_localization(partial, build(bundle, partial), bundle, traj, fc)
     Path(args.out).write_text(format_step_log(records))
     return 0
 
@@ -118,22 +126,21 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--thresholds must be comma-separated numbers, "
                          f"got {args.thresholds!r}") from None
     eval_cfg = evalharness.EvalConfig(thresholds=thresholds)
-    fc = FilterConfig(n_particles=_at_least(args.particles, "--particles", 1),
-                      seed=args.seed,
-                      view_update_distance=_at_least(args.view_distance,
-                                                     "--view-distance", 0))
-    manifest = json.loads(Path(args.manifest).read_text())
+    fc = _filter_config(args)
+    manifest = _read(args.manifest, json.loads)
     pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
     if not (isinstance(pairs, list) and all(isinstance(p, dict) for p in pairs)):
         raise ValueError("manifest must be a JSON object whose 'pairs' is a list of objects")
+    if not pairs:
+        raise ValueError("manifest has no pairs")
     for k, pair in enumerate(pairs):
         _check_pair(k, pair)
     results = []
     view_fields: dict[tuple, ViewField] = {}
     for pair in pairs:
-        partial = load_map(Path(pair["partial_map"]).read_text())
-        traj, _ = sim.load_trajectory(Path(pair["trajectory"]).read_text())
-        bundle = load_prior(Path(pair["prior"]).read_text())
+        partial = _read(pair["partial_map"], load_map)
+        traj, _ = _read(pair["trajectory"], sim.load_trajectory)
+        bundle = _read(pair["prior"], load_prior)
         offset = tuple(pair.get("offset", (0.0, 0.0, 0.0)))
         bearings, max_range = traj.scan_geometry
         # a field depends on the map, the prior's views and the sensor

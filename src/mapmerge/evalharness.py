@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import UNKNOWN, OccupancyGrid, Pose, is_inside, wrap_angle
+from .grid import UNKNOWN, OccupancyGrid, Pose, wrap_angle
 from .modelio import PriorBundle
 from .pfilter import FilterConfig, run_localization
 from .sim import Trajectory
@@ -104,14 +104,6 @@ def method_builder(method: str):
     return lambda bundle, partial: fixed
 
 
-def make_outside_model(method: str, bundle: PriorBundle,
-                       partial: OccupancyGrid | None = None):
-    """Outside-likelihood model for a method name.  Every model produces
-    observation likelihoods over the view alphabet, the same units the
-    filter uses for in-map particles."""
-    return method_builder(method)(bundle, partial)
-
-
 def _pose_correct(hyp_pose: Pose, gt: Pose, cfg: EvalConfig) -> bool:
     return (math.hypot(hyp_pose.x - gt.x, hyp_pose.y - gt.y) <= cfg.tolerance_xy
             and abs(wrap_angle(hyp_pose.theta - gt.theta)) <= cfg.tolerance_theta)
@@ -136,13 +128,13 @@ def evaluate_pair(partial: OccupancyGrid, trajectory: Trajectory, method: str,
     Pass a precomputed ViewField when replaying the same partial map many
     times; otherwise one is built per call.
     """
-    outside = make_outside_model(method, bundle, partial)
+    outside = method_builder(method)(bundle, partial)
     records = run_localization(partial, outside, bundle, trajectory, filter_config,
                                view_field=view_field)
     steps = []
     for rec in records:
         gt = apply_offset(trajectory.records[rec.step].true_pose, offset)
-        in_map = is_inside(partial, gt)
+        in_map = partial.free_at(gt.x, gt.y)
         if rec.hypothesis is None:
             steps.append(StepOutcome(None, False, in_map))
         else:

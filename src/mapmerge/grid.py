@@ -79,7 +79,8 @@ class OccupancyGrid:
                 and np.array_equal(self.cells, other.cells))
 
     def free_at(self, x: float, y: float) -> bool:
-        """Whether the point (x, y) lies in a FREE cell.  The scalar twin of
+        """Whether the point (x, y) lies in a FREE cell, which is what
+        "inside the partial map" means for a pose.  The scalar twin of
         cell_index, in Python floats for callers that ask one point at a
         time."""
         col = math.floor((x - self.origin[0]) / self.resolution)
@@ -189,11 +190,6 @@ def load_map(text: str) -> OccupancyGrid:
         except KeyError as exc:
             raise MapParseError(f"line {lineno}: unknown cell character {exc}") from None
     return OccupancyGrid(np.array(rows, dtype=np.int8), resolution, origin)
-
-
-def is_inside(grid: OccupancyGrid, pose: Pose) -> bool:
-    """A pose is inside the partial map iff its cell exists and is FREE."""
-    return grid.free_at(pose.x, pose.y)
 
 
 def cell_index(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray):
@@ -341,7 +337,7 @@ def expected_view(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
     keyed by their first-hit sample indices, are extracted in one call.
     """
     poses = [pose] if isinstance(pose, Pose) else list(pose)
-    if not all(is_inside(grid, p) for p in poses):
+    if not all(grid.free_at(p.x, p.y) for p in poses):
         raise ValueError("expected_view requires a pose inside the partial map")
     if bearings is None:
         bearings = default_bearings()
@@ -498,12 +494,3 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
     flat, on = cell_index(grid, ex, ey)
     logp = grid.likelihood_table(params)[np.where(on, flat, grid.cells.size)]
     return params.likelihood_exponent * logp.sum(axis=1)
-
-
-def scan_likelihood(grid: OccupancyGrid, pose: Pose, scan: RangeScan,
-                    params: ScanLikelihoodParams) -> float:
-    if not cell_index(grid, np.array([pose.x], float), np.array([pose.y], float))[1][0]:
-        raise ValueError("scan_likelihood pose is off the grid")
-    logp = scan_log_likelihoods(grid, np.array([[pose.x, pose.y, pose.theta]]),
-                                scan, params)
-    return float(np.exp(logp[0]))

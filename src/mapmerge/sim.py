@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, cell_index,
-                   default_bearings, is_inside, raycast_full, _first_stop,
+                   default_bearings, raycast_full, _first_stop,
                    _sample_cells, _sample_distances, wrap_angle)
 from .pfilter import MotionNoise
 from .views import ExtractionParams, RangeScan, ViewAlphabet, alphabet_build, view_of
@@ -18,6 +18,7 @@ from . import views as _views
 from . import dirichlet
 
 MAX_STEP = 0.25  # meters of travel per trajectory record
+PARTNER_FRACTION = 0.5  # share of a partner run carved into a training partial map
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def _reference_ranges(grid: OccupancyGrid, partner: OccupancyGrid,
     per map."""
     bearings = cfg.bearings
     ranges = np.empty((len(poses), len(bearings)))
-    inside = np.array([is_inside(partner, p) for p in poses], dtype=bool)
+    inside = np.array([partner.free_at(p.x, p.y) for p in poses], dtype=bool)
     for source, picked, unknown_stops in ((partner, inside, True),
                                           (grid, ~inside, False)):
         sel = np.flatnonzero(picked)
@@ -293,8 +294,7 @@ def _reference_ranges(grid: OccupancyGrid, partner: OccupancyGrid,
 def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                        cfg: WorldConfig, params: ExtractionParams,
                        max_views: int = 16, trajectory_length: float = 60.0,
-                       split_trajectories: bool = False,
-                       partial_fraction: float = 0.5) -> TrainingData:
+                       split_trajectories: bool = False) -> TrainingData:
     """Simulate exploration of each map, subsample views every 2 m of travel,
     and count view transitions.  Each noisy view is also paired with the view
     a revisiting robot would be compared against: the expected view in a
@@ -302,17 +302,14 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     crossing unexplored cells censored to max range), falling back to the
     noise-free full-map view where the pose lies outside that partial map.
     This makes the learned confusion model honest about frontier effects, not
-    just sensor noise.  partial_fraction controls how much of the partner
-    trajectory builds that partial map: smaller fractions leave more
-    frontiers, mimicking sparsely explored maps.
+    just sensor noise.  The first PARTNER_FRACTION of the partner trajectory
+    builds that partial map, leaving frontiers as sparse exploration does.
 
     With split_trajectories each trajectory becomes its own training sample
     (count matrix); otherwise one sample aggregates a whole map.
     """
     if not maps:
         raise ValueError("need at least one training map")
-    if not (0.0 < partial_fraction <= 1.0):
-        raise ValueError("partial_fraction must lie in (0, 1]")
     for k, grid in enumerate(maps):  # before any map is simulated
         if not (grid.cells == FREE).any():
             raise ValueError(f"training map {k} has no FREE cell")
@@ -328,7 +325,7 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                                              trajectory_length, cfg, rng=rng))
         partials = []
         for t in trajs:
-            keep = max(1, int(len(t.records) * partial_fraction))
+            keep = max(1, int(len(t.records) * PARTNER_FRACTION))
             prefix = Trajectory(records=t.records[:keep], truncated=t.truncated)
             partials.append(carve_partial_map(grid, prefix, cfg))
         for j, traj in enumerate(trajs):

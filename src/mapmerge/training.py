@@ -11,8 +11,6 @@ from .modelio import PriorBundle
 from .sim import TrainingData, WorldConfig, make_training_data
 from .views import ExtractionParams, learn_observation_model
 
-OBS_FLOOR = 0.01  # uniform mass mixed into every observation-model column
-
 
 def fit_prior(td: TrainingData, obs_model: np.ndarray, params: ExtractionParams,
               held_out: int | None = None) -> PriorBundle:
@@ -36,6 +34,5 @@ def train_prior_bundle(maps, cfg: WorldConfig, params: ExtractionParams,
                             max_views=max_views,
                             trajectory_length=trajectory_length,
                             split_trajectories=split_trajectories)
-    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu,
-                                        floor=OBS_FLOOR)
+    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu)
     return fit_prior(td, obs_model, params)

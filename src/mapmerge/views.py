@@ -24,6 +24,7 @@ import numpy as np
 from . import dirichlet
 
 OTHER = "*"
+OBS_FLOOR = 0.01  # uniform mass mixed into every observation-model column
 
 
 def readonly(a) -> np.ndarray:
@@ -88,8 +89,9 @@ class ExtractionParams:
         if min(self.gap_threshold, self.max_range_margin,
                self.corner_angle_threshold, self.line_fit_tolerance) <= 0:
             raise ValueError("thresholds must be strictly positive")
-        if self.min_group_beams < 1:
-            raise ValueError("min_group_beams must be >= 1")
+        if self.min_group_beams % 1 or not self.min_group_beams >= 1:
+            raise ValueError("min_group_beams must be a whole number >= 1, "
+                             f"got {self.min_group_beams!r}")
 
 
 def canonicalize(s: str) -> str:
@@ -370,16 +372,13 @@ def view_of(alphabet: ViewAlphabet, s: str) -> int:
     return alphabet._index.get(canonicalize(s), alphabet.other_id)
 
 
-def learn_observation_model(labeled, nu: int,
-                            prior_weight: float | None = None,
-                            floor: float = 0.0) -> np.ndarray:
+def learn_observation_model(labeled, nu: int) -> np.ndarray:
     """Column-stochastic confusion model p(observed = i | true = j).
 
     labeled: per-environment lists of (true_id, observed_id) pairs.  Confusion
-    counts from each environment share a prior column; by default the prior is
-    MAP-fitted across environments, or a uniform pseudo-count prior_weight can
-    be forced.  Columns with no data anywhere fall back to the prior alone.
-    floor mixes that much uniform mass into every column, bounding entries
+    counts from each environment share a prior column, MAP-fitted across
+    environments.  Columns with no data anywhere fall back to the prior alone.
+    OBS_FLOOR of uniform mass is mixed into every column, bounding entries
     away from zero for filters that divide by these likelihoods.
     """
     if not labeled or any(len(env) == 0 for env in labeled):
@@ -390,12 +389,6 @@ def learn_observation_model(labeled, nu: int,
         for true_id, obs_id in env:
             c[obs_id, true_id] += 1
         per_env.append(c)
-    if prior_weight is not None:
-        alpha = np.full((nu, nu), float(prior_weight))
-    else:
-        alpha = dirichlet.map_estimate(per_env)
-    pooled = np.sum(per_env, axis=0)
-    model = dirichlet.predictive_matrix(alpha, pooled)
-    if floor > 0.0:
-        model = (1.0 - floor) * model + floor / nu
-    return model
+    alpha = dirichlet.map_estimate(per_env)
+    model = dirichlet.predictive_matrix(alpha, np.sum(per_env, axis=0))
+    return (1.0 - OBS_FLOOR) * model + OBS_FLOOR / nu

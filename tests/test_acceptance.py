@@ -348,6 +348,7 @@ def benchmark_points():
     return bm, by_method, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_7_adaptive_beats_fixed_baselines(benchmark_points):
     bm, by_method, elapsed = benchmark_points
     n_partials = len({id(p.partial_map) for p in bm.pairs})
@@ -371,6 +372,7 @@ def test_criterion_7_adaptive_beats_fixed_baselines(benchmark_points):
             f"{checked} operating points, benchmark+eval {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_structure_learning_ordering(benchmark_points):
     _, by_method, _ = benchmark_points
     auc = {m: evalharness.auc_pr(by_method[m])

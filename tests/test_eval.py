@@ -12,7 +12,7 @@ import pytest
 
 from mapmerge import cli, evalharness, fixtures, sim, training
 from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
-                                  auc_pr, known_area_ratio, make_outside_model,
+                                  auc_pr, known_area_ratio, method_builder,
                                   apply_offset, precision_at_recall,
                                   precision_recall, pr_table)
 from mapmerge.grid import UNKNOWN, FREE, OCCUPIED, OccupancyGrid, Pose, dump_map
@@ -66,17 +66,17 @@ class TestModelIO:
 
 class TestOutsideModels:
     def test_fixed_method_constant(self):
-        m = make_outside_model("fixed:0.037", tiny_bundle())
+        m = method_builder("fixed:0.037")(tiny_bundle(), None)
         assert isinstance(m, FixedOutsideModel)
         assert m.step(0) == pytest.approx(0.037)
 
     def test_structure_methods_weigh_counts(self):
         b = tiny_bundle()
-        m = make_outside_model("hierarchical_adaptive", b)
+        m = method_builder("hierarchical_adaptive")(b, None)
         assert isinstance(m, StructureState)
         assert m.count_scale == 1.0
-        assert make_outside_model("prior_only", b).count_scale == 0.0
-        assert isinstance(make_outside_model("frequency_only", b), MarginalOutsideModel)
+        assert method_builder("prior_only")(b, None).count_scale == 0.0
+        assert isinstance(method_builder("frequency_only")(b, None), MarginalOutsideModel)
 
     def test_every_method_builds_a_positive_model(self):
         assert list(evalharness.METHODS) == ["hierarchical_adaptive", "prior_only",
@@ -84,7 +84,7 @@ class TestOutsideModels:
         partial = OccupancyGrid(np.full((4, 4), FREE, dtype=np.int8), 0.1)
         for method, build in evalharness.METHODS.items():
             for model in (build(tiny_bundle(), partial),
-                          make_outside_model(method, tiny_bundle(), partial)):
+                          method_builder(method)(tiny_bundle(), partial)):
                 for z in (0, 1, 0):
                     out = model.step(z)
                     assert type(out) is float and out > 0.0, method
@@ -95,19 +95,17 @@ class TestOutsideModels:
         ("fixed:", "method 'fixed:': fixed outside likelihood")])
     def test_unknown_method_rejected(self, method, message):
         with pytest.raises(ValueError, match=message):
-            make_outside_model(method, tiny_bundle())
-        with pytest.raises(ValueError, match=message):
-            evalharness.method_builder(method)
+            method_builder(method)
 
     def test_scaled_counts_uses_area_ratio(self):
         cells = np.full((10, 10), UNKNOWN, dtype=np.int8)
         cells[:5, :] = FREE
         partial = OccupancyGrid(cells, 0.1)
         assert known_area_ratio(partial) == pytest.approx(0.5)
-        m = make_outside_model("scaled_counts", tiny_bundle(), partial)
+        m = method_builder("scaled_counts")(tiny_bundle(), partial)
         assert m.count_scale == pytest.approx(2.0)
         with pytest.raises(ValueError):
-            make_outside_model("scaled_counts", tiny_bundle(), None)
+            method_builder("scaled_counts")(tiny_bundle(), None)
 
 
 class TestApplyOffset:
@@ -301,7 +299,8 @@ class TestCLI:
                          "--out", str(workdir / "x.map")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {workdir / 'bad.traj'}: line {line}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text, message", [
         ("resolution 0.1\n\n...\n", "line 2: expected 'origin <x> <y>'"),
@@ -317,7 +316,7 @@ class TestCLI:
                          "--trajectory", str(workdir / "ok.traj"),
                          "--out", str(workdir / "x.map")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {workdir / 'bad.map'}: {message}\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [], "prior file must hold a JSON object"),
@@ -357,6 +356,8 @@ class TestCLI:
          "prior field 'extraction_params' must be an object of numbers"),
         (lambda doc: {**doc, "extraction_params": {"gap_threshold": "1"}},
          "prior field 'extraction_params' must be an object of numbers"),
+        (lambda doc: {**doc, "extraction_params": {"min_group_beams": 2.5}},
+         "min_group_beams must be a whole number >= 1, got 2.5"),
     ])
     def test_malformed_prior_one_line_error(self, workdir, capsys, edit, message):
         doc = json.loads(dump_prior(tiny_bundle()))
@@ -371,7 +372,8 @@ class TestCLI:
                          "--out", str(workdir / "steps.log")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: {workdir / 'bad.json'}: {message}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("args, message", [
         (["--start", "3,10"], "--start must be x,y,theta (finite numbers), got '3,10'"),
@@ -400,6 +402,30 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: manifest must be a JSON object whose 'pairs' is a list of objects\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["localize", "--map", "{d}/world.map", "--prior", "{d}/garbled.json",
+          "--trajectory", "{d}/missing.traj"],
+         "{d}/garbled.json: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (["evaluate", "--manifest", "{d}/garbled.json"],
+         "{d}/garbled.json: Expecting ',' delimiter: line 2 column 1 (char 8)"),
+        (["evaluate", "--manifest", "{d}/garbled_pair.json"],
+         "{d}/garbled.map: line 1: expected 'resolution <meters>'"),
+        (["evaluate", "--manifest", "{d}/no_pairs.json"], "manifest has no pairs"),
+    ])
+    def test_malformed_input_names_its_file(self, workdir, capsys, argv, message):
+        # a parse error names its file: the JSON decoder's message does not,
+        # and a line number alone is ambiguous over evaluate's many files
+        (workdir / "garbled.json").write_text('{"a": 1\n"b": 2}')
+        (workdir / "garbled.map").write_text("resolutoin 0.1\norigin 0 0\n...\n")
+        (workdir / "garbled_pair.json").write_text(json.dumps({"pairs": [{
+            "partial_map": f"{workdir}/garbled.map", "trajectory": "missing.traj",
+            "prior": "missing.json"}]}))
+        (workdir / "no_pairs.json").write_text(json.dumps({"pairs": []}))
+        code = cli.main([a.format(d=workdir) for a in argv]
+                        + ["--out", str(workdir / "garbled.out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(d=workdir)}\n"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda pair: pair.pop("trajectory"), "manifest pair 1 has no 'trajectory'"),
@@ -441,11 +467,10 @@ class TestCLI:
             f"error: method {method!r}: fixed outside likelihood must be positive"
             " and finite\n")
 
+    # the setting errors come before any map is read: none exists here
     @pytest.mark.parametrize("args, message", [
-        (["--max-views", "0"],
-         "max_views must be at least 2 (one view and the catch-all), got 0"),
-        (["--max-views", "1"],
-         "max_views must be at least 2 (one view and the catch-all), got 1"),
+        (["--max-views", "0"], "--max-views must be a finite number >= 2, got 0"),
+        (["--max-views", "1"], "--max-views must be a finite number >= 2, got 1"),
         (["--trajectories-per-map", "0"],
          "--trajectories-per-map must be a finite number >= 1, got 0"),
         (["--length", "0"], "--length must be a finite number > 0, got 0.0"),
@@ -454,7 +479,7 @@ class TestCLI:
     ])
     def test_bad_train_prior_setting_one_line_error(self, workdir, capsys, args,
                                                     message):
-        code = cli.main(["train-prior", "--maps", str(workdir / "world.map"),
+        code = cli.main(["train-prior", "--maps", str(workdir / "missing.map"),
                          "--trajectories-per-map", "1", "--length", "5",
                          "--out", str(workdir / "bad_prior.json"), *args])
         assert code == 1

@@ -534,12 +534,12 @@ class TestReplayMatchesReference:
                                       *traj.scan_geometry)
         methods = ("hierarchical_adaptive", "fixed:0.01")
         got = [run_localization(partial,
-                                evalharness.make_outside_model(m, bundle, partial),
+                                evalharness.method_builder(m)(bundle, partial),
                                 bundle, traj, fc,
                                 view_field=field if case == "given_field" else None)
                for m in methods]
         want = [_reference_localization(
-            partial, evalharness.make_outside_model(m, bundle, partial),
+            partial, evalharness.method_builder(m)(bundle, partial),
             bundle, traj, fc, field) for m in methods]
         assert got == want
         inside = [r.inside_mass for r in got[0]]

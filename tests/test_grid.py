@@ -19,8 +19,8 @@ from mapmerge import fixtures, grid as grid_module
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, MapParseError, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, ViewField, _fill_missing,
                            _first_stop, cell_index, default_bearings, dump_map,
-                           expected_view, inside_mask, is_inside, load_map, raycast,
-                           raycast_full, scan_likelihood, scan_log_likelihoods,
+                           expected_view, inside_mask, load_map, raycast,
+                           raycast_full, scan_log_likelihoods,
                            ScanLikelihoodParams, wrap_angle)
 from mapmerge.views import (ExtractionParams, RangeScan, alphabet_build,
                             extract_scan_strings, view_of)
@@ -150,22 +150,22 @@ def _lookup_cases(draw):
 class TestInside:
     def test_free_cell_inside(self):
         g = box_world()
-        assert is_inside(g, Pose(3.0, 3.0, 0.0))
+        assert g.free_at(3.0, 3.0)
 
     def test_off_grid_outside(self):
         g = box_world()
-        assert not is_inside(g, Pose(100.0, 0.0, 0.0))
+        assert not g.free_at(100.0, 0.0)
 
     def test_unknown_cell_outside(self):
         cells = np.full((3, 3), UNKNOWN, dtype=np.int8)
         cells[1, 1] = FREE
         g = OccupancyGrid(cells, 1.0)
-        assert is_inside(g, Pose(1.5, 1.5, 0.0))
-        assert not is_inside(g, Pose(0.5, 0.5, 0.0))
+        assert g.free_at(1.5, 1.5)
+        assert not g.free_at(0.5, 0.5)
 
     def test_occupied_cell_outside(self):
         g = box_world()
-        assert not is_inside(g, Pose(0.01, 0.01, 0.0))
+        assert not g.free_at(0.01, 0.01)
 
     def test_inside_mask_matches_scalar(self):
         g = box_world()
@@ -173,12 +173,12 @@ class TestInside:
         ys = np.array([3.0, 0.0, 0.01])
         np.testing.assert_array_equal(
             inside_mask(g, xs, ys),
-            [is_inside(g, Pose(x, y, 0)) for x, y in zip(xs, ys)])
+            [g.free_at(x, y) for x, y in zip(xs, ys)])
 
     @settings(max_examples=200, deadline=None)
     @given(_lookup_cases())
     def test_lookups_match_per_point_floor(self, case):
-        # cell_index, free_at, is_inside and inside_mask against one
+        # cell_index, free_at and inside_mask against one
         # math.floor per axis and point
         g, points = case
         h, w = g.shape
@@ -197,7 +197,6 @@ class TestInside:
             if want_on:
                 assert flat[k] == row * w + col
             assert g.free_at(x, y) is want_free
-            assert is_inside(g, Pose(x, y, 0.0)) is want_free
             assert mask[k] == want_free
 
 
@@ -580,13 +579,13 @@ class TestScanLikelihood:
         pose = Pose(2.0, 3.5, 0.7)
         scan = raycast(g, pose, default_bearings(), MAX_RANGE)
         params = ScanLikelihoodParams()
-        at_truth = scan_likelihood(g, pose, scan, params)
+        (at_truth,) = scan_log_likelihoods(g, [[pose.x, pose.y, pose.theta]], scan, params)
         for dx in (-1.0, -0.5, 0.5, 1.0):
             for dy in (-1.0, 0.0, 1.0):
                 if abs(dx) < 0.5 and abs(dy) < 0.5:
                     continue
-                q = Pose(pose.x + dx, pose.y + dy, pose.theta)
-                assert at_truth >= scan_likelihood(g, q, scan, params)
+                q = [[pose.x + dx, pose.y + dy, pose.theta]]
+                assert at_truth >= scan_log_likelihoods(g, q, scan, params)[0]
 
     def test_far_from_obstacles_hits_floor(self):
         cells = np.full((200, 200), FREE, dtype=np.int8)
@@ -596,16 +595,16 @@ class TestScanLikelihood:
         angles = np.linspace(-0.5, 0.5, n_returned)
         scan = RangeScan(angles, np.full(n_returned, 3.0), MAX_RANGE)
         params = ScanLikelihoodParams(beam_stride=1)
-        val = scan_likelihood(g, Pose(15.0, 15.0, 0.0), scan, params)
+        (logp,) = scan_log_likelihoods(g, [[15.0, 15.0, 0.0]], scan, params)
         floor = params.z_rand ** (n_returned * params.likelihood_exponent)
-        assert val == pytest.approx(floor, rel=1e-6)
+        assert math.exp(logp) == pytest.approx(floor, rel=1e-6)
 
     def test_no_return_beams_skipped(self):
         g = box_world()
         angles = np.array([-0.2, 0.0, 0.2])
         full = RangeScan(angles, np.full(3, MAX_RANGE), MAX_RANGE)
         params = ScanLikelihoodParams(beam_stride=1)
-        assert scan_likelihood(g, Pose(3, 3, 0), full, params) == pytest.approx(1.0)
+        assert scan_log_likelihoods(g, [[3.0, 3.0, 0.0]], full, params).tolist() == [0.0]
 
     def test_vectorized_matches_scalar(self):
         g = box_world()
@@ -613,9 +612,10 @@ class TestScanLikelihood:
         params = ScanLikelihoodParams()
         poses = np.array([[2.0, 2.0, 0.3], [3.0, 4.0, -1.0], [1.0, 5.0, 2.0]])
         logs = scan_log_likelihoods(g, poses, scan, params)
-        for k, (x, y, th) in enumerate(poses):
-            assert math.exp(logs[k]) == pytest.approx(
-                scan_likelihood(g, Pose(x, y, th), scan, params))
+        for k in range(len(poses)):
+            # each pose scored alone, as a 1-row pose array
+            assert scan_log_likelihoods(g, poses[k:k + 1], scan, params)[0] == (
+                pytest.approx(logs[k]))
 
     def test_strictly_positive_everywhere(self):
         g = box_world()

@@ -9,7 +9,7 @@ import pytest
 
 from mapmerge import fixtures, sim, training
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
-                           RAY_STEP_FRACTION, is_inside, raycast)
+                           RAY_STEP_FRACTION, raycast)
 from mapmerge.pfilter import MotionNoise
 from mapmerge.views import ExtractionParams
 from test_grid import reference_raycast
@@ -248,7 +248,7 @@ def per_record_reference_ranges(grid, partner, poses, cfg):
     ranges = np.empty((len(poses), len(cfg.bearings)))
     for k, pose in enumerate(poses):
         angles = pose.theta + cfg.bearings
-        if is_inside(partner, pose):
+        if partner.free_at(pose.x, pose.y):
             part, crossed = reference_raycast(partner, pose.x, pose.y, angles,
                                               cfg.max_range)
             ranges[k] = np.where(crossed, cfg.max_range, part)
@@ -264,13 +264,12 @@ class TestTrainingData:
         maps = [fixtures.loop_world(), fixtures.office_world()]
         cfg = sim.WorldConfig(seed=7)
         args = (maps, 2, cfg, ExtractionParams())
-        kwargs = dict(max_views=12, trajectory_length=30.0, split_trajectories=split,
-                      partial_fraction=0.4)
+        kwargs = dict(max_views=12, trajectory_length=30.0, split_trajectories=split)
         got = sim.make_training_data(*args, **kwargs)
         inside = []
 
         def reference(grid, partner, poses, cfg):
-            inside.extend(is_inside(partner, p) for p in poses)
+            inside.extend(partner.free_at(p.x, p.y) for p in poses)
             return per_record_reference_ranges(grid, partner, poses, cfg)
 
         monkeypatch.setattr(sim, "_reference_ranges", reference)
@@ -373,16 +372,6 @@ class TestTrainingData:
     def test_rejects_no_maps(self):
         with pytest.raises(ValueError):
             sim.make_training_data([], 1, quiet_config(), ExtractionParams())
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.5])
-    def test_rejects_partial_fraction_before_simulating(self, monkeypatch, fraction):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before checking partial_fraction")
-
-        monkeypatch.setattr(sim, "generate_trajectory", no_simulation)
-        with pytest.raises(ValueError, match="partial_fraction"):
-            sim.make_training_data([fixtures.corridor()], 1, quiet_config(),
-                                   ExtractionParams(), partial_fraction=fraction)
 
 
 class TestTrajectoryLog:

@@ -45,7 +45,7 @@ def test_benchmark_priors_match_inline_leave_one_out_fit(monkeypatch, seed):
                                    max_views=8)
     (td,) = seen
     nu = td.alphabet.nu
-    obs_model = learn_observation_model(td.confusion_pairs, nu, floor=0.01)
+    obs_model = learn_observation_model(td.confusion_pairs, nu)
     want = reference_leave_one_out(td, nu)
     assert list(bm.priors) == list(fixtures.BENCHMARK_ENVIRONMENTS)
     for bundle, (alpha, marginals) in zip(bm.priors.values(), want):
@@ -64,7 +64,7 @@ def test_train_prior_bundle_fits_every_sample(monkeypatch):
     (td,) = seen
     nu = td.alphabet.nu
     assert bundle.alpha.tobytes() == dirichlet.map_estimate(td.counts).tobytes()
-    want_obs = learn_observation_model(td.confusion_pairs, nu, floor=0.01)
+    want_obs = learn_observation_model(td.confusion_pairs, nu)
     assert bundle.obs_model.tobytes() == want_obs.tobytes()
     total = np.sum(td.counts, axis=0)
     seen_views = total.sum(axis=0) + total.sum(axis=1)

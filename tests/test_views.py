@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapmerge import fixtures, sim
+from mapmerge import dirichlet, fixtures, sim
 from mapmerge import views as views_module
 from mapmerge.grid import Pose, default_bearings, raycast
 from mapmerge.views import (ExtractionParams, RangeScan, ViewAlphabet,
                             alphabet_build, canonicalize, extract_scan_string,
                             extract_scan_strings,
                             learn_observation_model,
-                            view_of, OTHER)
+                            view_of, OBS_FLOOR, OTHER)
 
 MAX_RANGE = 8.0
 PARAMS = ExtractionParams()
@@ -578,30 +578,32 @@ class TestObservationModel:
         assert np.all(model > 0)
 
     def test_identity_limit_for_clean_labels(self):
+        # clean labels fit a vanishing off-diagonal prior: the floored identity
         labeled = [[(v, v) for v in range(3) for _ in range(40)]]
-        tight = learn_observation_model(labeled, nu=3, prior_weight=1e-8)
-        np.testing.assert_allclose(tight, np.eye(3), atol=1e-6)
-        loose = learn_observation_model(labeled, nu=3, prior_weight=0.5)
-        assert np.all(np.diag(loose) > 0.9)
-        assert np.all(loose > 0)
+        model = learn_observation_model(labeled, nu=3)
+        np.testing.assert_allclose(model, (1 - OBS_FLOOR) * np.eye(3) + OBS_FLOOR / 3,
+                                   atol=1e-6)
 
-    def test_single_environment_counts(self):
-        # counts column 0 = (3, 1) with prior column (1, 1): (4/6, 2/6)
+    def test_single_environment_counts(self, monkeypatch):
+        # counts column 0 = (3, 1) with prior column (1, 1): (4/6, 2/6), floored
+        monkeypatch.setattr(dirichlet, "map_estimate", lambda per_env: np.ones((2, 2)))
         labeled = [[(0, 0), (0, 0), (0, 0), (0, 1)]]
-        model = learn_observation_model(labeled, nu=2, prior_weight=1.0)
-        assert model[0, 0] == pytest.approx(4.0 / 6.0)
-        assert model[1, 0] == pytest.approx(2.0 / 6.0)
+        model = learn_observation_model(labeled, nu=2)
+        assert model[0, 0] == pytest.approx((1 - OBS_FLOOR) * 4.0 / 6.0 + OBS_FLOOR / 2)
+        assert model[1, 0] == pytest.approx((1 - OBS_FLOOR) * 2.0 / 6.0 + OBS_FLOOR / 2)
 
-    def test_unseen_view_falls_back_to_prior(self):
+    def test_unseen_view_falls_back_to_prior(self, monkeypatch):
+        prior = np.array([[1.0, 3.0], [1.0, 1.0]])
+        monkeypatch.setattr(dirichlet, "map_estimate", lambda per_env: prior)
         labeled = [[(0, 0)] * 10]  # view 1 never appears as a true label
-        model = learn_observation_model(labeled, nu=2, prior_weight=1.0)
-        np.testing.assert_allclose(model[:, 1], [0.5, 0.5])
+        model = learn_observation_model(labeled, nu=2)
+        np.testing.assert_allclose(model[:, 1], (1 - OBS_FLOOR) * np.array([0.75, 0.25])
+                                   + OBS_FLOOR / 2)
 
     def test_floor_bounds_entries(self):
         labeled = [[(v, v) for v in range(4) for _ in range(100)]]
-        model = learn_observation_model(labeled, nu=4, prior_weight=1e-6,
-                                        floor=0.01)
-        assert np.all(model >= 0.01 / 4 - 1e-12)
+        model = learn_observation_model(labeled, nu=4)
+        assert np.all(model >= OBS_FLOOR / 4 - 1e-12)
         np.testing.assert_allclose(model.sum(axis=0), 1.0, atol=1e-9)
 
     def test_rejects_empty_environment(self):
