@@ -57,8 +57,8 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
                             trajectory_length=training_length,
                             split_trajectories=True)
     obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu)
-    priors = {name: fit_prior(td, obs_model, params, held_out=i)
-              for i, name in enumerate(names)}
+    priors = dict(zip(names, fit_prior(td, obs_model, params,
+                                       range(len(names)))))
 
     rng = np.random.default_rng(seed + 1)
     pairs = []

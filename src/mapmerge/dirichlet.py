@@ -16,6 +16,10 @@ ALPHA_FLOOR = 1e-6
 # ceiling for fitted pseudo-counts: with near-identical environments the
 # evidence is maximized as alpha -> inf; the cap keeps the fit finite
 ALPHA_CEIL = 1e6
+# trial steps per round of map_estimate's ascent: step, step/2, step/4.
+# At benchmark size 59-86 % of accepted steps come after one or two
+# rejections, so three trials take most steps in one evidence call.
+TRIALS = 3
 
 
 class EvidenceError(ValueError):
@@ -113,34 +117,55 @@ def map_estimate(data, init: np.ndarray | None = None,
     """MAP estimate of the prior pseudo-count matrix from per-environment
     count matrices (uniform hyper-prior, so MAP = evidence maximization).
 
-    Each column is fitted by its own gradient ascent in log(alpha), which
-    keeps alpha positive: a trial step is accepted when it raises the
-    column's evidence, the step halves on a rejected trial (down to 1e-14)
-    and doubles after an accepted one (up to 1e6), and the column stops
-    after max_iters gradients or once the infinity norm of its log-space
-    gradient drops below tol.  The columns are independent, so all of them
-    run in lockstep: each round evaluates one batched gradient and one
-    batched trial evidence over the columns still running.  A column with
-    no counts keeps its init.
+    data holds k >= 1 count matrices of shape (nu, nu): a sequence of them,
+    or an array of shape (..., k, nu, nu) whose leading batch axes stack
+    independent fits and give alpha of shape (..., nu, nu).  init (default
+    all ones) broadcasts against that alpha.
+
+    Each column of each fit is fitted by its own gradient ascent in
+    log(alpha), which keeps alpha positive: a trial step is accepted when it
+    raises the column's evidence, the step halves on a rejected trial (down
+    to 1e-14) and doubles after an accepted one (up to 1e6), and the column
+    stops after max_iters gradients or once the infinity norm of its
+    log-space gradient drops below tol.  At the benchmark's training sizes
+    most columns stop at max_iters, not at tol (the evidence is nearly flat
+    along a column's total), so the fitted values depend on max_iters.
+
+    The (fit, column) pairs are independent, so all of them run in
+    lockstep.  Each round evaluates one batched gradient and one batched
+    evidence call over the pairs still running, with TRIALS trials per
+    pair: at its step, half of it and a quarter of it.  It takes the first
+    trial that is accepted, which is what the ascent does after at most
+    TRIALS - 1 rejections, and ignores every trial the ascent would not
+    have tried (after an accepted one, or at a step below the floor).  So
+    the result is bit for bit that of one ascent per column.  A column
+    with no counts keeps its init.  EvidenceError names the first column,
+    in (fit, column) order, whose evidence is not finite at initialization
+    or, failing that, in the earliest round.
     """
-    stack = np.asarray([np.asarray(d, dtype=float) for d in data])
-    if stack.ndim != 3 or stack.shape[0] < 1:
-        raise ValueError("data must be a non-empty list of square count matrices")
-    nu = stack.shape[1]
-    if init is None:
-        init = np.ones((nu, nu), dtype=float)
-    alpha = np.maximum(np.asarray(init, dtype=float), ALPHA_FLOOR)
+    stack = np.asarray(data, dtype=float)
+    if stack.ndim < 3 or stack.shape[-3] < 1 or stack.shape[-2] != stack.shape[-1]:
+        raise ValueError("data must hold at least one square count matrix per fit")
+    batch, nu = stack.shape[:-3], stack.shape[-1]
+    stack = stack.reshape((-1,) + stack.shape[-3:])  # (fits, k, nu, nu)
+    alpha = np.ones((nu, nu)) if init is None else np.asarray(init, dtype=float)
+    alpha = np.maximum(np.broadcast_to(alpha, batch + (nu, nu)),
+                       ALPHA_FLOOR).reshape(stack.shape[0], nu, nu)
     # an all-zero column has evidence identically 0: nothing to fit
-    cols = np.flatnonzero(stack.any(axis=(0, 1)))
+    fit, cols = np.nonzero(stack.any(axis=(1, 2)))
     if cols.size == 0:
-        return alpha
-    f = np.ascontiguousarray(stack[:, :, cols].transpose(2, 0, 1))  # (m, k, nu)
-    theta = np.log(np.ascontiguousarray(alpha[:, cols].T))          # (m, nu)
+        return alpha.reshape(batch + (nu, nu))
+    f = np.ascontiguousarray(stack[fit, :, :, cols])  # (m, k, nu)
+    theta = np.log(alpha[fit, :, cols])                # (m, nu)
     fcur = log_evidence(np.exp(theta), f)
-    _check_finite(fcur, cols, "non-finite evidence at initialization")
+    _check_finite(np.isfinite(fcur), batch, fit, cols,
+                  "non-finite evidence at initialization")
     lo, hi = np.log(ALPHA_FLOOR), np.log(ALPHA_CEIL)
-    # state of the columns still running, compacted as columns stop
-    run, th, fc, fr = np.arange(cols.size), theta, fcur, f
+    halvings = 0.5 ** np.arange(TRIALS)[:, None]  # powers of two: exact
+    # state of the pairs still running, compacted as pairs stop; frs holds
+    # their counts once per trial
+    run, th, fc = np.arange(cols.size), theta, fcur
+    frs = np.stack((f,) * TRIALS)
     step = np.ones(cols.size)
     grads = np.zeros(cols.size, dtype=np.int64)
     moved = np.ones(cols.size, dtype=bool)     # theta moved since the last gradient
@@ -148,31 +173,45 @@ def map_estimate(data, init: np.ndarray | None = None,
     while True:
         # where theta did not move, the gradient comes out bit for bit the same
         a = np.exp(th)
-        g = log_evidence_grad(a, fr) * a  # chain rule into log space
+        g = log_evidence_grad(a, frs[0]) * a  # chain rule into log space
         stop = floored | (moved & ((grads >= max_iters)
                                    | (np.abs(g).max(axis=1) < tol)))
         grads += moved
         if stop.any():
             theta[run[stop]] = th[stop]
             keep = ~stop
-            run, th, fc, fr, g, step, grads = (
-                x[keep] for x in (run, th, fc, fr, g, step, grads))
+            run, th, fc, g, step, grads = (
+                x[keep] for x in (run, th, fc, g, step, grads))
             if run.size == 0:
                 break
-        trial = np.clip(th + step[:, None] * g, lo, hi)
-        fnew = log_evidence(np.exp(trial), fr)
-        _check_finite(fnew, cols[run], "non-finite evidence during ascent")
-        moved = fnew > fc
-        th = np.where(moved[:, None], trial, th)
-        fc = np.where(moved, fnew, fc)
-        step = np.where(moved, np.minimum(step * 2.0, 1e6), step * 0.5)
+            frs = frs[:, keep]
+        steps = step * halvings
+        trial = np.clip(th + steps[:, :, None] * g, lo, hi)
+        fnew = log_evidence(np.exp(trial), frs)
+        tried = steps > 1e-14
+        acc = tried & (fnew > fc)
+        # the ascent tries a step above the floor once every larger one failed
+        seen = tried & (np.cumsum(acc, axis=0) - acc == 0)
+        _check_finite((np.isfinite(fnew) | ~seen).all(axis=0), batch,
+                      fit[run], cols[run], "non-finite evidence during ascent")
+        moved = acc.any(axis=0)
+        first = (acc.argmax(axis=0), np.arange(run.size))  # first accepted
+        th = np.where(moved[:, None], trial[first], th)
+        fc = np.where(moved, fnew[first], fc)
+        # doubled after an accepted trial, else halved once per rejection
+        step = np.where(moved, np.minimum(steps[first] * 2.0, 1e6),
+                        step * 0.5 ** seen.sum(axis=0))
         floored = ~moved & (step <= 1e-14)
-    alpha[:, cols] = np.maximum(np.exp(theta), ALPHA_FLOOR).T
-    return alpha
+    alpha[fit, :, cols] = np.maximum(np.exp(theta), ALPHA_FLOOR)
+    return alpha.reshape(batch + (nu, nu))
 
 
-def _check_finite(values: np.ndarray, cols: np.ndarray, message: str) -> None:
-    """Raise EvidenceError for the first column whose evidence is not finite."""
-    ok = np.isfinite(values)
+def _check_finite(ok: np.ndarray, batch: tuple, fit: np.ndarray,
+                  cols: np.ndarray, message: str) -> None:
+    """Raise EvidenceError for the first (fit, column) pair not ok."""
     if not ok.all():
-        raise EvidenceError(int(cols[np.argmin(ok)]), message)
+        c = np.argmin(ok)
+        if batch:
+            index = tuple(int(i) for i in np.unravel_index(fit[c], batch))
+            message = f"{message} in fit {index}"
+        raise EvidenceError(int(cols[c]), message)

@@ -488,9 +488,15 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
         return np.zeros(len(poses))
     a = scan.angles[use]
     r = scan.ranges[use]
-    world_ang = poses[:, 2:3] + a[None, :]
-    ex = poses[:, 0:1] + r[None, :] * np.cos(world_ang)
-    ey = poses[:, 1:2] + r[None, :] * np.sin(world_ang)
+    # endpoints x + r cos(angle), y + r sin(angle), computed in place
+    ang = poses[:, 2:3] + a[None, :]
+    ex = np.cos(ang)
+    ex *= r
+    ex += poses[:, 0:1]
+    ey = np.sin(ang, out=ang)
+    ey *= r
+    ey += poses[:, 1:2]
     flat, on = cell_index(grid, ex, ey)
-    logp = grid.likelihood_table(params)[np.where(on, flat, grid.cells.size)]
+    np.putmask(flat, ~on, grid.cells.size)  # the table's off-grid entry
+    logp = grid.likelihood_table(params).take(flat)
     return params.likelihood_exponent * logp.sum(axis=1)

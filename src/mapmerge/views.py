@@ -86,9 +86,11 @@ class ExtractionParams:
     min_group_beams: int = 4            # groups shorter than this merge into a neighbor
 
     def __post_init__(self):
-        if min(self.gap_threshold, self.max_range_margin,
-               self.corner_angle_threshold, self.line_fit_tolerance) <= 0:
-            raise ValueError("thresholds must be strictly positive")
+        for name in ("gap_threshold", "max_range_margin",
+                     "corner_angle_threshold", "line_fit_tolerance"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.min_group_beams % 1 or not self.min_group_beams >= 1:
             raise ValueError("min_group_beams must be a whole number >= 1, "
                              f"got {self.min_group_beams!r}")

@@ -55,3 +55,21 @@ def test_tiny_workload_runs_clean(workload, tmp_path):
     res = getattr(workloads, workload)(3, 0, size, *workdir)
     assert res.failed == 0, res.errors
     assert res.correct, [c for c in res.checks if not c[1]]
+
+
+@pytest.mark.parametrize("workload", ["prepare", "replay", "cli_pipeline"])
+def test_tiny_workload_traced_reaches_every_expected_span(workload, tmp_path):
+    # the span coverage a traced benchmark run checks: a change that routes
+    # around a traced function fails here, not only in a traced run
+    workloads, tracing = _load("workloads"), _load("tracing")
+    name = workload.removesuffix("_pipeline")
+    workdir = (tmp_path,) if workload == "cli_pipeline" else ()
+    tracer = tracing.Tracer().install()
+    try:
+        res = getattr(workloads, workload)(3, 0, workloads.SIZES["tiny"][name], *workdir)
+    finally:
+        tracer.uninstall()
+    assert res.failed == 0, res.errors
+    per_layer = tracer.per_layer()
+    assert [span for span in workloads.EXPECTED_SPANS[name]
+            if per_layer[f"{span}.calls"] == 0] == []

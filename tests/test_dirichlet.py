@@ -1,6 +1,7 @@
 """Dirichlet-multinomial math: predictives, evidence, gradient, MAP fitting."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -247,12 +248,20 @@ def _ref_log_evidence_grad(a, f):
             + k * psi(abar) - np.sum(psi(f.sum(axis=1) + abar)))
 
 
-def _ref_fit_column(alpha_col, f, tol, max_iters):
+def _ref_fit_column(alpha_col, f, tol, max_iters, evidence=_ref_log_evidence,
+                    column=None):
     a0 = np.maximum(alpha_col, dirichlet.ALPHA_FLOOR)
     if not f.any():
         return a0.copy()
+
+    def checked(a):
+        value = evidence(a, f)
+        if not math.isfinite(value):
+            raise dirichlet.EvidenceError(column, "non-finite evidence")
+        return value
+
     theta = np.log(a0)
-    fcur = _ref_log_evidence(np.exp(theta), f)
+    fcur = checked(np.exp(theta))
     step = 1.0
     for _ in range(max_iters):
         a = np.exp(theta)
@@ -263,7 +272,7 @@ def _ref_fit_column(alpha_col, f, tol, max_iters):
         while step > 1e-14:
             theta_new = np.clip(theta + step * g, np.log(dirichlet.ALPHA_FLOOR),
                                 np.log(dirichlet.ALPHA_CEIL))
-            fnew = _ref_log_evidence(np.exp(theta_new), f)
+            fnew = checked(np.exp(theta_new))
             if fnew > fcur:
                 improved = True
                 break
@@ -275,14 +284,15 @@ def _ref_fit_column(alpha_col, f, tol, max_iters):
     return np.maximum(np.exp(theta), dirichlet.ALPHA_FLOOR)
 
 
-def _ref_map_estimate(data, init, tol=1e-8, max_iters=2000):
+def _ref_map_estimate(data, init, tol=1e-8, max_iters=2000,
+                      evidence=_ref_log_evidence):
     stack = np.asarray(data, dtype=float)
     nu = stack.shape[1]
     init = np.ones((nu, nu)) if init is None else init
     alpha = np.empty((nu, nu))
     for j in range(nu):
         alpha[:, j] = _ref_fit_column(np.asarray(init[:, j], dtype=float),
-                                      stack[:, :, j], tol, max_iters)
+                                      stack[:, :, j], tol, max_iters, evidence, j)
     return alpha
 
 
@@ -322,6 +332,106 @@ def test_large_sparse_map_estimate_matches_per_column_ascent_bitwise(seed):
     counts[r.uniform(size=counts.shape) > 0.05] = 0
     got = dirichlet.map_estimate(list(counts), max_iters=150)
     assert np.array_equal(got, _ref_map_estimate(list(counts), None, max_iters=150))
+
+
+@st.composite
+def _batched_count_stacks(draw):
+    """Count stacks of shape batch + (k, nu, nu) for one to six fits, as
+    _count_stacks draws them, with one init for every fit, one per fit or
+    none."""
+    r = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    batch = draw(st.sampled_from([(1,), (2,), (4,), (2, 3)]))
+    nu = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+    counts = r.integers(0, 25, size=batch + (k, nu, nu))
+    counts[r.uniform(size=counts.shape) > density] = 0
+    counts[..., draw(st.lists(st.integers(0, nu - 1), max_size=2))] = 0
+    init = draw(st.sampled_from([None, (nu, nu), batch + (nu, nu)]))
+    if init is not None:
+        init = np.exp(r.uniform(-3.0, 3.0, size=init))
+    max_iters = draw(st.sampled_from([0, 1, 3, 17, 2000]))
+    return counts, init, max_iters
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batched_count_stacks())
+def test_batched_map_estimate_matches_one_ascent_per_fit_bitwise(case):
+    counts, init, max_iters = case
+    batch, nu = counts.shape[:-3], counts.shape[-1]
+    got = dirichlet.map_estimate(counts, init=init, max_iters=max_iters)
+    assert got.shape == batch + (nu, nu)
+    inits = np.broadcast_to(np.ones((nu, nu)) if init is None else init, got.shape)
+    for b in np.ndindex(batch):
+        want = _ref_map_estimate(list(counts[b]), inits[b], max_iters=max_iters)
+        assert got[b].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fit, j", [((0,), 0), ((2,), 1), ((1,), 2)])
+def test_batched_nan_count_raises_evidence_error_naming_fit_and_column(fit, j):
+    counts = rng(8).integers(1, 9, size=(3, 2, 3, 3)).astype(float)
+    counts[fit + (1, 0, j)] = np.nan
+    counts[2, 0, 2, 2] = np.nan  # a later fit, never named first
+    with pytest.raises(dirichlet.EvidenceError, match=rf"in fit \({fit[0]},\)") as err:
+        dirichlet.map_estimate(counts)
+    assert err.value.column == j
+
+
+def test_non_finite_evidence_during_ascent_names_the_reference_column(monkeypatch):
+    """The evidence of one count column is made NaN at some alpha values,
+    picked by a hash of their bits.  The batched fit must raise, naming that
+    column, exactly when the per-column ascent meets such a value; values
+    that only the batched fit's extra trials reach, which the ascent never
+    tries, must change nothing."""
+    real = dirichlet.log_evidence
+    outcomes = set()
+
+    def poison(evidence, target):
+        def poisoned(alpha, data):
+            # any leading batch axes: one row per (alpha column, counts)
+            value = evidence(alpha, data)
+            a = np.reshape(alpha, (-1, np.shape(alpha)[-1]))
+            f = np.asarray(data, dtype=float).reshape(len(a), -1, a.shape[-1])
+            out = np.array(value, dtype=float).reshape(-1)
+            for c in range(len(a)):
+                if (f[c].tobytes() == target.tobytes()
+                        and zlib.crc32(a[c].tobytes()) % 5 == 0):
+                    out[c] = np.nan
+                    hits.append(a[c].tobytes())
+            return out.reshape(np.shape(value)) if np.ndim(value) else float(out[0])
+        return poisoned
+
+    for seed in range(60):
+        r = rng(seed)
+        nu, k = int(r.integers(2, 5)), int(r.integers(1, 4))
+        counts = r.integers(1, 20, size=(2, k, nu, nu))
+        fit, j = int(r.integers(2)), int(r.integers(nu))
+        target = counts[fit, :, :, j].astype(float)
+        max_iters = int(r.choice([1, 3, 17]))
+        hits = []
+        try:
+            for b in range(2):
+                _ref_map_estimate(list(counts[b]), None, max_iters=max_iters,
+                                  evidence=poison(_ref_log_evidence, target))
+            want = None
+        except dirichlet.EvidenceError as err:
+            want = err.column
+        seen_by_reference = set(hits)
+        hits = []
+        monkeypatch.setattr(dirichlet, "log_evidence", poison(real, target))
+        try:
+            got = dirichlet.map_estimate(counts, max_iters=max_iters)
+        except dirichlet.EvidenceError as err:
+            assert err.column == want == j
+            outcomes.add("raised")
+        else:
+            assert want is None
+            ref = [_ref_map_estimate(list(counts[b]), None, max_iters=max_iters)
+                   for b in range(2)]
+            assert got.tobytes() == np.array(ref).tobytes()
+            outcomes.add("ignored" if set(hits) - seen_by_reference else "clean")
+        monkeypatch.setattr(dirichlet, "log_evidence", real)
+    assert outcomes == {"raised", "ignored", "clean"}
 
 
 @settings(max_examples=100, deadline=None)

@@ -358,6 +358,10 @@ class TestCLI:
          "prior field 'extraction_params' must be an object of numbers"),
         (lambda doc: {**doc, "extraction_params": {"min_group_beams": 2.5}},
          "min_group_beams must be a whole number >= 1, got 2.5"),
+        (lambda doc: {**doc, "extraction_params": {"gap_threshold": math.nan}},
+         "gap_threshold must be finite and > 0, got nan"),
+        (lambda doc: {**doc, "extraction_params": {"line_fit_tolerance": math.inf}},
+         "line_fit_tolerance must be finite and > 0, got inf"),
     ])
     def test_malformed_prior_one_line_error(self, workdir, capsys, edit, message):
         doc = json.loads(dump_prior(tiny_bundle()))

@@ -654,6 +654,25 @@ def _scan_log_likelihoods_per_beam(grid, poses, scan, params):
     return params.likelihood_exponent * np.log(p).sum(axis=1)
 
 
+def _scan_log_likelihoods_where_gather(grid, poses, scan, params):
+    """scan_log_likelihoods before its endpoints were computed in place:
+    fresh arrays for every step and np.where for the off-grid entry."""
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    use = np.arange(0, len(scan), params.beam_stride)
+    returned = scan.ranges[use] < scan.max_range - 1e-9
+    use = use[returned]
+    if len(use) == 0:
+        return np.zeros(len(poses))
+    a = scan.angles[use]
+    r = scan.ranges[use]
+    world_ang = poses[:, 2:3] + a[None, :]
+    ex = poses[:, 0:1] + r[None, :] * np.cos(world_ang)
+    ey = poses[:, 1:2] + r[None, :] * np.sin(world_ang)
+    flat, on = grid_module.cell_index(grid, ex, ey)
+    logp = grid.likelihood_table(params)[np.where(on, flat, grid.cells.size)]
+    return params.likelihood_exponent * logp.sum(axis=1)
+
+
 @st.composite
 def _likelihood_cases(draw):
     cells = draw(random_cells)
@@ -697,6 +716,29 @@ def test_scan_log_likelihoods_matches_per_beam_formula_bitwise(case):
     grid, poses, scan, param_sets = case
     for params in param_sets + param_sets[::-1]:
         got = scan_log_likelihoods(grid, poses, scan, params)
-        want = _scan_log_likelihoods_per_beam(grid, poses, scan, params)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        for reference in (_scan_log_likelihoods_per_beam,
+                          _scan_log_likelihoods_where_gather):
+            want = reference(grid, poses, scan, params)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("env", sorted(fixtures.BENCHMARK_ENVIRONMENTS))
+def test_scan_log_likelihoods_in_place_matches_where_gather_on_benchmark_maps(env):
+    # 5,000 random poses over and around a benchmark map, under the filter's
+    # default parameters and a scan cast from one FREE pose
+    g = fixtures.BENCHMARK_ENVIRONMENTS[env]()
+    r = np.random.default_rng(17)
+    h, w = g.shape
+    x0, y0 = g.origin
+    poses = np.column_stack((r.uniform(x0 - 1.0, x0 + w * g.resolution + 1.0, 5000),
+                             r.uniform(y0 - 1.0, y0 + h * g.resolution + 1.0, 5000),
+                             r.uniform(-math.pi, math.pi, 5000)))
+    rows, cols = np.nonzero(g.cells == FREE)
+    k = r.integers(len(rows))
+    x, y = g.cell_center(rows[k], cols[k])
+    scan = raycast(g, Pose(x, y, 0.4), default_bearings(), MAX_RANGE)
+    params = ScanLikelihoodParams()
+    got = scan_log_likelihoods(g, poses, scan, params)
+    want = _scan_log_likelihoods_where_gather(g, poses, scan, params)
+    assert got.tobytes() == want.tobytes()

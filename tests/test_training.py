@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mapmerge import benchmark, dirichlet, fixtures, sim, training
-from mapmerge.views import ExtractionParams, learn_observation_model
+from mapmerge.views import (OTHER, ExtractionParams, ViewAlphabet,
+                            learn_observation_model)
 
 
 def capture_training_data(monkeypatch, module):
@@ -70,3 +71,41 @@ def test_train_prior_bundle_fits_every_sample(monkeypatch):
     seen_views = total.sum(axis=0) + total.sum(axis=1)
     np.testing.assert_allclose(bundle.marginals,
                                (seen_views + 1.0) / (seen_views.sum() + nu))
+
+
+def test_fit_prior_groups_held_out_sets_by_sample_count(monkeypatch):
+    # maps 0, 1 and 2 give 2, 1 and 3 samples, so leaving one out keeps 4, 5
+    # or 3 samples and None keeps 6: four batched fits for five entries
+    r = np.random.default_rng(3)
+    nu = 4
+    counts = list(r.integers(0, 6, size=(6, nu, nu)))
+    td = sim.TrainingData(alphabet=ViewAlphabet(("ab", "cd", "ef", OTHER)),
+                          counts=counts, map_index=[0, 0, 1, 2, 2, 2],
+                          confusion_pairs=[])
+    calls, fit = [], dirichlet.map_estimate
+
+    def counting(data, *args, **kwargs):
+        calls.append(np.shape(data))
+        return fit(data, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "map_estimate", counting)
+    held_out = (2, None, 0, 1, 0)
+    bundles = training.fit_prior(td, np.eye(nu), ExtractionParams(), held_out)
+    monkeypatch.undo()
+    assert sorted(calls) == [(1, 3, nu, nu), (1, 5, nu, nu), (1, 6, nu, nu),
+                             (2, 4, nu, nu)]
+    assert len(bundles) == len(held_out)
+    for h, bundle in zip(held_out, bundles):
+        kept = [f for f, m in zip(counts, td.map_index) if m != h]
+        assert bundle.alpha.tobytes() == dirichlet.map_estimate(kept).tobytes()
+        total = np.sum(kept, axis=0)
+        seen = total.sum(axis=1) + total.sum(axis=0)
+        assert bundle.marginals.tobytes() == ((seen + 1.0) / (seen.sum() + nu)).tobytes()
+
+
+def test_fit_prior_rejects_a_held_out_set_with_no_samples():
+    td = sim.TrainingData(alphabet=ViewAlphabet(("ab", OTHER)),
+                          counts=[np.ones((2, 2), dtype=np.int64)], map_index=[0],
+                          confusion_pairs=[])
+    with pytest.raises(ValueError):
+        training.fit_prior(td, np.eye(2), ExtractionParams(), (None, 0))

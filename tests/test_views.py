@@ -2,6 +2,8 @@
 confusion observation model."""
 
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -100,6 +102,15 @@ class TestRangeScan:
                                        "waypoints", 2.0, cfg, waypoints=[(8.0, 2.5)])
         loaded, _ = sim.load_trajectory(sim.dump_trajectory(traj, cfg))
         assert len({id(r.scan.angles) for r in loaded.records}) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("name", [f.name for f in fields(ExtractionParams)])
+def test_extraction_params_reject_non_finite_and_non_positive(name, value):
+    message = ("min_group_beams must be a whole number" if name == "min_group_beams"
+               else f"{name} must be finite and > 0, got {value!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExtractionParams(**{name: value})
 
 
 @st.composite
