@@ -15,11 +15,11 @@ from .views import ExtractionParams, RangeScan, ViewAlphabet
 from . import views
 
 FREE, OCCUPIED, UNKNOWN = 0, 1, 2
-_CHAR_FOR = {FREE: ".", OCCUPIED: "#", UNKNOWN: "?"}
-_CELL_FOR = {v: k for k, v in _CHAR_FOR.items()}
+_MAP_CHARS = np.frombuffer(b".#?", dtype=np.uint8)  # map file character by cell value
+_CELL_FOR = {chr(c): v for v, c in enumerate(_MAP_CHARS)}
 
 RAY_STEP_FRACTION = 0.5  # ray sampling step, in cell widths
-CAST_CHUNK_RAYS = 10_000  # rays per batched cast in expected_view
+CAST_CHUNK_RAYS = 10_000  # rays per batched cast of many poses' scans
 # A batched cast samples its last DENSE_FINISH_RAYS rays densely, in blocks
 # of DENSE_BLOCK_RAYS.  Above 1,023 rays the skipping loop's per-ray masks
 # stay out of numpy's cache of small buffers, which keeps up to 7 freed
@@ -145,11 +145,19 @@ class OccupancyGrid:
 
 
 def dump_map(grid: OccupancyGrid) -> str:
-    lines = [f"resolution {grid.resolution!r}",
-             f"origin {grid.origin[0]!r} {grid.origin[1]!r}"]
-    for row in grid.cells:
-        lines.append("".join(_CHAR_FOR[int(c)] for c in row))
-    return "\n".join(lines) + "\n"
+    """The map file text of grid (see load_map); a cell value other than
+    FREE, OCCUPIED and UNKNOWN raises a ValueError that names it."""
+    cells = grid.cells
+    bad = (cells < 0) | (cells >= len(_MAP_CHARS))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"cell ({row}, {col}) holds {cells[row, col]}, not FREE (0), "
+                         "OCCUPIED (1) or UNKNOWN (2)")
+    # one character per cell and a newline after every row, decoded once
+    text = np.full((cells.shape[0], cells.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = _MAP_CHARS[cells]
+    return (f"resolution {grid.resolution!r}\n"
+            f"origin {grid.origin[0]!r} {grid.origin[1]!r}\n" + text.tobytes().decode())
 
 
 def _header_values(lines: list[str], k: int, key: str,
@@ -300,14 +308,23 @@ def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
     return ts, first, state
 
 
-def raycast_full(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,
-                 max_range: float) -> np.ndarray:
+def raycast_full(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
+                 bearings: np.ndarray, max_range: float) -> np.ndarray:
     """Distance from a pose to the first OCCUPIED cell along each bearing,
-    max_range when nothing is hit.  UNKNOWN cells are transparent."""
-    ts, first, _ = _first_stop(grid, pose.x, pose.y,
-                               pose.theta + np.asarray(bearings, dtype=float),
+    max_range when nothing is hit.  UNKNOWN cells are transparent.
+
+    pose may also be a sequence of poses; the result then has one row per
+    pose, and all their rays go to one _first_stop call, so callers keep a
+    sequence to about CAST_CHUNK_RAYS rays."""
+    poses = [pose] if isinstance(pose, Pose) else list(pose)
+    bearings = np.asarray(bearings, dtype=float)
+    thetas = np.array([p.theta for p in poses])
+    ts, first, _ = _first_stop(grid, np.array([p.x for p in poses])[:, None],
+                               np.array([p.y for p in poses])[:, None],
+                               thetas[:, None] + bearings[None, :],
                                max_range, unknown_stops=False)
-    return np.append(ts, max_range)[first]
+    ranges = np.append(ts, max_range)[first].reshape(len(poses), len(bearings))
+    return ranges[0] if isinstance(pose, Pose) else ranges
 
 
 def raycast(grid: OccupancyGrid, pose: Pose, bearings: np.ndarray,

@@ -5,15 +5,18 @@ view-transition training data used to fit the structural prior."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, cell_index,
-                   default_bearings, raycast_full, _first_stop,
+from .grid import (CAST_CHUNK_RAYS, FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
+                   cell_index, default_bearings, raycast_full, _first_stop,
                    _sample_cells, _sample_distances, wrap_angle)
 from .pfilter import MotionNoise
-from .views import ExtractionParams, RangeScan, ViewAlphabet, alphabet_build, view_of
+from .views import (ExtractionParams, RangeScan, ViewAlphabet, alphabet_build,
+                    readonly, view_of)
 from . import views as _views
 from . import dirichlet
 
@@ -32,16 +35,24 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beam_count < 3:
-            raise ValueError("need at least 3 beams")
-        if not (0.0 < self.fov <= 2.0 * math.pi):
-            raise ValueError("fov must lie in (0, 2*pi]")
-        if self.range_noise_sigma < 0 or not (0.0 <= self.dropout_prob <= 1.0):
-            raise ValueError("invalid noise configuration")
+        # each comparison is False for NaN
+        if not isinstance(self.beam_count, (int, np.integer)) or self.beam_count < 3:
+            raise ValueError(f"beam_count must be an integer >= 3, got {self.beam_count!r}")
+        if not 0.0 < self.fov <= 2.0 * math.pi:
+            raise ValueError(f"fov must lie in (0, 2*pi], got {self.fov!r}")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be finite and > 0, got {self.max_range!r}")
+        if not 0.0 <= self.range_noise_sigma < math.inf:
+            raise ValueError("range_noise_sigma must be finite and >= 0, "
+                             f"got {self.range_noise_sigma!r}")
+        if not 0.0 <= self.dropout_prob <= 1.0:
+            raise ValueError(f"dropout_prob must lie in [0, 1], got {self.dropout_prob!r}")
 
-    @property
+    @cached_property
     def bearings(self) -> np.ndarray:
-        return default_bearings(self.beam_count, self.fov)
+        """The beam bearings, built once per config as one read-only array
+        that every scan simulated with the config shares."""
+        return readonly(default_bearings(self.beam_count, self.fov))
 
 
 @dataclass(frozen=True)
@@ -67,21 +78,29 @@ class Trajectory:
         return scan.angles, scan.max_range
 
 
-def simulate_scan(grid: OccupancyGrid, pose: Pose, cfg: WorldConfig,
-                  rng: np.random.Generator) -> RangeScan:
-    """Raycast truth plus Gaussian range noise and random dropout to
-    max-range.  Deterministic given the generator state."""
-    if not grid.free_at(pose.x, pose.y):
+def simulate_scan(grid: OccupancyGrid, poses: Sequence[Pose], cfg: WorldConfig,
+                  noise: np.ndarray | None = None,
+                  uniforms: np.ndarray | None = None) -> list[RangeScan]:
+    """One noisy scan per pose: the truth of one raycast_full call over all
+    poses, plus range noise and dropout.
+
+    noise and uniforms hold one row of cfg.beam_count draws per pose, or are
+    None for no noise or no dropout.  A beam that hits takes its noise
+    (drawn as N(0, cfg.range_noise_sigma)) and is clipped to
+    [1e-6, max_range]; a beam whose uniform (drawn from [0, 1)) is below
+    cfg.dropout_prob then reads max_range.  The scans' ranges are read-only
+    rows of one array, and their bearings the config's shared array."""
+    if not all(grid.free_at(p.x, p.y) for p in poses):
         raise ValueError("scan pose must be in a FREE cell")
-    ranges = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
-    hit = ranges < cfg.max_range
-    if cfg.range_noise_sigma > 0:
-        noisy = ranges + rng.normal(0.0, cfg.range_noise_sigma, len(ranges))
-        ranges = np.where(hit, np.clip(noisy, 1e-6, cfg.max_range), ranges)
-    if cfg.dropout_prob > 0:
-        drop = rng.random(len(ranges)) < cfg.dropout_prob
-        ranges = np.where(drop, cfg.max_range, ranges)
-    return RangeScan(cfg.bearings, ranges, cfg.max_range)
+    ranges = raycast_full(grid, poses, cfg.bearings, cfg.max_range)
+    if noise is not None:
+        noisy = ranges + noise
+        ranges = np.where(ranges < cfg.max_range,
+                          np.clip(noisy, 1e-6, cfg.max_range), ranges)
+    if uniforms is not None:
+        ranges = np.where(uniforms < cfg.dropout_prob, cfg.max_range, ranges)
+    ranges.flags.writeable = False
+    return [RangeScan(cfg.bearings, row, cfg.max_range) for row in ranges]
 
 
 def _clearance(grid: OccupancyGrid, x: float, y: float, heading: float,
@@ -94,6 +113,32 @@ def _clearance(grid: OccupancyGrid, x: float, y: float, heading: float,
             return t - step
         t += step
     return dist
+
+
+def _clearances(grid: OccupancyGrid, x: float, y: float, headings,
+                dist: float) -> np.ndarray:
+    """_clearance along each of headings, as one array march that is bit for
+    bit the scalar one: the same sample distances, summed step by step, and
+    the same math.cos and math.sin.  Faster from a handful of headings on;
+    for one heading the scalar march is."""
+    step = grid.resolution * 0.5
+    ts = []
+    t = step
+    while t <= dist:
+        ts.append(t)
+        t += step
+    ts = np.array(ts)
+    xs = ts * np.array([math.cos(h) for h in headings])[:, None]
+    xs += x
+    ys = ts * np.array([math.sin(h) for h in headings])[:, None]
+    ys += y
+    flat, on = cell_index(grid, xs, ys)
+    # each heading's first sample outside a FREE cell; the last column,
+    # always set, stands for none
+    stop = np.ones((len(xs), len(ts) + 1), dtype=bool)
+    np.logical_not(on, out=stop[:, :-1])
+    stop[:, :-1] |= grid.cells.ravel().take(flat, mode="clip") != FREE
+    return np.append(ts - step, dist)[np.argmax(stop, axis=1)]
 
 
 def _odometry_delta(prev: Pose, cur: Pose) -> tuple[float, float, float]:
@@ -133,8 +178,7 @@ def _next_heading(grid: OccupancyGrid, pose: Pose, policy, waypoint,
             _clearance(grid, pose.x, pose.y, goal_heading[0], 0.6) < 0.6 - 1e-9:
         candidates = wrap_angle(pose.theta + np.linspace(-math.pi, math.pi, 16,
                                                          endpoint=False))
-        clear = np.array([_clearance(grid, pose.x, pose.y, h, 3.0)
-                          for h in candidates])
+        clear = _clearances(grid, pose.x, pose.y, candidates, 3.0)
         best = np.nonzero(clear >= clear.max() - 1e-9)[0]
         goal_heading[0] = float(candidates[best[rng.integers(0, len(best))]])
         goal_heading[0] += float(rng.normal(0.0, 0.2))
@@ -150,6 +194,12 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
 
     policy: 'waypoints' (requires waypoints list of (x, y)), 'wall_follow',
     or 'random_explore'.
+
+    Each step draws its odometry noise, then its scan's range noise and
+    dropout uniforms, from rng.  The scans themselves are cast by
+    simulate_scan in chunks of about CAST_CHUNK_RAYS rays, each time that
+    many steps are pending and once at the end, which leaves every output
+    and rng's final state as casting each step's scan at once would.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -161,6 +211,18 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
         raise ValueError(f"unknown policy {policy!r}")
 
     records: list[TrajectoryRecord] = []
+    # steps not yet cast: (pose, odometry, range noise, dropout uniforms)
+    pending: list[tuple] = []
+    per_cast = max(1, CAST_CHUNK_RAYS // cfg.beam_count)
+
+    def cast_pending():
+        poses, odoms, noise, uniforms = zip(*pending)
+        scans = simulate_scan(grid, poses, cfg,
+                              None if noise[0] is None else np.array(noise),
+                              None if uniforms[0] is None else np.array(uniforms))
+        records.extend(map(TrajectoryRecord, poses, odoms, scans))
+        pending.clear()
+
     pose = start
     traveled = 0.0
     wp_idx = 0
@@ -195,9 +257,17 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
                             pose.y + advance * math.sin(heading), heading)
             traveled += advance
         odom = _noisy_odom(_odometry_delta(pose, new_pose), cfg.odom_noise, rng)
-        scan = simulate_scan(grid, new_pose, cfg, rng)
-        records.append(TrajectoryRecord(true_pose=new_pose, odom=odom, scan=scan))
+        if not grid.free_at(new_pose.x, new_pose.y):
+            raise ValueError("scan pose must be in a FREE cell")
+        noise = (rng.normal(0.0, cfg.range_noise_sigma, cfg.beam_count)
+                 if cfg.range_noise_sigma > 0 else None)
+        uniforms = rng.random(cfg.beam_count) if cfg.dropout_prob > 0 else None
+        pending.append((new_pose, odom, noise, uniforms))
+        if len(pending) == per_cast:
+            cast_pending()
         pose = new_pose
+    if pending:
+        cast_pending()
     return Trajectory(records=records, truncated=truncated)
 
 

@@ -123,6 +123,39 @@ class TestMapIO:
                           (float(r.normal()), float(r.normal())))
         assert load_map(dump_map(g)) == g
 
+    @settings(max_examples=50, deadline=None)
+    @given(cells=random_cells, resolution=st.floats(0.01, 1.0),
+           origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_dump_matches_per_cell_reference(self, cells, resolution, origin):
+        g = OccupancyGrid(cells, resolution, origin)
+        assert dump_map(g) == reference_dump_map(g)
+
+    @pytest.mark.parametrize("name", ["corridor", "loop_world", "office_world",
+                                      "rooms_world"])
+    def test_dump_matches_per_cell_reference_on_fixtures(self, name):
+        g = getattr(fixtures, name)()
+        cells = g.cells.copy()
+        cells[::7] = np.where(cells[::7] == FREE, UNKNOWN, cells[::7])
+        for grid in (g, OccupancyGrid(cells, g.resolution, g.origin)):
+            assert dump_map(grid) == reference_dump_map(grid)
+
+    @pytest.mark.parametrize("value", [-1, 3, 127, -128])
+    def test_dump_rejects_unknown_cell_value(self, value):
+        g = box_world(1.0, 0.25)
+        g.cells[2, 1] = value
+        with pytest.raises(ValueError) as info:
+            dump_map(g)
+        assert str(info.value) == (f"cell (2, 1) holds {value}, not FREE (0), "
+                                   "OCCUPIED (1) or UNKNOWN (2)")
+
+
+def reference_dump_map(g: OccupancyGrid) -> str:
+    """dump_map one cell at a time."""
+    chars = {FREE: ".", OCCUPIED: "#", UNKNOWN: "?"}
+    lines = [f"resolution {g.resolution!r}", f"origin {g.origin[0]!r} {g.origin[1]!r}"]
+    lines += ["".join(chars[int(c)] for c in row) for row in g.cells]
+    return "\n".join(lines) + "\n"
+
 
 @st.composite
 def _lookup_cases(draw):
@@ -276,6 +309,26 @@ class TestRaycast:
         ranges = raycast_full(g, Pose(x, y, 0.0), angles, max_range)
         want_ranges, _ = reference_raycast(g, x, y, angles, max_range)
         np.testing.assert_array_equal(ranges, want_ranges)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["corridor", "loop_world", "office_world",
+                                 "rooms_world"]),
+           seed=st.integers(0, 2**32 - 1), n_poses=st.integers(0, 70),
+           beams=st.sampled_from((1, 3, 181)))
+    def test_pose_sequence_casts_one_row_per_pose(self, name, seed, n_poses, beams):
+        g = getattr(fixtures, name)()
+        r = np.random.default_rng(seed)
+        rows, cols = np.nonzero(g.cells == FREE)
+        pick = r.integers(0, len(rows), n_poses)
+        # cell centers and points anywhere in a FREE cell
+        jitter = r.uniform(-0.5, 0.5, (n_poses, 2)) * g.resolution * r.integers(0, 2)
+        poses = [Pose(*np.add(g.cell_center(rows[k], cols[k]), d), th)
+                 for k, d, th in zip(pick, jitter, r.uniform(-4.0, 4.0, n_poses))]
+        bearings = default_bearings(beams, 2.0) if beams > 1 else np.array([0.3])
+        ranges = raycast_full(g, poses, bearings, MAX_RANGE)
+        assert ranges.shape == (n_poses, beams)
+        for row, pose in zip(ranges, poses):
+            assert row.tobytes() == raycast_full(g, pose, bearings, MAX_RANGE).tobytes()
 
 
 def reference_first_stop(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,

@@ -3,13 +3,16 @@ training-data production, and trajectory log round-trips."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapmerge import fixtures, sim, training
-from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
-                           RAY_STEP_FRACTION, raycast)
+from mapmerge.grid import (CAST_CHUNK_RAYS, FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
+                           Pose, RAY_STEP_FRACTION, raycast, raycast_full, wrap_angle)
 from mapmerge.pfilter import MotionNoise
 from mapmerge.views import ExtractionParams
 from test_grid import reference_raycast
@@ -31,11 +34,46 @@ class TestWorldConfig:
         with pytest.raises(ValueError):
             sim.WorldConfig(dropout_prob=1.5)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_range", 0.0, "max_range must be finite and > 0, got 0.0"),
+        ("max_range", -8.0, "max_range must be finite and > 0, got -8.0"),
+        ("max_range", math.inf, "max_range must be finite and > 0, got inf"),
+        ("max_range", math.nan, "max_range must be finite and > 0, got nan"),
+        ("range_noise_sigma", math.nan,
+         "range_noise_sigma must be finite and >= 0, got nan"),
+        ("range_noise_sigma", math.inf,
+         "range_noise_sigma must be finite and >= 0, got inf"),
+        ("range_noise_sigma", -0.1,
+         "range_noise_sigma must be finite and >= 0, got -0.1"),
+        ("beam_count", 181.0, "beam_count must be an integer >= 3, got 181.0"),
+        ("beam_count", 90.5, "beam_count must be an integer >= 3, got 90.5"),
+        ("beam_count", "181", "beam_count must be an integer >= 3, got '181'"),
+        ("beam_count", 2, "beam_count must be an integer >= 3, got 2"),
+        ("fov", math.nan, "fov must lie in (0, 2*pi], got nan"),
+        ("dropout_prob", math.nan, "dropout_prob must lie in [0, 1], got nan"),
+    ])
+    def test_bad_value_names_its_field(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            sim.WorldConfig(**{name: value})
+        assert str(info.value) == message
+
+    def test_numpy_integer_beam_count(self):
+        assert len(sim.WorldConfig(beam_count=np.int64(31)).bearings) == 31
+
     def test_bearings_span_fov(self):
         cfg = sim.WorldConfig(beam_count=5, fov=math.pi)
         np.testing.assert_allclose(cfg.bearings,
                                    [-math.pi / 2, -math.pi / 4, 0.0,
                                     math.pi / 4, math.pi / 2])
+
+    def test_bearings_are_one_read_only_array_shared_by_scans(self):
+        cfg = quiet_config(beam_count=31)
+        assert cfg.bearings is cfg.bearings
+        assert not cfg.bearings.flags.writeable
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(2.0, 2.5, 0.0),
+                                       "random_explore", 15.0, cfg)
+        assert len(traj.records) > 1
+        assert all(rec.scan.angles is cfg.bearings for rec in traj.records)
 
 
 class TestSimulateScan:
@@ -43,15 +81,15 @@ class TestSimulateScan:
         grid = fixtures.corridor()
         cfg = quiet_config()
         pose = Pose(5.0, 2.5, 0.3)
-        scan = sim.simulate_scan(grid, pose, cfg, np.random.default_rng(0))
+        scan, = sim.simulate_scan(grid, [pose], cfg)
         truth = raycast(grid, pose, cfg.bearings, cfg.max_range)
         np.testing.assert_array_equal(scan.ranges, truth.ranges)
 
     def test_full_dropout(self):
         grid = fixtures.corridor()
         cfg = quiet_config(dropout_prob=1.0)
-        scan = sim.simulate_scan(grid, Pose(5.0, 2.5, 0.0), cfg,
-                                 np.random.default_rng(0))
+        uniforms = np.random.default_rng(0).random((1, cfg.beam_count))
+        scan, = sim.simulate_scan(grid, [Pose(5.0, 2.5, 0.0)], cfg, uniforms=uniforms)
         assert np.all(scan.ranges == cfg.max_range)
 
     def test_noise_statistics(self):
@@ -59,13 +97,10 @@ class TestSimulateScan:
         cfg = quiet_config(range_noise_sigma=0.02)
         pose = Pose(5.0, 2.5, 0.0)
         truth = raycast(grid, pose, cfg.bearings, cfg.max_range)
-        rng = np.random.default_rng(1)
-        residuals = []
-        for _ in range(600):
-            scan = sim.simulate_scan(grid, pose, cfg, rng)
-            hit = truth.ranges < cfg.max_range
-            residuals.extend((scan.ranges - truth.ranges)[hit])
-        residuals = np.asarray(residuals)
+        noise = np.random.default_rng(1).normal(0.0, 0.02, (600, cfg.beam_count))
+        scans = sim.simulate_scan(grid, [pose] * 600, cfg, noise)
+        hit = truth.ranges < cfg.max_range
+        residuals = np.concatenate([(scan.ranges - truth.ranges)[hit] for scan in scans])
         assert len(residuals) > 5e4
         se = 0.02 / math.sqrt(len(residuals))
         assert abs(residuals.mean()) < 4 * se
@@ -73,9 +108,9 @@ class TestSimulateScan:
 
     def test_rejects_occupied_pose(self):
         grid = fixtures.corridor()
-        with pytest.raises(ValueError):
-            sim.simulate_scan(grid, Pose(0.05, 0.05, 0.0), quiet_config(),
-                              np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^scan pose must be in a FREE cell$"):
+            sim.simulate_scan(grid, [Pose(5.0, 2.5, 0.0), Pose(0.05, 0.05, 0.0)],
+                              quiet_config())
 
 
 class TestGenerateTrajectory:
@@ -149,6 +184,222 @@ class TestGenerateTrajectory:
         traj = sim.generate_trajectory(grid, Pose(1.5, 1.5, 0.0),
                                        "random_explore", 5.0, quiet_config())
         assert traj.truncated
+
+
+def _ref_clearance(grid, x, y, heading, dist):
+    """The clearance march one sample at a time."""
+    step = grid.resolution * 0.5
+    t = step
+    while t <= dist:
+        if not grid.free_at(x + t * math.cos(heading), y + t * math.sin(heading)):
+            return t - step
+        t += step
+    return dist
+
+
+def _ref_simulate_scan(grid, pose, cfg, rng):
+    """One pose's noisy scan, its noise drawn from rng."""
+    if not grid.free_at(pose.x, pose.y):
+        raise ValueError("scan pose must be in a FREE cell")
+    ranges = raycast_full(grid, pose, cfg.bearings, cfg.max_range)
+    hit = ranges < cfg.max_range
+    if cfg.range_noise_sigma > 0:
+        noisy = ranges + rng.normal(0.0, cfg.range_noise_sigma, len(ranges))
+        ranges = np.where(hit, np.clip(noisy, 1e-6, cfg.max_range), ranges)
+    if cfg.dropout_prob > 0:
+        drop = rng.random(len(ranges)) < cfg.dropout_prob
+        ranges = np.where(drop, cfg.max_range, ranges)
+    return sim.RangeScan(cfg.bearings, ranges, cfg.max_range)
+
+
+def _ref_next_heading(grid, pose, policy, waypoint, rng, goal_heading):
+    """sim._next_heading with every clearance marched one heading at a time."""
+    if policy == "waypoints":
+        return math.atan2(waypoint[1] - pose.y, waypoint[0] - pose.x)
+    if policy == "wall_follow":
+        for turn in (math.radians(40), 0.0, math.radians(-40),
+                     math.radians(-90), math.radians(-140), math.pi):
+            h = pose.theta + turn
+            if _ref_clearance(grid, pose.x, pose.y, h, 0.6) >= 0.6 - 1e-9:
+                return h
+        return pose.theta + math.pi
+    if goal_heading[0] is None or \
+            _ref_clearance(grid, pose.x, pose.y, goal_heading[0], 0.6) < 0.6 - 1e-9:
+        candidates = wrap_angle(pose.theta + np.linspace(-math.pi, math.pi, 16,
+                                                         endpoint=False))
+        clear = np.array([_ref_clearance(grid, pose.x, pose.y, h, 3.0)
+                          for h in candidates])
+        best = np.nonzero(clear >= clear.max() - 1e-9)[0]
+        goal_heading[0] = float(candidates[best[rng.integers(0, len(best))]])
+        goal_heading[0] += float(rng.normal(0.0, 0.2))
+    return goal_heading[0]
+
+
+def _ref_generate_trajectory(grid, start, policy, length, cfg, rng, waypoints=None):
+    """sim.generate_trajectory casting each record's scan in its own step."""
+    if not grid.free_at(start.x, start.y):
+        raise ValueError("start pose must be in a FREE cell")
+    records = []
+    pose = start
+    traveled = 0.0
+    wp_idx = 0
+    goal_heading = [None]
+    truncated = False
+    max_turn = math.radians(35.0)
+    stuck = 0
+    while traveled < length:
+        if policy == "waypoints":
+            if wp_idx >= len(waypoints):
+                break
+            wp = waypoints[wp_idx]
+            if math.hypot(wp[0] - pose.x, wp[1] - pose.y) < 0.3:
+                wp_idx += 1
+                continue
+        else:
+            wp = None
+        desired = _ref_next_heading(grid, pose, policy, wp, rng, goal_heading)
+        turn = np.clip(wrap_angle(desired - pose.theta), -max_turn, max_turn)
+        heading = wrap_angle(pose.theta + turn)
+        advance = min(sim.MAX_STEP, _ref_clearance(grid, pose.x, pose.y, heading,
+                                                   sim.MAX_STEP))
+        if advance < grid.resolution:
+            new_pose = Pose(pose.x, pose.y, heading)
+            stuck += 1
+            if stuck > 40:
+                truncated = True
+                break
+        else:
+            stuck = 0
+            new_pose = Pose(pose.x + advance * math.cos(heading),
+                            pose.y + advance * math.sin(heading), heading)
+            traveled += advance
+        odom = sim._noisy_odom(sim._odometry_delta(pose, new_pose), cfg.odom_noise, rng)
+        scan = _ref_simulate_scan(grid, new_pose, cfg, rng)
+        records.append(sim.TrajectoryRecord(true_pose=new_pose, odom=odom, scan=scan))
+        pose = new_pose
+    return sim.Trajectory(records=records, truncated=truncated)
+
+
+def _stuck_world():
+    """A single FREE cell: no room to move."""
+    cells = np.full((3, 3), OCCUPIED, dtype=np.int8)
+    cells[1, 1] = FREE
+    return OccupancyGrid(cells, 1.0)
+
+
+ORACLE_GRIDS = {name: getattr(fixtures, name)() for name in
+                ("corridor", "loop_world", "office_world", "rooms_world")}
+# at 0.2 m cells the 0.25 m clearance march samples only 0.2 m ahead, so
+# a step can end in a wall cell, where the scan pose check raises
+ORACLE_GRIDS["coarse_corridor"] = OccupancyGrid(ORACLE_GRIDS["corridor"].cells, 0.2)
+ORACLE_GRIDS["stuck"] = _stuck_world()
+
+
+def _trajectory_outcome(generate, name, policy, beams, length, seed, noisy):
+    """What generate makes of one case: the trajectory's poses and odometry,
+    ranges and truncated flag as bytes, or the error it raised, with the
+    generator state after the call."""
+    grid = ORACLE_GRIDS[name]
+    quiet = {} if noisy else dict(range_noise_sigma=0.0, dropout_prob=0.0)
+    cfg = sim.WorldConfig(beam_count=beams, **quiet)
+    rng = np.random.default_rng(seed)
+    start = sim._random_free_pose(grid, rng)
+    rows, cols = np.nonzero(grid.cells == FREE)
+    waypoints = [grid.cell_center(rows[k], cols[k])
+                 for k in rng.integers(0, len(rows), 3)]
+    try:
+        traj = generate(grid, start, policy, length, cfg, rng=rng, waypoints=waypoints)
+    except ValueError as exc:
+        return str(exc), rng.bit_generator.state
+    recs = traj.records
+    steps = np.array([(r.true_pose.x, r.true_pose.y, r.true_pose.theta, *r.odom)
+                      for r in recs]).tobytes()
+    ranges = np.array([r.scan.ranges for r in recs]).tobytes()
+    return (len(recs), steps, ranges, traj.truncated), rng.bit_generator.state
+
+
+class TestTrajectoryOracle:
+    """generate_trajectory, which casts its scans in chunks, against the
+    reference that casts each record's scan in its own step."""
+
+    @pytest.mark.parametrize("name, policy, beams, chunk_rays, length, seed, expect", [
+        # more than one chunk at the default chunk size
+        ("corridor", "random_explore", 181, CAST_CHUNK_RAYS, 30.0, 0, "chunks"),
+        ("office_world", "wall_follow", 3, 100, 20.0, 1, "chunks"),
+        ("corridor", "waypoints", 181, 1000, 20.0, 1, "chunks"),
+        # waypoints behind walls: stuck after several chunks
+        ("loop_world", "waypoints", 181, 1000, 20.0, 2, "truncated"),
+        # one pose per cast
+        ("rooms_world", "random_explore", CAST_CHUNK_RAYS + 1, CAST_CHUNK_RAYS,
+         2.0, 3, "chunks"),
+        ("stuck", "random_explore", 181, CAST_CHUNK_RAYS, 5.0, 4, "truncated"),
+        ("coarse_corridor", "random_explore", 181, CAST_CHUNK_RAYS, 20.0, 11, "raises"),
+    ])
+    def test_matches_per_record_reference(self, name, policy, beams, chunk_rays,
+                                          length, seed, expect):
+        case = (name, policy, beams, length, seed, True)
+        want = _trajectory_outcome(_ref_generate_trajectory, *case)
+        with mock.patch.object(sim, "CAST_CHUNK_RAYS", chunk_rays), \
+                mock.patch.object(sim, "raycast_full", wraps=sim.raycast_full) as cast:
+            got = _trajectory_outcome(sim.generate_trajectory, *case)
+        assert got == want
+        if expect == "raises":
+            assert want[0] == "scan pose must be in a FREE cell"
+            return
+        n_records, _, _, truncated = want[0]
+        assert truncated == (expect == "truncated")
+        # one cast per full chunk and one for the rest
+        per_cast = max(1, chunk_rays // beams)
+        full, rest = divmod(n_records, per_cast)
+        sizes = [len(c.args[1]) for c in cast.call_args_list]
+        assert sizes == [per_cast] * full + [rest] * (rest > 0)
+        if expect == "chunks":
+            assert n_records > per_cast
+
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(sorted(ORACLE_GRIDS)),
+           policy=st.sampled_from(["random_explore", "wall_follow", "waypoints"]),
+           beams=st.sampled_from([3, 181, CAST_CHUNK_RAYS + 1]),
+           chunk_rays=st.sampled_from([CAST_CHUNK_RAYS, 100]),
+           length=st.floats(0.0, 25.0), seed=st.integers(0, 2**32 - 1),
+           noisy=st.booleans())
+    def test_matches_per_record_reference_random(self, name, policy, beams,
+                                                 chunk_rays, length, seed, noisy):
+        if beams > CAST_CHUNK_RAYS:
+            length = min(length, 2.0)  # each reference cast is a full chunk
+        case = (name, policy, beams, length, seed, noisy)
+        want = _trajectory_outcome(_ref_generate_trajectory, *case)
+        with mock.patch.object(sim, "CAST_CHUNK_RAYS", chunk_rays):
+            got = _trajectory_outcome(sim.generate_trajectory, *case)
+        assert got == want
+
+
+class TestClearance:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["corridor", "loop_world", "office_world",
+                                 "rooms_world", "open"]),
+           seed=st.integers(0, 2**32 - 1),
+           dist=st.one_of(st.sampled_from([0.25, 0.6, 3.0]), st.floats(0.0, 4.0)))
+    def test_array_march_matches_scalar_march(self, name, seed, dist):
+        r = np.random.default_rng(seed)
+        if name == "open":
+            # 5 m square, scattered walls, no border: every position lies
+            # within 3 m of the edge and samples leave the grid
+            cells = np.where(r.random((50, 50)) < 0.03, OCCUPIED, FREE)
+            grid = OccupancyGrid(cells, 0.1, (-1.0, 2.0))
+        else:
+            grid = ORACLE_GRIDS[name]
+        rows, cols = np.nonzero(grid.cells == FREE)
+        for k in r.integers(0, len(rows), 20):
+            x, y = np.add(grid.cell_center(rows[k], cols[k]),
+                          r.uniform(-0.5, 0.5, 2) * grid.resolution)
+            headings = wrap_angle(r.uniform(-4.0, 4.0)
+                                  + np.linspace(-math.pi, math.pi, 16, endpoint=False))
+            want = np.array([_ref_clearance(grid, x, y, h, dist) for h in headings])
+            got = sim._clearances(grid, x, y, headings, dist)
+            assert got.tobytes() == want.tobytes()
+            assert [sim._clearance(grid, x, y, h, dist) for h in headings] == \
+                want.tolist()
 
 
 class TestCarvePartialMap:
