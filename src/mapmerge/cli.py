@@ -41,7 +41,7 @@ def _at_least(value, option: str, low: float, strict: bool = False):
 def _filter_config(args) -> FilterConfig:
     """The checked --particles, --view-distance and --seed of a filter run."""
     return FilterConfig(n_particles=_at_least(args.particles, "--particles", 1),
-                        seed=args.seed,
+                        seed=_at_least(args.seed, "--seed", 0),
                         view_update_distance=_at_least(args.view_distance,
                                                        "--view-distance", 0))
 
@@ -56,6 +56,7 @@ def _read(path: str, parse):
 
 def cmd_simulate(args) -> int:
     _at_least(args.length, "--length", 0, strict=True)
+    _at_least(args.seed, "--seed", 0)
     grid = _read(args.map, load_map)
     cfg = sim.WorldConfig(seed=args.seed)
     start = Pose(*_numbers(args.start, "--start", "x,y,theta"))
@@ -83,6 +84,7 @@ def cmd_train_prior(args) -> int:
     _at_least(args.trajectories_per_map, "--trajectories-per-map", 1)
     _at_least(args.length, "--length", 0, strict=True)
     _at_least(args.max_views, "--max-views", 2)
+    _at_least(args.seed, "--seed", 0)
     maps = [_read(p, load_map) for p in args.maps]
     bundle = training.train_prior_bundle(
         maps, sim.WorldConfig(seed=args.seed), ExtractionParams(),

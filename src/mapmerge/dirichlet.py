@@ -74,28 +74,49 @@ def log_evidence(alpha: np.ndarray, data: np.ndarray) -> float | np.ndarray:
     Each column's k x nu block is reduced as one contiguous row, so a batch
     gives bit for bit the values of one call per column.  One column (alpha
     of shape (nu,)) returns a float.
+
+    A zero count's term gammaln(0 + a) is gammaln(a), so gammaln runs once
+    per alpha entry and once per nonzero count, and the terms are bit for
+    bit those of gammaln(f + a) over the whole block.
     """
     a, f = _evidence_args(alpha, data)
     k = f.shape[-2]
     abar = a.sum(axis=-1)
-    terms = gammaln(f + a[..., None, :])
+    ga = gammaln(a)
+    terms = _at_counts(gammaln, ga, a, f)
     val = (terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
            - gammaln(f.sum(axis=-1) + abar[..., None]).sum(axis=-1)
            + k * gammaln(abar)
-           - k * gammaln(a).sum(axis=-1))
+           - k * ga.sum(axis=-1))
     return float(val) if val.ndim == 0 else val
 
 
 def log_evidence_grad(alpha: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Analytic gradient of log_evidence with respect to alpha, with the
-    same batch axes: alpha (..., nu) and data (..., k, nu) give (..., nu)."""
+    same batch axes: alpha (..., nu) and data (..., k, nu) give (..., nu).
+    Like log_evidence, psi runs once per alpha entry and once per nonzero
+    count, bit for bit psi(f + a) over the whole block."""
     a, f = _evidence_args(alpha, data)
     k = f.shape[-2]
     abar = a.sum(axis=-1)[..., None]
-    g = (psi(f + a[..., None, :]).sum(axis=-2) - k * psi(a)
+    pa = psi(a)
+    g = (_at_counts(psi, pa, a, f).sum(axis=-2) - k * pa
          + k * psi(abar)
          - psi(f.sum(axis=-1) + abar).sum(axis=-1, keepdims=True))
     return g
+
+
+def _at_counts(fn, fa, a, f):
+    """fn(f + a) over the (..., k, nu) counts f, given fa = fn(a): zero
+    counts (0 + a == a exactly, -0.0 too) copy fa, and fn runs only at the
+    nonzero counts, NaN and inf among them.  The result is C-contiguous, so
+    it sums in the order fn(f + a) would."""
+    x = f + a[..., None, :]
+    out = np.empty(f.shape)
+    out[...] = fa[..., None, :]
+    nz = f != 0
+    out[nz] = fn(x[nz])
+    return out
 
 
 def _evidence_args(alpha, data):

@@ -234,9 +234,11 @@ def inside_mask(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
 
 
 def _sample_distances(grid: OccupancyGrid, max_range: float) -> np.ndarray:
-    """Distances of the samples along every ray, half a cell apart."""
+    """Distances of the samples along every ray, half a cell apart and
+    none beyond max_range."""
     step = grid.resolution * RAY_STEP_FRACTION
-    return np.arange(step, max_range + step, step)
+    ts = np.arange(step, max_range + step, step)
+    return ts[ts <= max_range]
 
 
 def _sample_cells(grid: OccupancyGrid, t, x, y, cos, sin):
@@ -277,8 +279,9 @@ def _first_stop(grid: OccupancyGrid, xs, ys, angles, max_range: float,
     skip = grid.skip_table(unknown_stops)
     first = np.full(len(c), len(ts), dtype=np.intp)
     state = np.full(len(c), FREE, dtype=np.int8)
-    ray = np.arange(len(c))
-    k = np.zeros(len(c), dtype=np.intp)
+    # a max_range under half a cell leaves no sample: no ray is cast
+    ray = np.arange(len(c) if len(ts) else 0)
+    k = np.zeros(len(ray), dtype=np.intp)
     while len(ray) > DENSE_FINISH_RAYS:
         flat, on = _sample_cells(grid, ts[k], x, y, c, s)
         advance = skip.take(flat, mode="clip")

@@ -454,3 +454,78 @@ def test_batched_evidence_matches_per_column_calls_bitwise(data):
         assert np.array_equal(dirichlet.log_evidence_grad(alpha[c], counts[c]),
                               grad[c])
         assert np.array_equal(grad[c], _ref_log_evidence_grad(alpha[c], counts[c]))
+
+
+@st.composite
+def _sparse_evidence_cases(draw):
+    """alpha of shape batch + (nu,) from ALPHA_FLOOR to ALPHA_CEIL and
+    counts of shape batch + (k, nu): at most 10 % nonzero, with all-zero
+    rows, with all-zero columns or all nonzero, and some -0.0, NaN and
+    infinite counts."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.sampled_from([(), (3,), (3, draw(st.integers(1, 6)))]))
+    k, nu = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    counts = r.integers(1, 50, size=batch + (k, nu)).astype(float)
+    layout = draw(st.sampled_from(["sparse", "zero_rows", "zero_columns", "nonzero"]))
+    if layout == "sparse":
+        nnz = counts.size // 10
+        counts[(r.permutation(counts.size) >= nnz).reshape(counts.shape)] = 0
+    elif layout == "zero_rows":
+        counts *= r.uniform(size=batch + (k, 1)) < 0.5
+    elif layout == "zero_columns":
+        counts *= r.uniform(size=batch + (1, nu)) < 0.5
+    for value in draw(st.lists(st.sampled_from([-0.0, np.nan, np.inf, -np.inf]),
+                               max_size=3)):
+        counts.flat[r.integers(counts.size)] = value
+    lo, hi = math.log(dirichlet.ALPHA_FLOOR), math.log(dirichlet.ALPHA_CEIL)
+    alpha = np.exp(r.uniform(lo, hi, size=batch + (nu,)))
+    if draw(st.booleans()):
+        alpha.flat[r.integers(alpha.size)] = dirichlet.ALPHA_FLOOR
+        alpha.flat[r.integers(alpha.size)] = dirichlet.ALPHA_CEIL
+    return alpha, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_evidence_cases())
+def test_evidence_and_gradient_match_the_dense_form_bitwise(case):
+    """Zero counts take gammaln(a) and psi(a) without evaluating them at
+    0 + a; every value must still be that of the dense per-column form."""
+    alpha, counts = case
+    batch = alpha.shape[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf among the special counts
+        ev = dirichlet.log_evidence(alpha, counts)
+        grad = dirichlet.log_evidence_grad(alpha, counts)
+        assert isinstance(ev, float) == (batch == ())
+        for b in np.ndindex(batch):
+            want = _ref_log_evidence(alpha[b], counts[b])
+            assert np.float64(np.asarray(ev)[b]).tobytes() == np.float64(want).tobytes()
+            assert grad[b].tobytes() == _ref_log_evidence_grad(alpha[b], counts[b]).tobytes()
+
+
+def test_special_functions_run_once_per_column_entry_and_nonzero_count(monkeypatch):
+    """Counts the entries gammaln and psi evaluate in one call on a sparse
+    stack: the alpha entries, the row totals, the column totals and the
+    nonzero counts, far fewer than the dense form's batch * k * nu."""
+    r = rng(5)
+    batch, k, nu = (3, 7), 12, 20
+    counts = r.integers(1, 9, size=batch + (k, nu)).astype(float)
+    counts[r.uniform(size=counts.shape) > 0.05] = 0
+    alpha = np.exp(r.uniform(-2.0, 2.0, size=batch + (nu,)))
+    columns = math.prod(batch)
+    bound = columns * nu + columns * k + columns + np.count_nonzero(counts)
+    assert bound < columns * k * nu / 4
+    entries = {"gammaln": 0, "psi": 0}
+
+    def counted(name, fn):
+        def wrapped(x):
+            entries[name] += np.size(x)
+            return fn(x)
+        return wrapped
+
+    for name in entries:
+        monkeypatch.setattr(dirichlet, name, counted(name, getattr(dirichlet, name)))
+    dirichlet.log_evidence(alpha, counts)
+    assert 0 < entries["gammaln"] <= bound and entries["psi"] == 0
+    entries["gammaln"] = 0
+    dirichlet.log_evidence_grad(alpha, counts)
+    assert 0 < entries["psi"] <= bound and entries["gammaln"] == 0

@@ -554,6 +554,22 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--map", "missing.map", "--start", "3,2.5,0"],
+        ["train-prior", "--maps", "missing.map"],
+        ["localize", "--map", "missing.map", "--prior", "missing.json",
+         "--trajectory", "missing.traj"],
+        ["evaluate", "--manifest", "missing_manifest.json"],
+    ])
+    def test_negative_seed_named_before_any_file_is_read(self, workdir, capsys, command):
+        # every file named here is missing: reading one before --seed is
+        # checked would name the file instead
+        argv = [str(workdir / v) if v.startswith("missing") else v for v in command]
+        code = cli.main([*argv, "--out", str(workdir / "seed_out"), "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be a finite number >= 0, got -1\n"
+        assert not (workdir / "seed_out").exists()
+
     @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5)])
     def test_carve_pose_off_the_map_one_line_error(self, workdir, capsys, x, y):
         # the corridor is 22 x 5 m; x = -0.35 would read column -4

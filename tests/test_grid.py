@@ -239,6 +239,7 @@ def reference_raycast(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
     whether each ray traversed an UNKNOWN cell before it ended."""
     step = g.resolution * RAY_STEP_FRACTION
     ts = np.arange(step, max_range + step, step)
+    ts = ts[ts <= max_range]
     cos, sin = np.cos(angles), np.sin(angles)
     h, w = g.shape
     ranges, crossed = [], []
@@ -269,6 +270,20 @@ class TestRaycast:
         g = OccupancyGrid(cells, 0.05)
         scan = raycast(g, Pose(1.0, 0.25, 0.0), np.array([0.0]), MAX_RANGE)
         assert scan.ranges[0] == MAX_RANGE
+
+    def test_no_range_beyond_max_range_at_coarse_cells(self):
+        # at 0.3 m cells the samples are 0.15 m apart and 8 m is not a
+        # multiple of that: from x = 0.1 the 8.1 m sample would read the
+        # wall cell at x in [8.1, 8.4)
+        cells = np.full((3, 40), FREE, dtype=np.int8)
+        cells[:, 27] = OCCUPIED
+        g = OccupancyGrid(cells, 0.3)
+        assert raycast_full(g, Pose(0.1, 0.45, 0.0), np.array([0.0]), MAX_RANGE)[0] == MAX_RANGE
+        coarse = OccupancyGrid(fixtures.corridor().cells, 0.3)
+        rows, cols = np.nonzero(coarse.cells == FREE)
+        poses = [Pose(*coarse.cell_center(r, c), 0.0) for r, c in zip(rows[::7], cols[::7])]
+        ranges = raycast_full(coarse, poses, default_bearings(91, 2 * math.pi), MAX_RANGE)
+        assert 0.0 < ranges.min() and ranges.max() == MAX_RANGE
 
     def test_rotation_consistency(self):
         g = box_world()
@@ -337,6 +352,7 @@ def reference_first_stop(g: OccupancyGrid, x: float, y: float, angles: np.ndarra
     time: every sample is read, off-grid samples as FREE."""
     step = g.resolution * RAY_STEP_FRACTION
     ts = np.arange(step, max_range + step, step)
+    ts = ts[ts <= max_range]
     cos, sin = np.cos(angles), np.sin(angles)
     h, w = g.shape
     stops = (OCCUPIED, UNKNOWN) if unknown_stops else (OCCUPIED,)
@@ -360,7 +376,7 @@ def _caster_cases(draw):
     """A grid, positions on it and ray angles for _first_stop."""
     side = st.one_of(st.integers(1, 12), st.integers(100, 300))
     h, w = draw(side), draw(side)
-    res = draw(st.sampled_from((0.02, 0.05, 0.1, 0.25, 0.5)))
+    res = draw(st.sampled_from((0.02, 0.05, 0.1, 0.25, 0.3, 0.5)))
     origin = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # sparse grids have long clearances; density 0 has no stopping cell
@@ -393,8 +409,9 @@ def _caster_cases(draw):
                1e-9, -1e-9, math.pi / 2 + 1e-12]
     angles = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(-7.0, 7.0)),
                            min_size=1, max_size=16))
-    # up to 800 samples: more than the 255 one skip can advance
-    max_range = draw(st.sampled_from((0.3, 2.0, 8.0)))
+    # up to 800 samples: more than the 255 one skip can advance; at
+    # 0.25 m cells and above, 0.1 m leaves no sample at all
+    max_range = draw(st.sampled_from((0.1, 0.3, 2.0, 8.0)))
     return g, positions, np.array(angles), max_range
 
 

@@ -176,6 +176,20 @@ class TestGenerateTrajectory:
             sim.generate_trajectory(grid, Pose(0.05, 0.05, 0.0),
                                     "random_explore", 5.0, quiet_config())
 
+    def test_coarse_cells_never_give_a_range_beyond_max_range(self):
+        # the corridor's cells read at 0.3 m, where 8 m is no multiple of the
+        # 0.15 m sample step; a step into a wall cell (the clearance march's
+        # own limit at such cells) may still raise
+        grid = OccupancyGrid(fixtures.corridor().cells, 0.3)
+        cfg = sim.WorldConfig(beam_count=31)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            try:
+                sim.generate_trajectory(grid, sim._random_free_pose(grid, rng),
+                                        "random_explore", 20.0, cfg, rng=rng)
+            except ValueError as exc:
+                assert str(exc) == "scan pose must be in a FREE cell"
+
     def test_stuck_policy_truncates(self):
         # a single free cell leaves no room to move
         cells = np.full((3, 3), OCCUPIED, dtype=np.int8)
@@ -470,6 +484,7 @@ def reference_carve(grid, trajectory, cfg):
     carved = np.full(grid.shape, UNKNOWN, dtype=np.int8)
     step = grid.resolution * RAY_STEP_FRACTION
     ts = np.arange(step, cfg.max_range + step, step)
+    ts = ts[ts <= cfg.max_range]
     h, w = grid.shape
 
     def cell(x, y):
