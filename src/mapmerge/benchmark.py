@@ -19,7 +19,7 @@ from .modelio import PriorBundle
 from .sim import (Trajectory, WorldConfig, carve_partial_map,
                   generate_trajectory, make_training_data, _random_free_pose)
 from .training import fit_prior
-from .views import ExtractionParams, learn_observation_model
+from .views import ExtractionParams
 
 
 @dataclass
@@ -56,9 +56,7 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
                             cfg, params, max_views=max_views,
                             trajectory_length=training_length,
                             split_trajectories=True)
-    obs_model = learn_observation_model(td.confusion_pairs, td.alphabet.nu)
-    priors = dict(zip(names, fit_prior(td, obs_model, params,
-                                       range(len(names)))))
+    priors = dict(zip(names, fit_prior(td, params, range(len(names)))))
 
     rng = np.random.default_rng(seed + 1)
     pairs = []

@@ -57,13 +57,16 @@ def _read(path: str, parse):
 def cmd_simulate(args) -> int:
     _at_least(args.length, "--length", 0, strict=True)
     _at_least(args.seed, "--seed", 0)
-    grid = _read(args.map, load_map)
-    cfg = sim.WorldConfig(seed=args.seed)
     start = Pose(*_numbers(args.start, "--start", "x,y,theta"))
+    if args.waypoints is not None and args.policy != "waypoints":
+        raise ValueError(f"--waypoints needs --policy waypoints, "
+                         f"got --policy {args.policy}")
     waypoints = None
-    if args.policy == "waypoints" and args.waypoints:
+    if args.waypoints:
         waypoints = [_numbers(wp, "each --waypoints entry", "x,y")
                      for wp in args.waypoints.split(";")]
+    grid = _read(args.map, load_map)
+    cfg = sim.WorldConfig(seed=args.seed)
     traj = sim.generate_trajectory(grid, start, args.policy, args.length, cfg,
                                    waypoints=waypoints)
     Path(args.out).write_text(sim.dump_trajectory(traj, cfg))

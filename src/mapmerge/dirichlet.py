@@ -64,13 +64,36 @@ def predictive(alpha: np.ndarray, counts: np.ndarray, i: int, j: int,
     return float((a[i] + f[i]) / (a.sum() + f.sum()))
 
 
-def log_evidence(alpha: np.ndarray, data: np.ndarray) -> float | np.ndarray:
+class PreparedCounts:
+    """Count blocks of shape (..., k, nu) prepared once for many evidence
+    calls: the C-contiguous float counts, their row totals, and the flat
+    positions and values of the nonzero counts (NaN and inf among them,
+    -0.0 not), with the flat index of the alpha entry each pairs with.
+    np.asarray gives back the counts."""
+
+    __slots__ = ("f", "total", "pos", "val", "apos")
+
+    def __init__(self, data):
+        self.f = f = np.ascontiguousarray(data, dtype=float)
+        self.total = f.sum(axis=-1)
+        self.pos = np.flatnonzero(f != 0)  # a bool mask: far faster to scan
+        self.val = f.ravel()[self.pos]
+        k, nu = f.shape[-2:]
+        # a count's block picks the row of alpha, its column the entry
+        self.apos = self.pos // (k * nu) * nu + self.pos % nu
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.f, dtype=dtype, copy=copy)
+
+
+def log_evidence(alpha: np.ndarray, data) -> float | np.ndarray:
     """Log marginal likelihood of per-environment count columns under a
     shared Dirichlet prior column (product of Dirichlet-multinomial
     evidences over environments).
 
     alpha has shape (..., nu) and data (..., k, nu): one row of successor
     counts per environment, for each column of the leading batch axes.
+    data may be an array or PreparedCounts of it; both give the same bits.
     Each column's k x nu block is reduced as one contiguous row, so a batch
     gives bit for bit the values of one call per column.  One column (alpha
     of shape (nu,)) returns a float.
@@ -79,58 +102,61 @@ def log_evidence(alpha: np.ndarray, data: np.ndarray) -> float | np.ndarray:
     per alpha entry and once per nonzero count, and the terms are bit for
     bit those of gammaln(f + a) over the whole block.
     """
-    a, f = _evidence_args(alpha, data)
-    k = f.shape[-2]
+    a, c = _evidence_args(alpha, data)
+    k = c.f.shape[-2]
     abar = a.sum(axis=-1)
     ga = gammaln(a)
-    terms = _at_counts(gammaln, ga, a, f)
+    terms = _at_counts(gammaln, ga, a, c)
     val = (terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
-           - gammaln(f.sum(axis=-1) + abar[..., None]).sum(axis=-1)
+           - gammaln(c.total + abar[..., None]).sum(axis=-1)
            + k * gammaln(abar)
            - k * ga.sum(axis=-1))
     return float(val) if val.ndim == 0 else val
 
 
-def log_evidence_grad(alpha: np.ndarray, data: np.ndarray) -> np.ndarray:
+def log_evidence_grad(alpha: np.ndarray, data) -> np.ndarray:
     """Analytic gradient of log_evidence with respect to alpha, with the
-    same batch axes: alpha (..., nu) and data (..., k, nu) give (..., nu).
-    Like log_evidence, psi runs once per alpha entry and once per nonzero
-    count, bit for bit psi(f + a) over the whole block."""
-    a, f = _evidence_args(alpha, data)
-    k = f.shape[-2]
+    same batch axes: alpha (..., nu) and data (..., k, nu), an array or
+    PreparedCounts, give (..., nu).  Like log_evidence, psi runs once per
+    alpha entry and once per nonzero count, bit for bit psi(f + a) over the
+    whole block."""
+    a, c = _evidence_args(alpha, data)
+    k = c.f.shape[-2]
     abar = a.sum(axis=-1)[..., None]
     pa = psi(a)
-    g = (_at_counts(psi, pa, a, f).sum(axis=-2) - k * pa
+    g = (_at_counts(psi, pa, a, c).sum(axis=-2) - k * pa
          + k * psi(abar)
-         - psi(f.sum(axis=-1) + abar).sum(axis=-1, keepdims=True))
+         - psi(c.total + abar).sum(axis=-1, keepdims=True))
     return g
 
 
-def _at_counts(fn, fa, a, f):
-    """fn(f + a) over the (..., k, nu) counts f, given fa = fn(a): zero
-    counts (0 + a == a exactly, -0.0 too) copy fa, and fn runs only at the
-    nonzero counts, NaN and inf among them.  The result is C-contiguous, so
-    it sums in the order fn(f + a) would."""
-    x = f + a[..., None, :]
-    out = np.empty(f.shape)
+def _at_counts(fn, fa, a, c):
+    """fn(f + a) over the prepared (..., k, nu) counts c, given fa = fn(a):
+    zero counts (0 + a == a exactly, -0.0 too) copy fa, and fn runs only at
+    the nonzero counts, on the same sums f + a.  The result is
+    C-contiguous, so it sums in the order fn(f + a) would."""
+    out = np.empty(c.f.shape)
     out[...] = fa[..., None, :]
-    nz = f != 0
-    out[nz] = fn(x[nz])
+    out.reshape(-1)[c.pos] = fn(c.val + a.reshape(-1)[c.apos])
     return out
 
 
 def _evidence_args(alpha, data):
-    """C-contiguous float copies (so that sums run in the same order
-    whatever the caller's memory layout) with a k axis on the data."""
+    """C-contiguous float alpha (so that sums run in the same order
+    whatever the caller's memory layout) and prepared counts with a k
+    axis."""
     a = np.ascontiguousarray(alpha, dtype=float)
     if not (a > 0.0).all() or not np.isfinite(a).all():
         raise ValueError("alpha column must be strictly positive and finite")
-    f = np.ascontiguousarray(data, dtype=float)
-    if f.ndim == a.ndim:
-        f = f[..., None, :]  # a single environment per column
-    if f.shape[:-2] != a.shape[:-1] or f.shape[-1] != a.shape[-1]:
+    if isinstance(data, PreparedCounts):
+        f = data.f
+    else:
+        f = np.asarray(data, dtype=float)
+        if f.ndim == a.ndim:
+            f = f[..., None, :]  # a single environment per column
+    if f.ndim < 2 or f.shape[:-2] != a.shape[:-1] or f.shape[-1] != a.shape[-1]:
         raise ValueError("data must have shape (..., k, nu) for alpha (..., nu)")
-    return a, f
+    return a, data if isinstance(data, PreparedCounts) else PreparedCounts(f)
 
 
 def map_estimate(data, init: np.ndarray | None = None,
@@ -155,7 +181,8 @@ def map_estimate(data, init: np.ndarray | None = None,
     The (fit, column) pairs are independent, so all of them run in
     lockstep.  Each round evaluates one batched gradient and one batched
     evidence call over the pairs still running, with TRIALS trials per
-    pair: at its step, half of it and a quarter of it.  It takes the first
+    pair: at its step, half of it and a quarter of it.  Their counts are
+    prepared (PreparedCounts) at the start and again only when pairs stop.  It takes the first
     trial that is accepted, which is what the ascent does after at most
     TRIALS - 1 rejections, and ignores every trial the ascent would not
     have tried (after an accepted one, or at a step below the floor).  So
@@ -178,15 +205,15 @@ def map_estimate(data, init: np.ndarray | None = None,
         return alpha.reshape(batch + (nu, nu))
     f = np.ascontiguousarray(stack[fit, :, :, cols])  # (m, k, nu)
     theta = np.log(alpha[fit, :, cols])                # (m, nu)
-    fcur = log_evidence(np.exp(theta), f)
+    counts, trials = _prepare(f)
+    fcur = log_evidence(np.exp(theta), counts)
     _check_finite(np.isfinite(fcur), batch, fit, cols,
                   "non-finite evidence at initialization")
     lo, hi = np.log(ALPHA_FLOOR), np.log(ALPHA_CEIL)
     halvings = 0.5 ** np.arange(TRIALS)[:, None]  # powers of two: exact
-    # state of the pairs still running, compacted as pairs stop; frs holds
-    # their counts once per trial
+    # state of the pairs still running, compacted as pairs stop, with their
+    # counts prepared once and once per trial
     run, th, fc = np.arange(cols.size), theta, fcur
-    frs = np.stack((f,) * TRIALS)
     step = np.ones(cols.size)
     grads = np.zeros(cols.size, dtype=np.int64)
     moved = np.ones(cols.size, dtype=bool)     # theta moved since the last gradient
@@ -194,7 +221,7 @@ def map_estimate(data, init: np.ndarray | None = None,
     while True:
         # where theta did not move, the gradient comes out bit for bit the same
         a = np.exp(th)
-        g = log_evidence_grad(a, frs[0]) * a  # chain rule into log space
+        g = log_evidence_grad(a, counts) * a  # chain rule into log space
         stop = floored | (moved & ((grads >= max_iters)
                                    | (np.abs(g).max(axis=1) < tol)))
         grads += moved
@@ -205,10 +232,11 @@ def map_estimate(data, init: np.ndarray | None = None,
                 x[keep] for x in (run, th, fc, g, step, grads))
             if run.size == 0:
                 break
-            frs = frs[:, keep]
+            f = f[keep]
+            counts, trials = _prepare(f)
         steps = step * halvings
         trial = np.clip(th + steps[:, :, None] * g, lo, hi)
-        fnew = log_evidence(np.exp(trial), frs)
+        fnew = log_evidence(np.exp(trial), trials)
         tried = steps > 1e-14
         acc = tried & (fnew > fc)
         # the ascent tries a step above the floor once every larger one failed
@@ -225,6 +253,12 @@ def map_estimate(data, init: np.ndarray | None = None,
         floored = ~moved & (step <= 1e-14)
     alpha[fit, :, cols] = np.maximum(np.exp(theta), ALPHA_FLOOR)
     return alpha.reshape(batch + (nu, nu))
+
+
+def _prepare(f):
+    """The (m, k, nu) counts prepared as they are and stacked once per
+    trial."""
+    return PreparedCounts(f), PreparedCounts(np.stack((f,) * TRIALS))
 
 
 def _check_finite(ok: np.ndarray, batch: tuple, fit: np.ndarray,

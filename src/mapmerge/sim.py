@@ -105,13 +105,18 @@ def simulate_scan(grid: OccupancyGrid, poses: Sequence[Pose], cfg: WorldConfig,
 
 def _clearance(grid: OccupancyGrid, x: float, y: float, heading: float,
                dist: float) -> float:
-    """Free distance ahead along heading, up to dist (noise-free, fine steps)."""
+    """Free distance ahead along heading, up to dist (noise-free, fine steps).
+    Samples every half cell, and at dist itself when the last of them falls
+    short of it."""
     step = grid.resolution * 0.5
-    t = step
+    last, t = 0.0, step
     while t <= dist:
         if not grid.free_at(x + t * math.cos(heading), y + t * math.sin(heading)):
             return t - step
-        t += step
+        last, t = t, t + step
+    if last < dist and not grid.free_at(x + dist * math.cos(heading),
+                                        y + dist * math.sin(heading)):
+        return last
     return dist
 
 
@@ -127,6 +132,12 @@ def _clearances(grid: OccupancyGrid, x: float, y: float, headings,
     while t <= dist:
         ts.append(t)
         t += step
+    # the value each sample gives when it is the first outside a FREE cell
+    found = np.array(ts) - step
+    last = ts[-1] if ts else 0.0
+    if last < dist:
+        ts.append(dist)
+        found = np.append(found, last)
     ts = np.array(ts)
     xs = ts * np.array([math.cos(h) for h in headings])[:, None]
     xs += x
@@ -138,7 +149,7 @@ def _clearances(grid: OccupancyGrid, x: float, y: float, headings,
     stop = np.ones((len(xs), len(ts) + 1), dtype=bool)
     np.logical_not(on, out=stop[:, :-1])
     stop[:, :-1] |= grid.cells.ravel().take(flat, mode="clip") != FREE
-    return np.append(ts - step, dist)[np.argmax(stop, axis=1)]
+    return np.append(found, dist)[np.argmax(stop, axis=1)]
 
 
 def _odometry_delta(prev: Pose, cur: Pose) -> tuple[float, float, float]:

@@ -374,23 +374,30 @@ def view_of(alphabet: ViewAlphabet, s: str) -> int:
     return alphabet._index.get(canonicalize(s), alphabet.other_id)
 
 
-def learn_observation_model(labeled, nu: int) -> np.ndarray:
-    """Column-stochastic confusion model p(observed = i | true = j).
+def confusion_counts(labeled, nu: int) -> np.ndarray:
+    """Per-environment confusion counts, shape (k, nu, nu): entry [e, i, j]
+    counts environment e's pairs with true view j observed as i.
 
-    labeled: per-environment lists of (true_id, observed_id) pairs.  Confusion
-    counts from each environment share a prior column, MAP-fitted across
-    environments.  Columns with no data anywhere fall back to the prior alone.
-    OBS_FLOOR of uniform mass is mixed into every column, bounding entries
-    away from zero for filters that divide by these likelihoods.
+    labeled: per-environment lists of (true_id, observed_id) pairs.
     """
     if not labeled or any(len(env) == 0 for env in labeled):
         raise ValueError("every environment needs at least one labeled pair")
-    per_env = []
-    for env in labeled:
-        c = np.zeros((nu, nu), dtype=np.int64)
+    counts = np.zeros((len(labeled), nu, nu), dtype=np.int64)
+    for c, env in zip(counts, labeled):
         for true_id, obs_id in env:
             c[obs_id, true_id] += 1
-        per_env.append(c)
-    alpha = dirichlet.map_estimate(per_env)
-    model = dirichlet.predictive_matrix(alpha, np.sum(per_env, axis=0))
-    return (1.0 - OBS_FLOOR) * model + OBS_FLOOR / nu
+    return counts
+
+
+def learn_observation_model(alpha: np.ndarray, confusion: np.ndarray) -> np.ndarray:
+    """Column-stochastic confusion model p(observed = i | true = j).
+
+    alpha: the prior columns MAP-fitted across environments to confusion,
+    the (k, nu, nu) per-environment counts of confusion_counts.  Each column
+    is the posterior predictive given the pooled counts, so a column with no
+    data anywhere falls back to the prior alone.  OBS_FLOOR of uniform mass
+    is mixed into every column, bounding entries away from zero for filters
+    that divide by these likelihoods.
+    """
+    model = dirichlet.predictive_matrix(alpha, np.sum(confusion, axis=0))
+    return (1.0 - OBS_FLOOR) * model + OBS_FLOOR / len(model)

@@ -529,3 +529,84 @@ def test_special_functions_run_once_per_column_entry_and_nonzero_count(monkeypat
     entries["gammaln"] = 0
     dirichlet.log_evidence_grad(alpha, counts)
     assert 0 < entries["psi"] <= bound and entries["gammaln"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_evidence_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_prepared_counts_match_the_array_form_bitwise(case, trial_batched, seed):
+    """Counts prepared once give, at every alpha they are evaluated at, the
+    bits of the array form and of the dense per-column form, also with the
+    counts stacked once per trial against trial-batched alpha."""
+    alpha, counts = case
+    r = np.random.default_rng(seed)
+    if trial_batched:
+        step = r.uniform(-1.0, 1.0, size=(dirichlet.TRIALS,) + alpha.shape)
+        alpha = np.clip(alpha * np.exp(step), dirichlet.ALPHA_FLOOR, dirichlet.ALPHA_CEIL)
+        counts = np.stack((counts,) * dirichlet.TRIALS)
+    prepared = dirichlet.PreparedCounts(counts)
+    assert np.asarray(prepared).tobytes() == counts.tobytes()
+    batch = alpha.shape[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf among the special counts
+        for a in (alpha, alpha * 2.0):
+            ev = dirichlet.log_evidence(a, prepared)
+            grad = dirichlet.log_evidence_grad(a, prepared)
+            assert isinstance(ev, float) == (batch == ())
+            assert np.float64(ev).tobytes() == \
+                np.float64(dirichlet.log_evidence(a, counts)).tobytes()
+            assert grad.tobytes() == dirichlet.log_evidence_grad(a, counts).tobytes()
+            for b in np.ndindex(batch):
+                want = _ref_log_evidence(a[b], counts[b])
+                assert np.float64(np.asarray(ev)[b]).tobytes() == \
+                    np.float64(want).tobytes()
+                assert grad[b].tobytes() == \
+                    _ref_log_evidence_grad(a[b], counts[b]).tobytes()
+
+
+def test_prepared_counts_must_match_alpha():
+    prepared = dirichlet.PreparedCounts(np.ones((3, 2, 4)))
+    for alpha in (np.ones((2, 4)), np.ones((3, 5)), np.ones(4)):
+        with pytest.raises(ValueError, match="data must have shape"):
+            dirichlet.log_evidence(alpha, prepared)
+    with pytest.raises(ValueError, match="data must have shape"):
+        dirichlet.log_evidence_grad(np.ones((2, 4)), np.ones(4))
+
+
+def test_map_estimate_finds_nonzero_counts_once_per_compaction(monkeypatch):
+    """map_estimate prepares its counts (their nonzero positions among
+    them) at the start and each time pairs stop, in two forms: as they are
+    for the gradient and once per trial for the evidence.  Every round
+    between reuses them."""
+    r = rng(9)
+    counts = r.integers(1, 9, size=(2, 3, 6, 6)) * (r.random((2, 3, 6, 6)) < 0.3)
+    made, sizes = [], []
+
+    class Counting(dirichlet.PreparedCounts):
+        __slots__ = ()
+
+        def __init__(self, data):
+            made.append(np.shape(data))
+            super().__init__(data)
+
+    grad = dirichlet.log_evidence_grad
+
+    def recording(alpha, data):
+        assert isinstance(data, Counting)
+        sizes.append(len(alpha))
+        return grad(alpha, data)
+
+    monkeypatch.setattr(dirichlet, "PreparedCounts", Counting)
+    monkeypatch.setattr(dirichlet, "log_evidence_grad", recording)
+    got = dirichlet.map_estimate(counts, max_iters=200)
+    monkeypatch.undo()
+    # the running pairs change size once per compaction, and the last
+    # compaction, which stops every pair, prepares nothing
+    running = [sizes[0]] + [b for a, b in zip(sizes, sizes[1:]) if b != a]
+    assert len(running) >= 3
+    want = []
+    for m in running:
+        want += [(m, 3, 6), (dirichlet.TRIALS, m, 3, 6)]
+    assert made == want
+    assert len(sizes) > 20 * len(made)
+    assert got.tobytes() == np.array(
+        [_ref_map_estimate(list(counts[b]), None, max_iters=200)
+         for b in range(2)]).tobytes()

@@ -570,6 +570,20 @@ class TestCLI:
         assert capsys.readouterr().err == "error: --seed must be a finite number >= 0, got -1\n"
         assert not (workdir / "seed_out").exists()
 
+    @pytest.mark.parametrize("policy", [[], ["--policy", "random_explore"],
+                                        ["--policy", "wall_follow"]])
+    def test_waypoints_without_waypoints_policy_rejected_before_the_map_is_read(
+            self, workdir, capsys, policy):
+        # the map is missing: reading it first would name the file instead
+        code = cli.main(["simulate", "--map", str(workdir / "missing.map"),
+                         "--start", "3,2.5,0", "--waypoints", "8,2.5", *policy,
+                         "--out", str(workdir / "x.traj")])
+        assert code == 1
+        name = policy[1] if policy else "random_explore"
+        assert capsys.readouterr().err == (
+            f"error: --waypoints needs --policy waypoints, got --policy {name}\n")
+        assert not (workdir / "x.traj").exists()
+
     @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5)])
     def test_carve_pose_off_the_map_one_line_error(self, workdir, capsys, x, y):
         # the corridor is 22 x 5 m; x = -0.35 would read column -4
