@@ -29,9 +29,12 @@ DENSE_BLOCK_RAYS = 256
 
 
 def wrap_angle(theta):
-    """Normalize angles to (-pi, pi]."""
-    t = np.asarray(theta, dtype=float)
-    out = -(np.mod(-t + np.pi, 2.0 * np.pi) - np.pi)
+    """Normalize angles to (-pi, pi]: -(mod(pi - t, 2 pi) - pi), bit for bit
+    as np.mod computes it."""
+    # np.mod of floats is fmod with the divisor added to remainders of the
+    # other sign (and a zero made +0.0, which r + 0.0 does here too)
+    r = np.fmod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+    out = -(r + (r < 0) * (2.0 * np.pi) - np.pi)
     return float(out) if np.isscalar(theta) else out
 
 

@@ -61,7 +61,6 @@ class ParticleSet:
     poses: np.ndarray          # (N, 3)
     log_weights: np.ndarray    # (N,), normalized so logsumexp == 0
     rng: np.random.Generator
-    distance_since_update: float = 0.0
     _inside: np.ndarray | None = field(default=None, repr=False)
     # the grid the inside flags are due on, set by a motion step
     _inside_due: OccupancyGrid | None = field(default=None, repr=False)
@@ -110,22 +109,24 @@ def init_filter(grid: OccupancyGrid, n: int, seed) -> ParticleSet:
 
 
 def motion_update(ps: ParticleSet, u, noise: MotionNoise, grid: OccupancyGrid) -> ParticleSet:
-    """Advance every particle by the odometry delta u = (d_trans, d_rot1,
-    d_rot2) plus sampled Gaussian noise.  The inside flags fall due: the next
-    read of ps.inside computes them on grid from the moved poses."""
-    d_trans, d_rot1, d_rot2 = u
-    s_trans, s_rot = noise.sigmas(d_trans, d_rot1, d_rot2)
-    n = ps.n
-    rng = ps.rng
-    r1 = d_rot1 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
-    dt = d_trans + (rng.normal(0.0, s_trans, n) if s_trans > 0 else 0.0)
-    r2 = d_rot2 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
-    heading = ps.poses[:, 2] + r1
-    ps.poses[:, 0] += dt * np.cos(heading)
-    ps.poses[:, 1] += dt * np.sin(heading)
-    ps.poses[:, 2] = wrap_angle(heading + r2)
+    """Advance every particle through the odometry deltas u, one (d_trans,
+    d_rot1, d_rot2) or a (k, 3) block of them in order, each plus sampled
+    Gaussian noise.  A block is bit for bit k calls with one row each.  The
+    inside flags fall due: the next read of ps.inside computes them on grid
+    from the moved poses."""
+    n, rng = ps.n, ps.rng
+    x, y, theta = (np.ascontiguousarray(ps.poses[:, j]) for j in range(3))
+    for d_trans, d_rot1, d_rot2 in np.asarray(u, dtype=float).reshape(-1, 3).tolist():
+        s_trans, s_rot = noise.sigmas(d_trans, d_rot1, d_rot2)
+        r1 = d_rot1 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
+        dt = d_trans + (rng.normal(0.0, s_trans, n) if s_trans > 0 else 0.0)
+        r2 = d_rot2 + (rng.normal(0.0, s_rot, n) if s_rot > 0 else 0.0)
+        heading = theta + r1
+        x += dt * np.cos(heading)
+        y += dt * np.sin(heading)
+        theta = wrap_angle(heading + r2)
+    ps.poses[:, 0], ps.poses[:, 1], ps.poses[:, 2] = x, y, theta
     ps._inside_due = grid
-    ps.distance_since_update += abs(d_trans)
     return ps
 
 
@@ -191,12 +192,13 @@ def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int, structure,
         log_out = math.log(l_out)
     ins = ps.inside
     if ins.any():
-        vids = view_field.views_at(ps.poses[ins])
+        poses_in = ps.poses[ins]
+        vids = view_field.views_at(poses_in)
         nu = obs_model.shape[0]
         lik = np.where(vids >= 0, obs_model[z_view, np.maximum(vids, 0)], 1.0 / nu)
         ps.log_weights[ins] += np.log(lik)
         if scan_params is not None:
-            refine = scan_log_likelihoods(grid, ps.poses[ins], scan, scan_params)
+            refine = scan_log_likelihoods(grid, poses_in, scan, scan_params)
             prior = ps.log_weights[ins]
             refine -= logsumexp(prior + refine) - logsumexp(prior)
             ps.log_weights[ins] += refine
@@ -208,28 +210,30 @@ def measurement_update(ps: ParticleSet, scan: RangeScan, z_view: int, structure,
     if not np.isfinite(total):
         raise FilterDivergence("all particle weights underflowed")
     ps.log_weights -= total
-    ps.distance_since_update = 0.0
     return log_out
 
 
 def effective_sample_size(ps: ParticleSet) -> float:
-    w = ps.weights()
+    return _ess(ps.weights())
+
+
+def _ess(w: np.ndarray) -> float:
     return 1.0 / float(np.sum(w * w))
 
 
 def resample_if_needed(ps: ParticleSet) -> ParticleSet:
     """Systematic resampling when the effective sample size drops below N/2."""
     n = ps.n
-    if effective_sample_size(ps) >= n / 2.0:
-        return ps
     w = ps.weights()
+    if _ess(w) >= n / 2.0:
+        return ps
     w = w / w.sum()
     positions = (ps.rng.random() + np.arange(n)) / n
     idx = np.searchsorted(np.cumsum(w), positions)
     idx = np.minimum(idx, n - 1)
     # the flags first: a due mask must be computed from the old poses
-    ps.inside = ps.inside[idx].copy()
-    ps.poses = ps.poses[idx].copy()
+    ps.inside = ps.inside[idx]
+    ps.poses = ps.poses[idx]
     ps.log_weights = np.full(n, -math.log(n))
     return ps
 
@@ -269,8 +273,10 @@ class StepRecord:
 
 def run_localization(grid: OccupancyGrid, structure, bundle: PriorBundle, trajectory,
                      config: FilterConfig, view_field=None) -> list[StepRecord]:
-    """Drive the filter over a trajectory: motion update per odometry record,
-    measurement update every view_update_distance meters traveled.
+    """Drive the filter over a trajectory: a measurement update every
+    view_update_distance meters of odometry, and before each one a single
+    motion update through the odometry records since the last.  Records
+    after the last measurement update move no particle: nothing reads them.
 
     Scans are read as views with the prior's alphabet and extraction
     parameters, and inside particles are weighted by its observation model
@@ -283,12 +289,16 @@ def run_localization(grid: OccupancyGrid, structure, bundle: PriorBundle, trajec
     ps = init_filter(grid, config.n_particles, config.seed)
     noise, scan_params = MotionNoise(), ScanLikelihoodParams()
     records: list[StepRecord] = []
-    distance_total = 0.0
+    odoms = [rec.odom for rec in trajectory.records]
+    distance_total = distance_since_update = 0.0
+    moved = 0  # records the particles have moved through
     for step, rec in enumerate(trajectory.records):
-        motion_update(ps, rec.odom, noise, grid)
         distance_total += abs(rec.odom[0])
-        if ps.distance_since_update < config.view_update_distance:
+        distance_since_update += abs(rec.odom[0])
+        if distance_since_update < config.view_update_distance:
             continue
+        motion_update(ps, odoms[moved:step + 1], noise, grid)
+        moved, distance_since_update = step + 1, 0.0
         s = _views.extract_scan_string(rec.scan, bundle.extraction)
         z = _views.view_of(bundle.alphabet, s)
         log_out = measurement_update(ps, rec.scan, z, structure, grid, scan_params,

@@ -121,19 +121,47 @@ class TestMotion:
         se = s_trans / math.sqrt(n)
         assert abs(ps.poses[:, 0].mean() - 30.5) < 3 * se + 1e-6
 
-    def test_distance_accumulates(self):
-        grid = box_world()
-        ps = init_filter(grid, 5, seed=0)
-        motion_update(ps, (0.3, 0, 0), MotionNoise(), grid)
-        motion_update(ps, (0.4, 0, 0), MotionNoise(), grid)
-        assert ps.distance_since_update == pytest.approx(0.7)
-
     def test_weights_unchanged(self):
         grid = box_world()
         ps = init_filter(grid, 5, seed=0)
         w = ps.log_weights.copy()
         motion_update(ps, (0.3, 0.05, 0.0), MotionNoise(), grid)
         np.testing.assert_array_equal(ps.log_weights, w)
+
+    @pytest.mark.parametrize("noise", [
+        MotionNoise(), MotionNoise(0, 0, 0, 0, 0, 0),
+        MotionNoise(a_rot_per_rot=0, a_rot_per_trans=0, floor_rot=0)],
+        ids=["default", "noiseless", "trans_only"])
+    def test_block_equals_row_by_row(self, noise):
+        # rows from the odometry model's range, plus zero and -0.0 deltas
+        r = np.random.default_rng(11)
+        block = np.column_stack((r.uniform(0.0, 0.3, 12), r.uniform(-0.6, 0.6, 12),
+                                 r.uniform(-0.6, 0.6, 12)))
+        block[3] = 0.0
+        block[7] = -0.0
+        block[9, 1:] = (-0.0, 0.0)
+        grid = box_world()
+        blocked, rows, oracle = (init_filter(grid, 50, seed=4) for _ in range(3))
+        for ps in (blocked, rows, oracle):
+            ps.poses[::5, 2] = -0.0
+        motion_update(blocked, block, noise, grid)
+        for u in block:
+            motion_update(rows, tuple(u), noise, grid)
+            _eager_motion_update(oracle, tuple(u), noise, grid)
+        for ps in (rows, oracle):
+            assert blocked.poses.tobytes() == ps.poses.tobytes()
+            np.testing.assert_array_equal(blocked.inside, ps.inside)
+        assert blocked.rng.random() == rows.rng.random() == oracle.rng.random()
+
+    def test_negative_zero_delta_matches_oracle(self):
+        # the sign of a zero sum shows only in a pose coordinate that is zero
+        grid = box_world()
+        ps, oracle = (init_filter(grid, 5, seed=0) for _ in range(2))
+        ps.poses[:] = oracle.poses[:] = -0.0
+        u, noise = (-0.0, -0.0, -0.0), MotionNoise(0, 0, 0, 0, 0, 0)
+        motion_update(ps, [u], noise, grid)
+        _eager_motion_update(oracle, u, noise, grid)
+        assert ps.poses.tobytes() == oracle.poses.tobytes()
 
 
 class TestMeasurement:
@@ -206,15 +234,6 @@ class TestMeasurement:
         measurement_update(ps, scan, 0, FixedOutsideModel(0.5), grid,
                            ScanLikelihoodParams(), bounds_factor=3.0, **model)
         assert ps.weights()[0] < 1e-6
-
-    def test_resets_distance(self, model):
-        grid = box_world()
-        ps = init_filter(grid, 10, seed=0)
-        ps.distance_since_update = 2.5
-        scan = self.scan_at(grid, Pose(3, 3, 0))
-        measurement_update(ps, scan, 0, FixedOutsideModel(0.01), grid,
-                           ScanLikelihoodParams(), **model)
-        assert ps.distance_since_update == 0.0
 
 
 class TestResampling:
@@ -365,7 +384,6 @@ def _eager_motion_update(ps, u, noise, grid):
     ps.poses[:, 1] += dt * np.sin(heading)
     ps.poses[:, 2] = wrap_angle(heading + r2)
     ps.inside = inside_mask(grid, ps.poses[:, 0], ps.poses[:, 1])
-    ps.distance_since_update += abs(d_trans)
     return ps
 
 
@@ -389,19 +407,20 @@ def _reference_measurement_update(ps, scan, z_view, structure, grid, scan_params
         ps.log_weights[~ins] += log_out
     ps.log_weights += _bounds_log_penalty(ps, grid, bounds_factor)
     ps.log_weights -= lse(ps.log_weights)
-    ps.distance_since_update = 0.0
     return log_out
 
 
 def _reference_localization(grid, structure, bundle, trajectory, config, view_field):
     ps = init_filter(grid, config.n_particles, config.seed)
     records = []
-    distance_total = 0.0
+    distance_total = distance_since_update = 0.0
     for step, rec in enumerate(trajectory.records):
         _eager_motion_update(ps, rec.odom, MotionNoise(), grid)
         distance_total += abs(rec.odom[0])
-        if ps.distance_since_update < config.view_update_distance:
+        distance_since_update += abs(rec.odom[0])
+        if distance_since_update < config.view_update_distance:
             continue
+        distance_since_update = 0.0
         # a fresh extraction every step, never the scan's memo
         s = views_module.extract_scan_strings(rec.scan.ranges[None], rec.scan.angles,
                                               rec.scan.max_range, bundle.extraction)[0]
@@ -496,9 +515,9 @@ class TestInsideFlags:
 class TestReplayMatchesReference:
     """run_localization against the reference loop: the same StepRecords,
     float for float, with a ViewField passed in or built by the filter, and
-    with a prior whose extraction parameters are not the defaults; two
-    methods replay one trajectory (the second reads the memoised scan
-    strings)."""
+    with a prior whose extraction parameters are not the defaults, and on a
+    trajectory that ends between two measurement steps; two methods replay
+    one trajectory (the second reads the memoised scan strings)."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -517,7 +536,8 @@ class TestReplayMatchesReference:
                                        20.0, cfg, waypoints=[(28.0, 2.5)])
         return partial, bundle, traj
 
-    @pytest.mark.parametrize("case", ["given_field", "built_field", "gap_threshold_0.5"])
+    @pytest.mark.parametrize("case", ["given_field", "built_field", "gap_threshold_0.5",
+                                      "ends_mid_interval"])
     def test_step_records_equal_reference(self, setup, case):
         partial, bundle, traj = setup
         if case == "gap_threshold_0.5":
@@ -529,6 +549,8 @@ class TestReplayMatchesReference:
                       for r in traj.records] for p in (bundle.extraction,
                                                        ExtractionParams())]
             assert views[0] != views[1]
+        if case == "ends_mid_interval":
+            traj = sim.Trajectory(traj.records[:-3])
         fc = FilterConfig(n_particles=400, seed=3, view_update_distance=1.0)
         field = grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
                                       *traj.scan_geometry)
@@ -542,6 +564,9 @@ class TestReplayMatchesReference:
             partial, evalharness.method_builder(m)(bundle, partial),
             bundle, traj, fc, field) for m in methods]
         assert got == want
+        if case == "ends_mid_interval":
+            # records after the last measurement step, which move no particle
+            assert got[0][-1].step < len(traj.records) - 1
         inside = [r.inside_mass for r in got[0]]
         assert min(inside) < 0.99 and max(inside) > 0.01
 

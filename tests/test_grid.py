@@ -53,6 +53,35 @@ class TestWrapAngle:
         out = wrap_angle(np.array([0.0, 3 * math.pi]))
         np.testing.assert_allclose(out, [0.0, math.pi])
 
+    _EDGES = [e for k in (0, 1, 2, 3) for s in (1.0, -1.0)
+              for e in (np.nextafter(s * k * math.pi, -np.inf), s * k * math.pi,
+                        np.nextafter(s * k * math.pi, np.inf))]
+    _ANGLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_EDGES))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 30), elements=_ANGLES))
+    def test_array_matches_mod_form_bitwise(self, t):
+        want = -(np.mod(-t + np.pi, 2.0 * np.pi) - np.pi)
+        assert wrap_angle(t).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_ANGLES, _ANGLES.map(np.float64)))
+    def test_scalar_matches_mod_form_bitwise(self, theta):
+        want = -(np.mod(-np.float64(theta) + np.pi, 2.0 * np.pi) - np.pi)
+        out = wrap_angle(theta)
+        assert type(out) is float
+        assert np.float64(out).view(np.int64) == want.view(np.int64)
+
+    def test_nonfinite_give_nan(self):
+        t = np.array([np.inf, -np.inf, np.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            want = -(np.mod(-t + np.pi, 2.0 * np.pi) - np.pi)
+            got = wrap_angle(t)
+        np.testing.assert_array_equal(np.isnan(got), [True, True, True, False])
+        np.testing.assert_array_equal(np.isnan(want), np.isnan(got))
+        assert got[3] == want[3]
+
 
 class TestPose:
     def test_normalizes_theta(self):
