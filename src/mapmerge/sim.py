@@ -5,9 +5,10 @@ view-transition training data used to fit the structural prior."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,112 +197,157 @@ def _next_heading(grid: OccupancyGrid, pose: Pose, policy, waypoint,
     return goal_heading[0]
 
 
+class _Step(NamedTuple):
+    """One walked step: its true pose, its noisy odometry, and the range
+    noise and dropout uniforms its scan is sensed with (None for no noise or
+    no dropout)."""
+    pose: Pose
+    odom: tuple[float, float, float]
+    noise: np.ndarray | None
+    uniforms: np.ndarray | None
+
+
+@dataclass
+class _Walk:
+    """A run's steps without their scans.  Iterating walks it: each step
+    makes the heading search, checks its pose is FREE, and draws its
+    odometry noise, then its scan's range noise and dropout uniforms, from
+    rng, every draw a sensed step makes.  Sensing draws nothing, so which
+    steps are then sensed leaves rng's stream as it is.  truncated tells,
+    once the walk is done, whether it ended stuck."""
+    grid: OccupancyGrid
+    start: Pose
+    policy: str
+    length: float
+    cfg: WorldConfig
+    rng: np.random.Generator
+    waypoints: Sequence | None = None
+    truncated: bool = False
+
+    def __iter__(self) -> Iterator[_Step]:
+        grid, policy, cfg, rng, waypoints = (self.grid, self.policy, self.cfg,
+                                             self.rng, self.waypoints)
+        if not grid.free_at(self.start.x, self.start.y):
+            raise ValueError("start pose must be in a FREE cell")
+        if policy == "waypoints" and not waypoints:
+            raise ValueError("waypoints policy requires a waypoint list")
+        if policy not in ("waypoints", "wall_follow", "random_explore"):
+            raise ValueError(f"unknown policy {policy!r}")
+        pose = self.start
+        traveled = 0.0
+        wp_idx = 0
+        goal_heading = [None]
+        max_turn = math.radians(35.0)
+        stuck = 0
+        while traveled < self.length:
+            if policy == "waypoints":
+                if wp_idx >= len(waypoints):
+                    break
+                wp = waypoints[wp_idx]
+                if math.hypot(wp[0] - pose.x, wp[1] - pose.y) < 0.3:
+                    wp_idx += 1
+                    continue
+            else:
+                wp = None
+            desired = _next_heading(grid, pose, policy, wp, rng, goal_heading)
+            turn = np.clip(wrap_angle(desired - pose.theta), -max_turn, max_turn)
+            heading = wrap_angle(pose.theta + turn)
+            advance = min(MAX_STEP, _clearance(grid, pose.x, pose.y, heading, MAX_STEP))
+            if advance < grid.resolution:
+                # rotate in place toward the desired heading and try again
+                new_pose = Pose(pose.x, pose.y, heading)
+                stuck += 1
+                if stuck > 40:
+                    self.truncated = True
+                    return
+            else:
+                stuck = 0
+                new_pose = Pose(pose.x + advance * math.cos(heading),
+                                pose.y + advance * math.sin(heading), heading)
+                traveled += advance
+            odom = _noisy_odom(_odometry_delta(pose, new_pose), cfg.odom_noise, rng)
+            if not grid.free_at(new_pose.x, new_pose.y):
+                raise ValueError("scan pose must be in a FREE cell")
+            noise = (rng.normal(0.0, cfg.range_noise_sigma, cfg.beam_count)
+                     if cfg.range_noise_sigma > 0 else None)
+            uniforms = rng.random(cfg.beam_count) if cfg.dropout_prob > 0 else None
+            yield _Step(new_pose, odom, noise, uniforms)
+            pose = new_pose
+
+
+def _sensed(grid: OccupancyGrid, steps: Iterable[_Step],
+            cfg: WorldConfig) -> Iterator[tuple[_Step, RangeScan]]:
+    """Each of steps with its scan.  simulate_scan casts the pending steps
+    each time about CAST_CHUNK_RAYS rays are pending, and once at the end;
+    a step's rows live only until its chunk is cast and handed on."""
+    per_cast = max(1, CAST_CHUNK_RAYS // cfg.beam_count)
+    pending: list[_Step] = []
+    for step in steps:
+        pending.append(step)
+        if len(pending) == per_cast:
+            yield from _cast(grid, pending, cfg)
+            pending = []
+    if pending:
+        yield from _cast(grid, pending, cfg)
+
+
+def _cast(grid: OccupancyGrid, steps: list[_Step],
+          cfg: WorldConfig) -> Iterator[tuple[_Step, RangeScan]]:
+    poses, _, noise, uniforms = zip(*steps)
+    scans = simulate_scan(grid, poses, cfg,
+                          None if noise[0] is None else np.array(noise),
+                          None if uniforms[0] is None else np.array(uniforms))
+    return zip(steps, scans)
+
+
 def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
                         length: float, cfg: WorldConfig,
                         rng: np.random.Generator | None = None,
                         waypoints=None) -> Trajectory:
     """Collision-free true poses with step <= 0.25 m, noisy recorded odometry,
-    and a simulated scan per step.
+    and a simulated scan at every step.
 
     policy: 'waypoints' (requires waypoints list of (x, y)), 'wall_follow',
     or 'random_explore'.
 
-    Each step draws its odometry noise, then its scan's range noise and
-    dropout uniforms, from rng.  The scans themselves are cast by
-    simulate_scan in chunks of about CAST_CHUNK_RAYS rays, each time that
-    many steps are pending and once at the end, which leaves every output
-    and rng's final state as casting each step's scan at once would.
+    The run is walked by _Walk: each step draws its odometry noise, then
+    its scan's range noise and dropout uniforms, from rng.  Every step is
+    sensed: simulate_scan casts the scans in chunks of about
+    CAST_CHUNK_RAYS rays, each time that many steps are pending and once at
+    the end, which leaves every output and rng's final state as casting
+    each step's scan at once would.  Casting draws nothing, so callers that
+    sense fewer steps of a walk (make_training_data) or none
+    (build_benchmark's explorations) leave rng as this does.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if not grid.free_at(start.x, start.y):
-        raise ValueError("start pose must be in a FREE cell")
-    if policy == "waypoints" and not waypoints:
-        raise ValueError("waypoints policy requires a waypoint list")
-    if policy not in ("waypoints", "wall_follow", "random_explore"):
-        raise ValueError(f"unknown policy {policy!r}")
-
-    records: list[TrajectoryRecord] = []
-    # steps not yet cast: (pose, odometry, range noise, dropout uniforms)
-    pending: list[tuple] = []
-    per_cast = max(1, CAST_CHUNK_RAYS // cfg.beam_count)
-
-    def cast_pending():
-        poses, odoms, noise, uniforms = zip(*pending)
-        scans = simulate_scan(grid, poses, cfg,
-                              None if noise[0] is None else np.array(noise),
-                              None if uniforms[0] is None else np.array(uniforms))
-        records.extend(map(TrajectoryRecord, poses, odoms, scans))
-        pending.clear()
-
-    pose = start
-    traveled = 0.0
-    wp_idx = 0
-    goal_heading = [None]
-    truncated = False
-    max_turn = math.radians(35.0)
-    stuck = 0
-    while traveled < length:
-        if policy == "waypoints":
-            if wp_idx >= len(waypoints):
-                break
-            wp = waypoints[wp_idx]
-            if math.hypot(wp[0] - pose.x, wp[1] - pose.y) < 0.3:
-                wp_idx += 1
-                continue
-        else:
-            wp = None
-        desired = _next_heading(grid, pose, policy, wp, rng, goal_heading)
-        turn = np.clip(wrap_angle(desired - pose.theta), -max_turn, max_turn)
-        heading = wrap_angle(pose.theta + turn)
-        advance = min(MAX_STEP, _clearance(grid, pose.x, pose.y, heading, MAX_STEP))
-        if advance < grid.resolution:
-            # rotate in place toward the desired heading and try again
-            new_pose = Pose(pose.x, pose.y, heading)
-            stuck += 1
-            if stuck > 40:
-                truncated = True
-                break
-        else:
-            stuck = 0
-            new_pose = Pose(pose.x + advance * math.cos(heading),
-                            pose.y + advance * math.sin(heading), heading)
-            traveled += advance
-        odom = _noisy_odom(_odometry_delta(pose, new_pose), cfg.odom_noise, rng)
-        if not grid.free_at(new_pose.x, new_pose.y):
-            raise ValueError("scan pose must be in a FREE cell")
-        noise = (rng.normal(0.0, cfg.range_noise_sigma, cfg.beam_count)
-                 if cfg.range_noise_sigma > 0 else None)
-        uniforms = rng.random(cfg.beam_count) if cfg.dropout_prob > 0 else None
-        pending.append((new_pose, odom, noise, uniforms))
-        if len(pending) == per_cast:
-            cast_pending()
-        pose = new_pose
-    if pending:
-        cast_pending()
-    return Trajectory(records=records, truncated=truncated)
+    walk = _Walk(grid, start, policy, length, cfg, rng, waypoints)
+    records = [TrajectoryRecord(step.pose, step.odom, scan)
+               for step, scan in _sensed(grid, walk, cfg)]
+    return Trajectory(records=records, truncated=walk.truncated)
 
 
-def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory,
+def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory | Sequence[Pose],
                       cfg: WorldConfig) -> OccupancyGrid:
-    """Partial map as the trajectory's robot would have built it: noise-free
-    rays from every recorded pose reveal the cells they traverse and the
-    OCCUPIED cell that stops them, and a pose in a FREE cell reveals that
-    cell; everything else stays UNKNOWN.  A pose off the grid raises a
-    ValueError that names its record."""
+    """Partial map as a robot along the trajectory (its records' true poses,
+    or the given poses) would have built it: noise-free rays from every pose
+    reveal the cells they traverse and the OCCUPIED cell that stops them,
+    and a pose in a FREE cell reveals that cell; everything else stays
+    UNKNOWN.  Only poses are read, so a run carved from need not be sensed.
+    A pose off the grid raises a ValueError that names its record."""
+    poses = ([r.true_pose for r in trajectory.records]
+             if isinstance(trajectory, Trajectory) else list(trajectory))
     cells = grid.cells.ravel()
     seen = np.zeros(cells.size, dtype=bool)
-    records = trajectory.records
-    flat, on = cell_index(grid, np.array([r.true_pose.x for r in records], dtype=float),
-                          np.array([r.true_pose.y for r in records], dtype=float))
+    flat, on = cell_index(grid, np.array([p.x for p in poses], dtype=float),
+                          np.array([p.y for p in poses], dtype=float))
     if not on.all():
         k = int(np.argmin(on))
-        p = records[k].true_pose
+        p = poses[k]
         raise ValueError(f"trajectory record {k}: pose ({p.x!r}, {p.y!r}) is off the map")
     seen[flat[cells[flat] == FREE]] = True
     ts = _sample_distances(grid, cfg.max_range)
-    for rec in records:
-        pose = rec.true_pose
+    for pose in poses:
         angles = pose.theta + cfg.bearings
         # every sample up to and including the first OCCUPIED one
         flat, on = _sample_cells(grid, ts[None, :], pose.x, pose.y,
@@ -313,29 +359,46 @@ def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory,
     return OccupancyGrid(carved, grid.resolution, grid.origin)
 
 
-def _subsample(records: list[TrajectoryRecord], spacing: float):
-    """The records every >= spacing meters of travel, the first included."""
-    out = []
-    dist = math.inf  # take the first record
+def _subsample(poses: Iterable[Pose], spacing: float) -> Iterator[int]:
+    """The indices of the poses every >= spacing meters of travel, the first
+    included.  Each index is yielded as soon as its pose is read, so the
+    poses may be walked as they are picked."""
+    dist = math.inf  # take the first pose
     prev = None
-    for rec in records:
+    for k, pose in enumerate(poses):
         if prev is not None:
-            dist += math.hypot(rec.true_pose.x - prev.x, rec.true_pose.y - prev.y)
-        prev = rec.true_pose
+            dist += math.hypot(pose.x - prev.x, pose.y - prev.y)
+        prev = pose
         if dist < spacing:
             continue
         dist = 0.0
-        out.append(rec)
-    return out
+        yield k
 
 
 def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
                      params: ExtractionParams, spacing: float = 2.0):
     """Scan strings (or view ids, when an alphabet is given) sampled every
     >= spacing meters of travel along the trajectory."""
-    strings = [_views.extract_scan_string(rec.scan, params)
-               for rec in _subsample(trajectory.records, spacing)]
+    records = trajectory.records
+    strings = [_views.extract_scan_string(records[k].scan, params)
+               for k in _subsample((r.true_pose for r in records), spacing)]
     return strings if alphabet is None else [view_of(alphabet, s) for s in strings]
+
+
+def _picked_steps(walk: _Walk, poses: list[Pose], spacing: float) -> Iterator[_Step]:
+    """The steps of walk that _subsample picks, each yielded as soon as it
+    is walked; every other step's rows are dropped when the next step is
+    walked.  Every step's pose is appended to poses."""
+    step = None
+
+    def walked():
+        nonlocal step
+        for step in walk:
+            poses.append(step.pose)
+            yield step.pose
+
+    for _ in _subsample(walked(), spacing):
+        yield step
 
 
 @dataclass
@@ -386,6 +449,11 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     just sensor noise.  The first PARTNER_FRACTION of the partner trajectory
     builds that partial map, leaving frontiers as sparse exploration does.
 
+    Each run is walked with every draw generate_trajectory makes, but only
+    the steps the subsample picks are sensed, each as it is walked: the
+    rows of every other step are dropped at once.  Outputs are bit for bit
+    those of subsampling whole generated trajectories.
+
     With split_trajectories each trajectory becomes its own training sample
     (count matrix); otherwise one sample aggregates a whole map.
     """
@@ -399,24 +467,24 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     # (map, trajectory, noisy view strings, reference ("true") view strings)
     samples: list[tuple[int, int, list[str], list[str]]] = []
     for m, grid in enumerate(maps):
-        trajs = []
+        runs = []  # per trajectory: every pose, and the picked poses and scans
         for _ in range(trajectories_per_map):
-            start = _random_free_pose(grid, rng)
-            trajs.append(generate_trajectory(grid, start, "random_explore",
-                                             trajectory_length, cfg, rng=rng))
+            walk = _Walk(grid, _random_free_pose(grid, rng), "random_explore",
+                         trajectory_length, cfg, rng)
+            poses: list[Pose] = []
+            picked = [(step.pose, scan) for step, scan in
+                      _sensed(grid, _picked_steps(walk, poses, 2.0), cfg)]
+            runs.append((poses, picked))
         partials = []
-        for t in trajs:
-            keep = max(1, int(len(t.records) * PARTNER_FRACTION))
-            prefix = Trajectory(records=t.records[:keep], truncated=t.truncated)
-            partials.append(carve_partial_map(grid, prefix, cfg))
-        for j, traj in enumerate(trajs):
+        for poses, _ in runs:
+            keep = max(1, int(len(poses) * PARTNER_FRACTION))
+            partials.append(carve_partial_map(grid, poses[:keep], cfg))
+        for j, (_, picked) in enumerate(runs):
             partner = partials[(j + 1) % len(partials)]
-            picked = _subsample(traj.records, 2.0)
-            ranges = _reference_ranges(grid, partner,
-                                       [rec.true_pose for rec in picked], cfg)
+            ranges = _reference_ranges(grid, partner, [p for p, _ in picked], cfg)
             # the noisy scans are RangeScans, extracted through their memo
-            samples.append((m, j, [_views.extract_scan_string(rec.scan, params)
-                                   for rec in picked],
+            samples.append((m, j, [_views.extract_scan_string(scan, params)
+                                   for _, scan in picked],
                             _views.extract_scan_strings(ranges, bearings,
                                                         cfg.max_range, params)))
 

@@ -291,10 +291,13 @@ def _line_breaks(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray,
 
 def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: int,
                         ranges: np.ndarray):
-    """Absorb groups shorter than min_beams into a neighbor.  Selection and
-    merge direction use position-free keys (length, mean range) so the result
-    is stable under beam-order reversal.  A group's mean range is that of
-    its own beams before any merge; it is computed on first read."""
+    """Absorb groups shorter than min_beams into a neighbor, the first
+    smallest (length, mean range) first.  Selection and merge direction use
+    position-free keys so the result is stable under beam-order reversal.
+    A group's mean range is that of its own beams before any merge; it is
+    computed on first read.  Adjacent same-symbol groups with no separator
+    then collapse: after the first merge anywhere, after each later one only
+    at its junction, the one place a merge can make collapsible."""
     def mean_range(g):
         # the contiguous slice's pairwise sum over n is bit for bit what
         # np.mean gave; np.add.reduceat sums in another order
@@ -302,11 +305,16 @@ def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: i
             g[4] = float(ranges[g[2]:g[3]].sum() / (g[3] - g[2]))
         return g[4]
 
+    merged = False
     while len(groups) > 1:
-        small = [k for k, g in enumerate(groups) if g[1] < min_beams]
-        if not small:
+        k = None
+        for i, g in enumerate(groups):
+            if g[1] < min_beams:
+                key = (g[1], mean_range(g))
+                if k is None or key < best:
+                    k, best = i, key
+        if k is None:
             return
-        k = min(small, key=lambda k: (groups[k][1], mean_range(groups[k])))
         victim = groups[k]
         if k == 0:
             target = 1
@@ -318,15 +326,19 @@ def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: i
         groups[target][1] += victim[1]
         del groups[k]
         del seps[k - 1 if target < k else k]
-        # adjacent same-symbol groups with no separator collapse
-        k2 = 1
-        while k2 < len(groups):
-            if seps[k2 - 1] is None and groups[k2][0] == groups[k2 - 1][0]:
-                groups[k2 - 1][1] += groups[k2][1]
-                del groups[k2]
-                del seps[k2 - 1]
+        # a merge can make only its junction, where groups[k - 1] and
+        # groups[k] now meet, collapsible; the first also collapses any
+        # neighbors that were so before
+        j, stop = (max(k, 1), min(k + 1, len(groups))) if merged else (1, len(groups))
+        merged = True
+        while j < stop:
+            if seps[j - 1] is None and groups[j][0] == groups[j - 1][0]:
+                groups[j - 1][1] += groups[j][1]
+                del groups[j]
+                del seps[j - 1]
+                stop -= 1
             else:
-                k2 += 1
+                j += 1
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapmerge import fixtures, sim, training
+from mapmerge import dirichlet, fixtures, sim, training
 from mapmerge.grid import (CAST_CHUNK_RAYS, FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, raycast, raycast_full, wrap_angle)
 from mapmerge.pfilter import MotionNoise
-from mapmerge.views import ExtractionParams
+from mapmerge.views import (ExtractionParams, alphabet_build, extract_scan_string,
+                            extract_scan_strings, view_of)
 from test_grid import reference_raycast
 
 
@@ -450,9 +451,11 @@ class TestCarvePartialMap:
         cfg = quiet_config(beam_count=31, max_range=5.0)
         traj = sim.generate_trajectory(grid, Pose(*start, 0.0), "random_explore",
                                        8.0, cfg)
+        poses = [r.true_pose for r in traj.records]
         for g in (grid, OccupancyGrid(banded, grid.resolution, grid.origin)):
-            carved = sim.carve_partial_map(g, traj, cfg)
-            np.testing.assert_array_equal(carved.cells, reference_carve(g, traj, cfg))
+            want = reference_carve(g, traj, cfg)
+            np.testing.assert_array_equal(sim.carve_partial_map(g, traj, cfg).cells, want)
+            np.testing.assert_array_equal(sim.carve_partial_map(g, poses, cfg).cells, want)
 
     @pytest.mark.parametrize("x, y", [(100.0, 2.0), (-0.35, 2.5), (3.0, -1e-9)])
     def test_rejects_pose_off_the_map(self, x, y):
@@ -545,6 +548,126 @@ def per_record_reference_ranges(grid, partner, poses, cfg):
             ranges[k], _ = reference_raycast(grid, pose.x, pose.y, angles,
                                              cfg.max_range)
     return ranges
+
+
+def _ref_subsample(records, spacing):
+    """The records every >= spacing meters of travel, the first included."""
+    out = []
+    dist = math.inf  # take the first record
+    prev = None
+    for rec in records:
+        if prev is not None:
+            dist += math.hypot(rec.true_pose.x - prev.x, rec.true_pose.y - prev.y)
+        prev = rec.true_pose
+        if dist < spacing:
+            continue
+        dist = 0.0
+        out.append(rec)
+    return out
+
+
+def _ref_make_training_data(maps, trajectories_per_map, cfg, params, max_views=16,
+                            trajectory_length=60.0, split_trajectories=False):
+    """sim.make_training_data sensing every step: each run is a whole
+    generate_trajectory, subsampled afterwards.  Returns the TrainingData
+    and the runs."""
+    rng = np.random.default_rng(cfg.seed)
+    samples, runs = [], []
+    for m, grid in enumerate(maps):
+        trajs = []
+        for _ in range(trajectories_per_map):
+            start = sim._random_free_pose(grid, rng)
+            trajs.append(sim.generate_trajectory(grid, start, "random_explore",
+                                                 trajectory_length, cfg, rng=rng))
+        runs.extend(trajs)
+        partials = []
+        for t in trajs:
+            keep = max(1, int(len(t.records) * sim.PARTNER_FRACTION))
+            prefix = sim.Trajectory(records=t.records[:keep], truncated=t.truncated)
+            partials.append(sim.carve_partial_map(grid, prefix, cfg))
+        for j, traj in enumerate(trajs):
+            partner = partials[(j + 1) % len(partials)]
+            picked = _ref_subsample(traj.records, 2.0)
+            ranges = sim._reference_ranges(grid, partner,
+                                           [rec.true_pose for rec in picked], cfg)
+            samples.append((m, j, [extract_scan_string(rec.scan, params)
+                                   for rec in picked],
+                            extract_scan_strings(ranges, cfg.bearings,
+                                                 cfg.max_range, params)))
+    alphabet = alphabet_build([s for _, _, noisy, _ in samples for s in noisy],
+                              max_views)
+    counts, map_index, confusion = [], [], []
+    for m, j, noisy, clean in samples:
+        if split_trajectories or j == 0:
+            counts.append(dirichlet.new_counts(alphabet.nu))
+            map_index.append(m)
+            confusion.append([])
+        f, pairs = counts[-1], confusion[-1]
+        prev = None
+        for s_noisy, s_clean in zip(noisy, clean):
+            v = view_of(alphabet, s_noisy)
+            pairs.append((view_of(alphabet, s_clean), v))
+            if prev is not None:
+                dirichlet.increment(f, prev, v)
+            prev = v
+    td = sim.TrainingData(alphabet=alphabet, counts=counts, map_index=map_index,
+                          confusion_pairs=confusion)
+    return td, runs
+
+
+# (maps, trajectories per map, config, split): two seeds, split and not, no
+# range noise or dropout (no rows drawn), 37 beams, and a map where the walk
+# gets stuck
+TRAINING_CASES = {
+    "seed0": (("loop_world", "office_world"), 2, {}, False),
+    "seed11-split": (("loop_world", "office_world"), 2, dict(seed=11), True),
+    "seed0-split": (("rooms_world", "coarse_corridor"), 3, {}, True),
+    "seed11": (("corridor", "rooms_world"), 2, dict(seed=11), False),
+    "no-rows": (("office_world", "rooms_world"), 2,
+                dict(range_noise_sigma=0.0, dropout_prob=0.0, seed=11), True),
+    "37-beams": (("loop_world", "rooms_world"), 2, dict(beam_count=37), False),
+    "stuck": (("stuck", "corridor"), 2, dict(seed=11), True),
+}
+
+
+def _training_case(name):
+    map_names, per_map, cfg_kw, split = TRAINING_CASES[name]
+    maps = [ORACLE_GRIDS[n] for n in map_names]
+    return ((maps, per_map, sim.WorldConfig(**cfg_kw), ExtractionParams()),
+            dict(max_views=10, trajectory_length=20.0, split_trajectories=split))
+
+
+class TestSensedTrainingRuns:
+    """make_training_data, which senses only the subsampled steps, against
+    the reference that generates whole trajectories."""
+
+    @pytest.mark.parametrize("name", sorted(TRAINING_CASES))
+    def test_matches_generate_then_subsample(self, name):
+        args, kwargs = _training_case(name)
+        want, runs = _ref_make_training_data(*args, **kwargs)
+        got = sim.make_training_data(*args, **kwargs)
+        assert got.alphabet == want.alphabet
+        assert got.map_index == want.map_index
+        assert [f.tobytes() for f in got.counts] == [f.tobytes() for f in want.counts]
+        assert got.confusion_pairs == want.confusion_pairs
+        held_out = [None, *range(len(args[0]))]
+        for a, b in zip(training.fit_prior(got, args[3], held_out),
+                        training.fit_prior(want, args[3], held_out), strict=True):
+            assert a.alphabet == b.alphabet
+            for field_name in ("alpha", "obs_model", "marginals"):
+                assert getattr(a, field_name).tobytes() == getattr(b, field_name).tobytes()
+        if name == "stuck":
+            assert runs[0].truncated and runs[1].truncated
+
+    @pytest.mark.parametrize("name", ["seed0", "37-beams", "stuck"])
+    def test_senses_only_the_picked_steps(self, name):
+        args, kwargs = _training_case(name)
+        _, runs = _ref_make_training_data(*args, **kwargs)
+        with mock.patch.object(sim, "simulate_scan", wraps=sim.simulate_scan) as sense:
+            sim.make_training_data(*args, **kwargs)
+        sensed = [p for c in sense.call_args_list for p in c.args[1]]
+        assert sensed == [rec.true_pose for t in runs
+                          for rec in _ref_subsample(t.records, 2.0)]
 
 
 class TestTrainingData:

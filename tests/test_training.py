@@ -71,6 +71,62 @@ def test_benchmark_priors_match_inline_leave_one_out_fit(monkeypatch, seed):
         assert bundle.marginals.tobytes() == marginals.tobytes()
 
 
+def reference_build_benchmark(seed, partials_per_env, eval_trajectories_per_env,
+                              partial_length, eval_length, trajectories_per_map,
+                              training_length, max_views):
+    """benchmark.build_benchmark generating each partial map's exploration
+    as a whole trajectory, every step sensed."""
+    cfg = sim.WorldConfig(seed=seed)
+    params = ExtractionParams()
+    envs = {name: make() for name, make in fixtures.BENCHMARK_ENVIRONMENTS.items()}
+    names = list(envs)
+    td = sim.make_training_data([envs[n] for n in names], trajectories_per_map,
+                                cfg, params, max_views=max_views,
+                                trajectory_length=training_length,
+                                split_trajectories=True)
+    priors = dict(zip(names, training.fit_prior(td, params, range(len(names)))))
+    rng = np.random.default_rng(seed + 1)
+    pairs = []
+    for name in names:
+        grid = envs[name]
+        for _ in range(partials_per_env):
+            start = sim._random_free_pose(grid, rng)
+            traj = sim.generate_trajectory(grid, start, "random_explore",
+                                           partial_length, cfg, rng=rng)
+            partial = sim.carve_partial_map(grid, traj, cfg)
+            for _ in range(eval_trajectories_per_env):
+                estart = sim._random_free_pose(partial, rng)
+                etraj = sim.generate_trajectory(grid, estart, "random_explore",
+                                                eval_length, cfg, rng=rng)
+                pairs.append((name, partial, etraj))
+    return pairs, priors
+
+
+def _trajectory_bytes(traj):
+    return (np.array([(r.true_pose.x, r.true_pose.y, r.true_pose.theta, *r.odom)
+                      for r in traj.records]).tobytes(),
+            np.array([r.scan.ranges for r in traj.records]).tobytes(),
+            traj.truncated)
+
+
+def test_benchmark_explorations_carve_as_sensed_trajectories():
+    size = dict(partials_per_env=2, eval_trajectories_per_env=1, partial_length=3.0,
+                eval_length=3.0, trajectories_per_map=1, training_length=8.0,
+                max_views=5)
+    bm = benchmark.build_benchmark(3, **size)
+    pairs, priors = reference_build_benchmark(3, **size)
+    assert len(bm.pairs) == len(pairs) == 6
+    for got, (name, partial, traj) in zip(bm.pairs, pairs):
+        assert got.environment == name
+        assert got.partial_map.cells.tobytes() == partial.cells.tobytes()
+        assert _trajectory_bytes(got.trajectory) == _trajectory_bytes(traj)
+    assert list(bm.priors) == list(priors)
+    for a, b in zip(bm.priors.values(), priors.values()):
+        assert a.alphabet == b.alphabet
+        for name in ("alpha", "obs_model", "marginals"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_train_prior_bundle_fits_every_sample(monkeypatch):
     seen = capture_training_data(monkeypatch, training)
     calls = counting_map_estimate(monkeypatch)

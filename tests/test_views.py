@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapmerge import dirichlet, fixtures, sim
@@ -496,6 +496,71 @@ def test_stacked_segment_directions_equal_per_segment_bitwise(segments):
     want = [_ref_segment_direction(p) for p in segments]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert views_module._segment_directions([]) == []
+
+
+def _loop_merge_small_groups(groups, seps, min_beams, ranges):
+    """views._merge_small_groups as a loop that lists the small groups and
+    collapses every same-symbol junction after each merge."""
+    def mean_range(g):
+        if g[4] is None:
+            g[4] = float(ranges[g[2]:g[3]].sum() / (g[3] - g[2]))
+        return g[4]
+
+    while len(groups) > 1:
+        small = [k for k, g in enumerate(groups) if g[1] < min_beams]
+        if not small:
+            return
+        k = min(small, key=lambda k: (groups[k][1], mean_range(groups[k])))
+        victim = groups[k]
+        if k == 0:
+            target = 1
+        elif k == len(groups) - 1:
+            target = k - 1
+        else:
+            key = lambda g: (-g[1], abs(mean_range(g) - mean_range(victim)))
+            target = k - 1 if key(groups[k - 1]) <= key(groups[k + 1]) else k + 1
+        groups[target][1] += victim[1]
+        del groups[k]
+        del seps[k - 1 if target < k else k]
+        k2 = 1
+        while k2 < len(groups):
+            if seps[k2 - 1] is None and groups[k2][0] == groups[k2 - 1][0]:
+                groups[k2 - 1][1] += groups[k2][1]
+                del groups[k2]
+                del seps[k2 - 1]
+            else:
+                k2 += 1
+
+
+@st.composite
+def _group_lists(draw):
+    """Groups as extraction makes them ([symbol, beam count, first beam,
+    stop beam, None]) over consecutive beams of few distinct ranges, so
+    lengths and mean ranges tie, with separators that are often None, so
+    neighbors can start out collapsible; and a min_beams."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=14))
+    stops = np.cumsum(counts).tolist()
+    ranges = np.array(draw(st.lists(st.sampled_from((0.5, 1.0, 2.5, 8.0)),
+                                    min_size=stops[-1], max_size=stops[-1])))
+    groups = [[draw(st.sampled_from("mw")), n, stop - n, stop, None]
+              for n, stop in zip(counts, stops)]
+    seps = draw(st.lists(st.sampled_from((None, None, "g", "c")),
+                         min_size=len(groups) - 1, max_size=len(groups) - 1))
+    return groups, seps, draw(st.integers(1, 7)), ranges
+
+
+@settings(max_examples=500, deadline=None)
+@given(_group_lists())
+@example(([["w", 2, 0, 2, None]], [], 5, np.ones(2)))  # a single group
+# equal keys, and neighbors collapsible before any merge
+@example(([["w", 2, 0, 2, None], ["w", 3, 2, 5, None], ["m", 1, 5, 6, None],
+           ["w", 2, 6, 8, None]], [None, None, None], 3, np.ones(8)))
+def test_merge_small_groups_equals_loop(case):
+    groups, seps, min_beams, ranges = case
+    want_groups, want_seps = [list(g) for g in groups], list(seps)
+    _loop_merge_small_groups(want_groups, want_seps, min_beams, ranges)
+    views_module._merge_small_groups(groups, seps, min_beams, ranges)
+    assert (groups, seps) == (want_groups, want_seps)
 
 
 def test_batched_strings_on_raycast_scans():
