@@ -17,7 +17,7 @@ import numpy as np
 from .fixtures import BENCHMARK_ENVIRONMENTS
 from .modelio import PriorBundle
 from .sim import (Trajectory, WorldConfig, carve_partial_map,
-                  generate_trajectory, make_training_data, _random_free_pose, _Walk)
+                  generate_trajectory, make_training_data, _random_free_pose, _walk)
 from .training import fit_prior
 from .views import ExtractionParams
 
@@ -65,8 +65,8 @@ def build_benchmark(seed: int = 0, partials_per_env: int = 5,
         for _ in range(partials_per_env):
             start = _random_free_pose(grid, rng)
             # carving reads only poses, so the exploration is walked, not sensed
-            walk = _Walk(grid, start, "random_explore", partial_length, cfg, rng)
-            partial = carve_partial_map(grid, [step.pose for step in walk], cfg)
+            run = _walk(grid, start, "random_explore", partial_length, cfg, rng)
+            partial = carve_partial_map(grid, run.poses, cfg)
             # evaluation runs start inside the explored region: the filter's
             # initial particles can then track the robot as it leaves and
             # re-enters the partial map

@@ -320,16 +320,19 @@ def raycast_full(grid: OccupancyGrid, pose: Pose | Sequence[Pose],
     max_range when nothing is hit.  UNKNOWN cells are transparent.
 
     pose may also be a sequence of poses; the result then has one row per
-    pose, and all their rays go to one _first_stop call, so callers keep a
-    sequence to about CAST_CHUNK_RAYS rays."""
+    pose, and their rays are cast in batches of about CAST_CHUNK_RAYS."""
     poses = [pose] if isinstance(pose, Pose) else list(pose)
     bearings = np.asarray(bearings, dtype=float)
-    thetas = np.array([p.theta for p in poses])
-    ts, first, _ = _first_stop(grid, np.array([p.x for p in poses])[:, None],
-                               np.array([p.y for p in poses])[:, None],
-                               thetas[:, None] + bearings[None, :],
-                               max_range, unknown_stops=False)
-    ranges = np.append(ts, max_range)[first].reshape(len(poses), len(bearings))
+    xs = np.array([p.x for p in poses])[:, None]
+    ys = np.array([p.y for p in poses])[:, None]
+    angles = np.array([p.theta for p in poses])[:, None] + bearings[None, :]
+    ranges = np.empty(angles.shape)
+    per_cast = max(1, CAST_CHUNK_RAYS // len(bearings))
+    for lo in range(0, len(poses), per_cast):
+        hi = min(lo + per_cast, len(poses))
+        ts, first, _ = _first_stop(grid, xs[lo:hi], ys[lo:hi], angles[lo:hi],
+                                   max_range, unknown_stops=False)
+        ranges[lo:hi] = np.append(ts, max_range)[first].reshape(hi - lo, len(bearings))
     return ranges[0] if isinstance(pose, Pose) else ranges
 
 

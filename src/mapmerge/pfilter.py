@@ -9,7 +9,7 @@ in log space and the particle count is constant through systematic resampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,29 +61,11 @@ class ParticleSet:
     poses: np.ndarray          # (N, 3)
     log_weights: np.ndarray    # (N,), normalized so logsumexp == 0
     rng: np.random.Generator
-    _inside: np.ndarray | None = field(default=None, repr=False)
-    # the grid the inside flags are due on, set by a motion step
-    _inside_due: OccupancyGrid | None = field(default=None, repr=False)
+    inside: np.ndarray         # (N,) bool, set by each motion step
 
     @property
     def n(self) -> int:
         return len(self.log_weights)
-
-    @property
-    def inside(self) -> np.ndarray:
-        """(N,) bool inside flags.  A motion step leaves them due: the next
-        read computes them from the current poses (cell is FREE), and the
-        result is cached, so in-place writes stick until the next motion."""
-        if self._inside_due is not None:
-            self._inside = inside_mask(self._inside_due, self.poses[:, 0],
-                                       self.poses[:, 1])
-            self._inside_due = None
-        return self._inside
-
-    @inside.setter
-    def inside(self, value: np.ndarray):
-        self._inside = value
-        self._inside_due = None
 
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -105,15 +87,14 @@ def init_filter(grid: OccupancyGrid, n: int, seed) -> ParticleSet:
     poses = np.column_stack((xs, ys, thetas))
     return ParticleSet(poses=poses,
                        log_weights=np.full(n, -math.log(n)),
-                       rng=rng, _inside=np.ones(n, dtype=bool))
+                       rng=rng, inside=np.ones(n, dtype=bool))
 
 
 def motion_update(ps: ParticleSet, u, noise: MotionNoise, grid: OccupancyGrid) -> ParticleSet:
     """Advance every particle through the odometry deltas u, one (d_trans,
     d_rot1, d_rot2) or a (k, 3) block of them in order, each plus sampled
     Gaussian noise.  A block is bit for bit k calls with one row each.  The
-    inside flags fall due: the next read of ps.inside computes them on grid
-    from the moved poses."""
+    inside flags are then set on grid from the moved poses."""
     n, rng = ps.n, ps.rng
     x, y, theta = (np.ascontiguousarray(ps.poses[:, j]) for j in range(3))
     for d_trans, d_rot1, d_rot2 in np.asarray(u, dtype=float).reshape(-1, 3).tolist():
@@ -126,7 +107,7 @@ def motion_update(ps: ParticleSet, u, noise: MotionNoise, grid: OccupancyGrid) -
         y += dt * np.sin(heading)
         theta = wrap_angle(heading + r2)
     ps.poses[:, 0], ps.poses[:, 1], ps.poses[:, 2] = x, y, theta
-    ps._inside_due = grid
+    ps.inside = inside_mask(grid, x, y)
     return ps
 
 
@@ -231,7 +212,6 @@ def resample_if_needed(ps: ParticleSet) -> ParticleSet:
     positions = (ps.rng.random() + np.arange(n)) / n
     idx = np.searchsorted(np.cumsum(w), positions)
     idx = np.minimum(idx, n - 1)
-    # the flags first: a due mask must be computed from the old poses
     ps.inside = ps.inside[idx]
     ps.poses = ps.poses[idx]
     ps.log_weights = np.full(n, -math.log(n))

@@ -5,16 +5,16 @@ view-transition training data used to fit the structural prior."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (CAST_CHUNK_RAYS, FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose,
-                   cell_index, default_bearings, raycast_full, _first_stop,
-                   _sample_cells, _sample_distances, wrap_angle)
+from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, cell_index,
+                   default_bearings, raycast_full, _first_stop, _sample_cells,
+                   _sample_distances, wrap_angle)
 from .pfilter import MotionNoise
 from .views import (ExtractionParams, RangeScan, ViewAlphabet, alphabet_build,
                     readonly, view_of)
@@ -80,26 +80,28 @@ class Trajectory:
 
 
 def simulate_scan(grid: OccupancyGrid, poses: Sequence[Pose], cfg: WorldConfig,
-                  noise: np.ndarray | None = None,
-                  uniforms: np.ndarray | None = None) -> list[RangeScan]:
+                  noise: np.ndarray | list | None = None,
+                  uniforms: np.ndarray | list | None = None) -> list[RangeScan]:
     """One noisy scan per pose: the truth of one raycast_full call over all
     poses, plus range noise and dropout.
 
-    noise and uniforms hold one row of cfg.beam_count draws per pose, or are
-    None for no noise or no dropout.  A beam that hits takes its noise
-    (drawn as N(0, cfg.range_noise_sigma)) and is clipped to
-    [1e-6, max_range]; a beam whose uniform (drawn from [0, 1)) is below
-    cfg.dropout_prob then reads max_range.  The scans' ranges are read-only
-    rows of one array, and their bearings the config's shared array."""
+    noise and uniforms hold one row of cfg.beam_count draws per pose, as an
+    array or a list of rows, or are None for no noise or no dropout.  A beam
+    that hits takes its noise (drawn as N(0, cfg.range_noise_sigma)) and is
+    clipped to [1e-6, max_range]; a beam whose uniform (drawn from [0, 1))
+    is below cfg.dropout_prob then reads max_range.  The scans' ranges are
+    read-only rows of one array, and their bearings the config's shared
+    array."""
     if not all(grid.free_at(p.x, p.y) for p in poses):
         raise ValueError("scan pose must be in a FREE cell")
     ranges = raycast_full(grid, poses, cfg.bearings, cfg.max_range)
     if noise is not None:
-        noisy = ranges + noise
+        noisy = ranges + np.reshape(noise, ranges.shape)
         ranges = np.where(ranges < cfg.max_range,
                           np.clip(noisy, 1e-6, cfg.max_range), ranges)
     if uniforms is not None:
-        ranges = np.where(uniforms < cfg.dropout_prob, cfg.max_range, ranges)
+        ranges = np.where(np.reshape(uniforms, ranges.shape) < cfg.dropout_prob,
+                          cfg.max_range, ranges)
     ranges.flags.writeable = False
     return [RangeScan(cfg.bearings, row, cfg.max_range) for row in ranges]
 
@@ -197,107 +199,75 @@ def _next_heading(grid: OccupancyGrid, pose: Pose, policy, waypoint,
     return goal_heading[0]
 
 
-class _Step(NamedTuple):
-    """One walked step: its true pose, its noisy odometry, and the range
-    noise and dropout uniforms its scan is sensed with (None for no noise or
-    no dropout)."""
-    pose: Pose
-    odom: tuple[float, float, float]
-    noise: np.ndarray | None
-    uniforms: np.ndarray | None
+class _Run(NamedTuple):
+    """A walked run: its true poses, its noisy odometry, one row per pose of
+    the range noise and of the dropout uniforms its scans are sensed with
+    (None when not drawn), and whether it ended stuck."""
+    poses: list[Pose]
+    odoms: list[tuple[float, float, float]]
+    noise: list[np.ndarray] | None
+    uniforms: list[np.ndarray] | None
+    truncated: bool
 
 
-@dataclass
-class _Walk:
-    """A run's steps without their scans.  Iterating walks it: each step
-    makes the heading search, checks its pose is FREE, and draws its
-    odometry noise, then its scan's range noise and dropout uniforms, from
-    rng, every draw a sensed step makes.  Sensing draws nothing, so which
-    steps are then sensed leaves rng's stream as it is.  truncated tells,
-    once the walk is done, whether it ended stuck."""
-    grid: OccupancyGrid
-    start: Pose
-    policy: str
-    length: float
-    cfg: WorldConfig
-    rng: np.random.Generator
-    waypoints: Sequence | None = None
-    truncated: bool = False
-
-    def __iter__(self) -> Iterator[_Step]:
-        grid, policy, cfg, rng, waypoints = (self.grid, self.policy, self.cfg,
-                                             self.rng, self.waypoints)
-        if not grid.free_at(self.start.x, self.start.y):
-            raise ValueError("start pose must be in a FREE cell")
-        if policy == "waypoints" and not waypoints:
-            raise ValueError("waypoints policy requires a waypoint list")
-        if policy not in ("waypoints", "wall_follow", "random_explore"):
-            raise ValueError(f"unknown policy {policy!r}")
-        pose = self.start
-        traveled = 0.0
-        wp_idx = 0
-        goal_heading = [None]
-        max_turn = math.radians(35.0)
-        stuck = 0
-        while traveled < self.length:
-            if policy == "waypoints":
-                if wp_idx >= len(waypoints):
-                    break
-                wp = waypoints[wp_idx]
-                if math.hypot(wp[0] - pose.x, wp[1] - pose.y) < 0.3:
-                    wp_idx += 1
-                    continue
-            else:
-                wp = None
-            desired = _next_heading(grid, pose, policy, wp, rng, goal_heading)
-            turn = np.clip(wrap_angle(desired - pose.theta), -max_turn, max_turn)
-            heading = wrap_angle(pose.theta + turn)
-            advance = min(MAX_STEP, _clearance(grid, pose.x, pose.y, heading, MAX_STEP))
-            if advance < grid.resolution:
-                # rotate in place toward the desired heading and try again
-                new_pose = Pose(pose.x, pose.y, heading)
-                stuck += 1
-                if stuck > 40:
-                    self.truncated = True
-                    return
-            else:
-                stuck = 0
-                new_pose = Pose(pose.x + advance * math.cos(heading),
-                                pose.y + advance * math.sin(heading), heading)
-                traveled += advance
-            odom = _noisy_odom(_odometry_delta(pose, new_pose), cfg.odom_noise, rng)
-            if not grid.free_at(new_pose.x, new_pose.y):
-                raise ValueError("scan pose must be in a FREE cell")
-            noise = (rng.normal(0.0, cfg.range_noise_sigma, cfg.beam_count)
-                     if cfg.range_noise_sigma > 0 else None)
-            uniforms = rng.random(cfg.beam_count) if cfg.dropout_prob > 0 else None
-            yield _Step(new_pose, odom, noise, uniforms)
-            pose = new_pose
-
-
-def _sensed(grid: OccupancyGrid, steps: Iterable[_Step],
-            cfg: WorldConfig) -> Iterator[tuple[_Step, RangeScan]]:
-    """Each of steps with its scan.  simulate_scan casts the pending steps
-    each time about CAST_CHUNK_RAYS rays are pending, and once at the end;
-    a step's rows live only until its chunk is cast and handed on."""
-    per_cast = max(1, CAST_CHUNK_RAYS // cfg.beam_count)
-    pending: list[_Step] = []
-    for step in steps:
-        pending.append(step)
-        if len(pending) == per_cast:
-            yield from _cast(grid, pending, cfg)
-            pending = []
-    if pending:
-        yield from _cast(grid, pending, cfg)
-
-
-def _cast(grid: OccupancyGrid, steps: list[_Step],
-          cfg: WorldConfig) -> Iterator[tuple[_Step, RangeScan]]:
-    poses, _, noise, uniforms = zip(*steps)
-    scans = simulate_scan(grid, poses, cfg,
-                          None if noise[0] is None else np.array(noise),
-                          None if uniforms[0] is None else np.array(uniforms))
-    return zip(steps, scans)
+def _walk(grid: OccupancyGrid, start: Pose, policy, length: float,
+          cfg: WorldConfig, rng: np.random.Generator, waypoints=None) -> _Run:
+    """Walk a run without sensing it.  Each step makes the heading search,
+    checks its pose is FREE, and draws its odometry noise, then its scan's
+    range noise and dropout uniforms, from rng.  Sensing draws nothing, so
+    which poses are then sensed leaves rng's stream as it is."""
+    if not grid.free_at(start.x, start.y):
+        raise ValueError("start pose must be in a FREE cell")
+    if policy == "waypoints" and not waypoints:
+        raise ValueError("waypoints policy requires a waypoint list")
+    if policy not in ("waypoints", "wall_follow", "random_explore"):
+        raise ValueError(f"unknown policy {policy!r}")
+    poses, odoms = [], []
+    noise = [] if cfg.range_noise_sigma > 0 else None
+    uniforms = [] if cfg.dropout_prob > 0 else None
+    pose = start
+    traveled = 0.0
+    wp_idx = 0
+    goal_heading = [None]
+    max_turn = math.radians(35.0)
+    stuck = 0
+    truncated = False
+    while traveled < length:
+        if policy == "waypoints":
+            if wp_idx >= len(waypoints):
+                break
+            wp = waypoints[wp_idx]
+            if math.hypot(wp[0] - pose.x, wp[1] - pose.y) < 0.3:
+                wp_idx += 1
+                continue
+        else:
+            wp = None
+        desired = _next_heading(grid, pose, policy, wp, rng, goal_heading)
+        turn = np.clip(wrap_angle(desired - pose.theta), -max_turn, max_turn)
+        heading = wrap_angle(pose.theta + turn)
+        advance = min(MAX_STEP, _clearance(grid, pose.x, pose.y, heading, MAX_STEP))
+        if advance < grid.resolution:
+            # rotate in place toward the desired heading and try again
+            new_pose = Pose(pose.x, pose.y, heading)
+            stuck += 1
+            if stuck > 40:
+                truncated = True
+                break
+        else:
+            stuck = 0
+            new_pose = Pose(pose.x + advance * math.cos(heading),
+                            pose.y + advance * math.sin(heading), heading)
+            traveled += advance
+        odoms.append(_noisy_odom(_odometry_delta(pose, new_pose), cfg.odom_noise, rng))
+        if not grid.free_at(new_pose.x, new_pose.y):
+            raise ValueError("scan pose must be in a FREE cell")
+        if noise is not None:
+            noise.append(rng.normal(0.0, cfg.range_noise_sigma, cfg.beam_count))
+        if uniforms is not None:
+            uniforms.append(rng.random(cfg.beam_count))
+        poses.append(new_pose)
+        pose = new_pose
+    return _Run(poses, odoms, noise, uniforms, truncated)
 
 
 def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
@@ -310,21 +280,17 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
     policy: 'waypoints' (requires waypoints list of (x, y)), 'wall_follow',
     or 'random_explore'.
 
-    The run is walked by _Walk: each step draws its odometry noise, then
-    its scan's range noise and dropout uniforms, from rng.  Every step is
-    sensed: simulate_scan casts the scans in chunks of about
-    CAST_CHUNK_RAYS rays, each time that many steps are pending and once at
-    the end, which leaves every output and rng's final state as casting
-    each step's scan at once would.  Casting draws nothing, so callers that
-    sense fewer steps of a walk (make_training_data) or none
-    (build_benchmark's explorations) leave rng as this does.
+    The run is walked by _walk, then every pose is sensed in one
+    simulate_scan call.  Sensing draws nothing, so callers that sense fewer
+    poses of a walk (make_training_data) or none (build_benchmark's
+    explorations) leave rng as this does.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    walk = _Walk(grid, start, policy, length, cfg, rng, waypoints)
-    records = [TrajectoryRecord(step.pose, step.odom, scan)
-               for step, scan in _sensed(grid, walk, cfg)]
-    return Trajectory(records=records, truncated=walk.truncated)
+    run = _walk(grid, start, policy, length, cfg, rng, waypoints)
+    scans = simulate_scan(grid, run.poses, cfg, run.noise, run.uniforms)
+    records = [TrajectoryRecord(*rec) for rec in zip(run.poses, run.odoms, scans)]
+    return Trajectory(records=records, truncated=run.truncated)
 
 
 def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory | Sequence[Pose],
@@ -359,10 +325,10 @@ def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory | Sequence[Pos
     return OccupancyGrid(carved, grid.resolution, grid.origin)
 
 
-def _subsample(poses: Iterable[Pose], spacing: float) -> Iterator[int]:
+def _subsample(poses: Iterable[Pose], spacing: float) -> list[int]:
     """The indices of the poses every >= spacing meters of travel, the first
-    included.  Each index is yielded as soon as its pose is read, so the
-    poses may be walked as they are picked."""
+    included."""
+    picks = []
     dist = math.inf  # take the first pose
     prev = None
     for k, pose in enumerate(poses):
@@ -372,7 +338,8 @@ def _subsample(poses: Iterable[Pose], spacing: float) -> Iterator[int]:
         if dist < spacing:
             continue
         dist = 0.0
-        yield k
+        picks.append(k)
+    return picks
 
 
 def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
@@ -383,22 +350,6 @@ def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
     strings = [_views.extract_scan_string(records[k].scan, params)
                for k in _subsample((r.true_pose for r in records), spacing)]
     return strings if alphabet is None else [view_of(alphabet, s) for s in strings]
-
-
-def _picked_steps(walk: _Walk, poses: list[Pose], spacing: float) -> Iterator[_Step]:
-    """The steps of walk that _subsample picks, each yielded as soon as it
-    is walked; every other step's rows are dropped when the next step is
-    walked.  Every step's pose is appended to poses."""
-    step = None
-
-    def walked():
-        nonlocal step
-        for step in walk:
-            poses.append(step.pose)
-            yield step.pose
-
-    for _ in _subsample(walked(), spacing):
-        yield step
 
 
 @dataclass
@@ -450,9 +401,8 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     builds that partial map, leaving frontiers as sparse exploration does.
 
     Each run is walked with every draw generate_trajectory makes, but only
-    the steps the subsample picks are sensed, each as it is walked: the
-    rows of every other step are dropped at once.  Outputs are bit for bit
-    those of subsampling whole generated trajectories.
+    the poses the subsample picks are sensed.  Outputs are bit for bit those
+    of subsampling whole generated trajectories.
 
     With split_trajectories each trajectory becomes its own training sample
     (count matrix); otherwise one sample aggregates a whole map.
@@ -469,22 +419,24 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     for m, grid in enumerate(maps):
         runs = []  # per trajectory: every pose, and the picked poses and scans
         for _ in range(trajectories_per_map):
-            walk = _Walk(grid, _random_free_pose(grid, rng), "random_explore",
-                         trajectory_length, cfg, rng)
-            poses: list[Pose] = []
-            picked = [(step.pose, scan) for step, scan in
-                      _sensed(grid, _picked_steps(walk, poses, 2.0), cfg)]
-            runs.append((poses, picked))
+            run = _walk(grid, _random_free_pose(grid, rng), "random_explore",
+                        trajectory_length, cfg, rng)
+            picks = _subsample(run.poses, 2.0)
+            picked = [run.poses[k] for k in picks]
+            scans = simulate_scan(grid, picked, cfg, *(
+                None if rows is None else [rows[k] for k in picks]
+                for rows in (run.noise, run.uniforms)))
+            runs.append((run.poses, picked, scans))
         partials = []
-        for poses, _ in runs:
+        for poses, _, _ in runs:
             keep = max(1, int(len(poses) * PARTNER_FRACTION))
             partials.append(carve_partial_map(grid, poses[:keep], cfg))
-        for j, (_, picked) in enumerate(runs):
+        for j, (_, picked, scans) in enumerate(runs):
             partner = partials[(j + 1) % len(partials)]
-            ranges = _reference_ranges(grid, partner, [p for p, _ in picked], cfg)
+            ranges = _reference_ranges(grid, partner, picked, cfg)
             # the noisy scans are RangeScans, extracted through their memo
             samples.append((m, j, [_views.extract_scan_string(scan, params)
-                                   for _, scan in picked],
+                                   for scan in scans],
                             _views.extract_scan_strings(ranges, bearings,
                                                         cfg.max_range, params)))
 

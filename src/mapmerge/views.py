@@ -211,8 +211,8 @@ def extract_scan_strings(ranges, angles, max_range: float,
     strings = []
     for i in range(n_scans):
         # groups are [symbol, beam count, first beam, stop beam, mean range]
-        # with the mean filled in when read; adjacent 'w' groups of one
-        # piece share their corner beam
+        # with the mean filled in when read and the span widened by each
+        # merge; adjacent 'w' groups of one piece share their corner beam
         groups: list[list] = []
         seps: list[str | None] = []  # separator before groups[k]
         for p in range(first_piece[i], first_piece[i + 1]):
@@ -289,21 +289,31 @@ def _line_breaks(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray,
     return np.sort(np.concatenate(found)) if found else np.empty(0, dtype=np.intp)
 
 
+_SEP_RANK = {None: 0, "c": 1, "g": 2}
+
+
 def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: int,
                         ranges: np.ndarray):
     """Absorb groups shorter than min_beams into a neighbor, the first
-    smallest (length, mean range) first.  Selection and merge direction use
-    position-free keys so the result is stable under beam-order reversal.
-    A group's mean range is that of its own beams before any merge; it is
-    computed on first read.  Adjacent same-symbol groups with no separator
-    then collapse: after the first merge anywhere, after each later one only
-    at its junction, the one place a merge can make collapsible."""
+    smallest (length, mean range) first.  A victim joins its longer
+    neighbor, then the one closer in mean range, then the one across the
+    weaker separator (none, then 'c', then 'g').  None of these keys
+    depends on beam order, so the result is the same under reversal, save
+    that of equal smallest groups the first in beam order goes first.
+    A group's mean range is that of every beam its span [first, stop)
+    covers, summed exactly so that it does not depend on beam order; it is
+    computed on first read and again after the span grows.  Adjacent
+    same-symbol groups with no separator then collapse: after the first
+    merge anywhere, after each later one only at its junction, the one
+    place a merge can make collapsible."""
     def mean_range(g):
-        # the contiguous slice's pairwise sum over n is bit for bit what
-        # np.mean gave; np.add.reduceat sums in another order
         if g[4] is None:
-            g[4] = float(ranges[g[2]:g[3]].sum() / (g[3] - g[2]))
+            g[4] = math.fsum(ranges[g[2]:g[3]].tolist()) / (g[3] - g[2])
         return g[4]
+
+    def absorb(host, g):
+        host[1] += g[1]
+        host[2], host[3], host[4] = min(host[2], g[2]), max(host[3], g[3]), None
 
     merged = False
     while len(groups) > 1:
@@ -321,9 +331,11 @@ def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: i
         elif k == len(groups) - 1:
             target = k - 1
         else:
-            key = lambda g: (-g[1], abs(mean_range(g) - mean_range(victim)))
-            target = k - 1 if key(groups[k - 1]) <= key(groups[k + 1]) else k + 1
-        groups[target][1] += victim[1]
+            v = mean_range(victim)
+            key = lambda g, sep: (-g[1], abs(mean_range(g) - v), _SEP_RANK[sep])
+            target = (k - 1 if key(groups[k - 1], seps[k - 1]) <= key(groups[k + 1], seps[k])
+                      else k + 1)
+        absorb(groups[target], victim)
         del groups[k]
         del seps[k - 1 if target < k else k]
         # a merge can make only its junction, where groups[k - 1] and
@@ -333,7 +345,7 @@ def _merge_small_groups(groups: list[list], seps: list[str | None], min_beams: i
         merged = True
         while j < stop:
             if seps[j - 1] is None and groups[j][0] == groups[j - 1][0]:
-                groups[j - 1][1] += groups[j][1]
+                absorb(groups[j - 1], groups[j])
                 del groups[j]
                 del seps[j - 1]
                 stop -= 1

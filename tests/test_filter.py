@@ -469,7 +469,7 @@ class TestInsideFlags:
         st.tuples(st.just("resample"), st.integers(0, 2**16)),
         st.tuples(st.just("write"), st.integers(0, 39), st.booleans()),
         st.tuples(st.just("check"))), max_size=25))
-    def test_lazy_flags_equal_eager_mask(self, seed, ops):
+    def test_flags_equal_eager_mask(self, seed, ops):
         # a partial map with UNKNOWN holes, so particles leave and re-enter
         grid = fixtures.corridor(length=6.0)
         grid.cells[:, 40:60] = 2
@@ -493,23 +493,6 @@ class TestInsideFlags:
                 np.testing.assert_array_equal(lazy.inside, eager.inside)
             np.testing.assert_array_equal(lazy.poses, eager.poses)
         np.testing.assert_array_equal(lazy.inside, eager.inside)
-
-    def test_motion_step_computes_no_mask(self, monkeypatch):
-        grid = box_world()
-        ps = init_filter(grid, 20, seed=0)
-        calls = []
-
-        def counting_mask(*args):
-            calls.append(1)
-            return inside_mask(*args)
-
-        monkeypatch.setattr("mapmerge.pfilter.inside_mask", counting_mask)
-        for _ in range(5):
-            motion_update(ps, (0.1, 0.0, 0.0), MotionNoise(), grid)
-        assert calls == []
-        ps.inside
-        ps.inside
-        assert calls == [1]
 
 
 class TestReplayMatchesReference:

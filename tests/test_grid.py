@@ -375,6 +375,32 @@ class TestRaycast:
             assert row.tobytes() == raycast_full(g, pose, bearings, MAX_RANGE).tobytes()
 
 
+    @pytest.mark.parametrize("chunk_rays, beams", [(30, 3), (100, 7), (100, 181)])
+    def test_pose_sequence_casts_in_chunks(self, chunk_rays, beams):
+        # 10 and 14 poses per cast, and one per cast when the beams exceed
+        # the chunk
+        g = fixtures.office_world()
+        r = np.random.default_rng(7)
+        rows, cols = np.nonzero(g.cells == FREE)
+        poses = [Pose(*g.cell_center(rows[k], cols[k]), th) for k, th in
+                 zip(r.integers(0, len(rows), 40), r.uniform(-4.0, 4.0, 40))]
+        bearings = default_bearings(beams, 2.0)
+        with mock.patch.object(grid_module, "CAST_CHUNK_RAYS", chunk_rays), \
+                mock.patch.object(grid_module, "_first_stop",
+                                  wraps=grid_module._first_stop) as cast:
+            ranges = raycast_full(g, poses, bearings, MAX_RANGE)
+            empty = raycast_full(g, [], bearings, MAX_RANGE)
+        per_cast = max(1, chunk_rays // beams)
+        full, rest = divmod(len(poses), per_cast)
+        sizes = [len(c.args[1]) for c in cast.call_args_list]
+        assert sizes == [per_cast] * full + [rest] * (rest > 0)
+        assert len(sizes) > 1
+        assert ranges.shape == (len(poses), beams)
+        for row, pose in zip(ranges, poses):
+            assert row.tobytes() == raycast_full(g, pose, bearings, MAX_RANGE).tobytes()
+        assert empty.shape == (0, beams)
+
+
 def reference_first_stop(g: OccupancyGrid, x: float, y: float, angles: np.ndarray,
                          max_range: float, unknown_stops: bool):
     """_first_stop for rays from one position, one ray and one sample at a

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapmerge import dirichlet, fixtures, sim, training
+from mapmerge import dirichlet, fixtures, grid as grid_module, sim, training
 from mapmerge.grid import (CAST_CHUNK_RAYS, FREE, OCCUPIED, UNKNOWN, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, raycast, raycast_full, wrap_angle)
 from mapmerge.pfilter import MotionNoise
@@ -375,13 +375,16 @@ class TestTrajectoryOracle:
         ("stuck", "random_explore", 181, CAST_CHUNK_RAYS, 5.0, 4, "truncated"),
         # the step that once ended in a wall cell
         ("coarse_corridor", "random_explore", 181, CAST_CHUNK_RAYS, 20.0, 11, "chunks"),
+        # no pose: nothing is cast
+        ("corridor", "random_explore", 181, CAST_CHUNK_RAYS, 0.0, 0, "empty"),
     ])
     def test_matches_per_record_reference(self, name, policy, beams, chunk_rays,
                                           length, seed, expect):
         case = (name, policy, beams, length, seed, True)
         want = _trajectory_outcome(_ref_generate_trajectory, *case)
-        with mock.patch.object(sim, "CAST_CHUNK_RAYS", chunk_rays), \
-                mock.patch.object(sim, "raycast_full", wraps=sim.raycast_full) as cast:
+        with mock.patch.object(grid_module, "CAST_CHUNK_RAYS", chunk_rays), \
+                mock.patch.object(grid_module, "_first_stop",
+                                  wraps=grid_module._first_stop) as cast:
             got = _trajectory_outcome(sim.generate_trajectory, *case)
         assert got == want
         n_records, _, _, truncated = want[0]
@@ -407,7 +410,7 @@ class TestTrajectoryOracle:
             length = min(length, 2.0)  # each reference cast is a full chunk
         case = (name, policy, beams, length, seed, noisy)
         want = _trajectory_outcome(_ref_generate_trajectory, *case)
-        with mock.patch.object(sim, "CAST_CHUNK_RAYS", chunk_rays):
+        with mock.patch.object(grid_module, "CAST_CHUNK_RAYS", chunk_rays):
             got = _trajectory_outcome(sim.generate_trajectory, *case)
         assert got == want
 
