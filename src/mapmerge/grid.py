@@ -432,9 +432,6 @@ class ViewField:
                  n_headings: int = 8):
         if stride_cells < 1 or n_headings < 1:
             raise ValueError("stride_cells and n_headings must be >= 1")
-        if bearings is None:
-            bearings = default_bearings()
-        bearings = np.asarray(bearings, dtype=float)
         self.grid = grid
         self.stride = int(stride_cells)
         self.n_headings = int(n_headings)

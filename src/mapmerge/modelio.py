@@ -5,7 +5,7 @@ travel together so they can never be mixed across alphabets."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class PriorBundle:
 
 
 def dump_prior(bundle: PriorBundle) -> str:
-    ex = bundle.extraction
     doc = {
         "nu": bundle.alphabet.nu,
         "alphabet": list(bundle.alphabet.entries),
@@ -39,13 +38,7 @@ def dump_prior(bundle: PriorBundle) -> str:
         "alpha": bundle.alpha.tolist(),
         "observation_model": bundle.obs_model.tolist(),
         "marginals": bundle.marginals.tolist(),
-        "extraction_params": {
-            "gap_threshold": ex.gap_threshold,
-            "max_range_margin": ex.max_range_margin,
-            "corner_angle_threshold": ex.corner_angle_threshold,
-            "line_fit_tolerance": ex.line_fit_tolerance,
-            "min_group_beams": ex.min_group_beams,
-        },
+        "extraction_params": asdict(bundle.extraction),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 

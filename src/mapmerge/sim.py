@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (FREE, OCCUPIED, UNKNOWN, OccupancyGrid, Pose, cell_index,
-                   default_bearings, raycast_full, _first_stop, _sample_cells,
+                   default_bearings, expected_view, raycast_full, _sample_cells,
                    _sample_distances, wrap_angle)
 from .pfilter import MotionNoise
 from .views import (ExtractionParams, RangeScan, ViewAlphabet, alphabet_build,
@@ -360,30 +360,19 @@ class TrainingData:
     confusion_pairs: list[list[tuple[int, int]]]  # per-sample (true, observed)
 
 
-def _reference_ranges(grid: OccupancyGrid, partner: OccupancyGrid,
-                      poses: list[Pose], cfg: WorldConfig) -> np.ndarray:
-    """Noise-free ranges (poses, beams) a noisy scan at each pose is paired
-    with: cast in the partner partial map where the pose lies inside it,
-    beams that reach unexplored cells censored to max range, and in the
-    full map, unexplored cells transparent, elsewhere.  One batched cast
-    per map."""
-    bearings = cfg.bearings
-    ranges = np.empty((len(poses), len(bearings)))
-    inside = np.array([partner.free_at(p.x, p.y) for p in poses], dtype=bool)
-    for source, picked, unknown_stops in ((partner, inside, True),
-                                          (grid, ~inside, False)):
-        sel = np.flatnonzero(picked)
-        if len(sel) == 0:
-            continue
-        xs = np.array([poses[k].x for k in sel])
-        ys = np.array([poses[k].y for k in sel])
-        thetas = np.array([poses[k].theta for k in sel])
-        ts, first, state = _first_stop(source, xs[:, None], ys[:, None],
-                                       thetas[:, None] + bearings[None, :],
-                                       cfg.max_range, unknown_stops)
-        hit = np.where(state == OCCUPIED, first, len(ts))
-        ranges[sel] = np.append(ts, cfg.max_range)[hit].reshape(len(sel), -1)
-    return ranges
+def _reference_views(grid: OccupancyGrid, partner: OccupancyGrid,
+                     poses: list[Pose], alphabet: ViewAlphabet,
+                     params: ExtractionParams, cfg: WorldConfig) -> list[int]:
+    """The view id a noisy view at each pose is paired with: the partner
+    partial map's expected_view where the pose lies inside it, and the
+    noise-free full-map view, unexplored cells transparent, elsewhere."""
+    inside = [partner.free_at(p.x, p.y) for p in poses]
+    near = iter(expected_view(partner, [p for p, i in zip(poses, inside) if i],
+                              alphabet, params, cfg.bearings, cfg.max_range).tolist())
+    ranges = raycast_full(grid, [p for p, i in zip(poses, inside) if not i],
+                          cfg.bearings, cfg.max_range)
+    far = iter(_views.extract_scan_strings(ranges, cfg.bearings, cfg.max_range, params))
+    return [next(near) if i else view_of(alphabet, next(far)) for i in inside]
 
 
 def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
@@ -413,11 +402,15 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
         if not (grid.cells == FREE).any():
             raise ValueError(f"training map {k} has no FREE cell")
     rng = np.random.default_rng(cfg.seed)
-    bearings = cfg.bearings
-    # (map, trajectory, noisy view strings, reference ("true") view strings)
-    samples: list[tuple[int, int, list[str], list[str]]] = []
+    # (map, trajectory, noisy view strings, full map, the poses the partner
+    # map is carved from, picked poses); each partner map is carved only
+    # when its references are taken, so one is held at a time
+    samples: list[tuple[int, int, list[str], OccupancyGrid, list[Pose],
+                        list[Pose]]] = []
     for m, grid in enumerate(maps):
-        runs = []  # per trajectory: every pose, and the picked poses and scans
+        # per trajectory: the first PARTNER_FRACTION of its poses, the picked
+        # poses and their strings
+        runs = []
         for _ in range(trajectories_per_map):
             run = _walk(grid, _random_free_pose(grid, rng), "random_explore",
                         trajectory_length, cfg, rng)
@@ -426,33 +419,28 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
             scans = simulate_scan(grid, picked, cfg, *(
                 None if rows is None else [rows[k] for k in picks]
                 for rows in (run.noise, run.uniforms)))
-            runs.append((run.poses, picked, scans))
-        partials = []
-        for poses, _, _ in runs:
-            keep = max(1, int(len(poses) * PARTNER_FRACTION))
-            partials.append(carve_partial_map(grid, poses[:keep], cfg))
-        for j, (_, picked, scans) in enumerate(runs):
-            partner = partials[(j + 1) % len(partials)]
-            ranges = _reference_ranges(grid, partner, picked, cfg)
+            keep = max(1, int(len(run.poses) * PARTNER_FRACTION))
             # the noisy scans are RangeScans, extracted through their memo
-            samples.append((m, j, [_views.extract_scan_string(scan, params)
-                                   for scan in scans],
-                            _views.extract_scan_strings(ranges, bearings,
-                                                        cfg.max_range, params)))
+            runs.append((run.poses[:keep], picked,
+                         [_views.extract_scan_string(scan, params) for scan in scans]))
+        for j, (_, picked, noisy) in enumerate(runs):
+            samples.append((m, j, noisy, grid, runs[(j + 1) % len(runs)][0], picked))
 
-    alphabet = alphabet_build([s for _, _, noisy, _ in samples for s in noisy],
+    alphabet = alphabet_build([s for _, _, noisy, *_ in samples for s in noisy],
                               max_views)
     counts, map_index, confusion = [], [], []  # as in TrainingData
-    for m, j, noisy, clean in samples:
+    for m, j, noisy, grid, partner_poses, picked in samples:
         if split_trajectories or j == 0:
             counts.append(dirichlet.new_counts(alphabet.nu))
             map_index.append(m)
             confusion.append([])
         f, pairs = counts[-1], confusion[-1]
+        partner = carve_partial_map(grid, partner_poses, cfg)
         prev = None  # no transition across trajectory boundaries
-        for s_noisy, s_clean in zip(noisy, clean):
+        for s_noisy, clean in zip(noisy, _reference_views(grid, partner, picked,
+                                                          alphabet, params, cfg)):
             v = view_of(alphabet, s_noisy)
-            pairs.append((view_of(alphabet, s_clean), v))
+            pairs.append((clean, v))
             if prev is not None:
                 dirichlet.increment(f, prev, v)
             prev = v
@@ -502,8 +490,8 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
         raise ValueError(f"line 1: need at least 3 beams, got {header['beam_count']}")
     if not all(math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range")):
         raise ValueError("line 1: fov and max_range must be finite and positive")
-    bearings = default_bearings(header["beam_count"], header["fov"])
-    bearings.flags.writeable = False  # shared by every record's scan
+    # one read-only array, shared by every record's scan
+    bearings = readonly(default_bearings(header["beam_count"], header["fov"]))
     n_fields = 7 + header["beam_count"]
     records = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -536,10 +536,35 @@ def reference_carve(grid, trajectory, cfg):
     return carved
 
 
+def batched_reference_ranges(grid, partner, poses, cfg):
+    """Noise-free ranges (poses, beams) a noisy scan at each pose is paired
+    with, as make_training_data once cast them itself: cast in the partner
+    partial map where the pose lies inside it, beams that reach unexplored
+    cells censored to max range, and in the full map, unexplored cells
+    transparent, elsewhere.  One batched cast per map."""
+    bearings = cfg.bearings
+    ranges = np.empty((len(poses), len(bearings)))
+    inside = np.array([partner.free_at(p.x, p.y) for p in poses], dtype=bool)
+    for source, picked, unknown_stops in ((partner, inside, True),
+                                          (grid, ~inside, False)):
+        sel = np.flatnonzero(picked)
+        if len(sel) == 0:
+            continue
+        xs = np.array([poses[k].x for k in sel])
+        ys = np.array([poses[k].y for k in sel])
+        thetas = np.array([poses[k].theta for k in sel])
+        ts, first, state = grid_module._first_stop(
+            source, xs[:, None], ys[:, None], thetas[:, None] + bearings[None, :],
+            cfg.max_range, unknown_stops)
+        hit = np.where(state == OCCUPIED, first, len(ts))
+        ranges[sel] = np.append(ts, cfg.max_range)[hit].reshape(len(sel), -1)
+    return ranges
+
+
 def per_record_reference_ranges(grid, partner, poses, cfg):
-    """sim._reference_ranges one reference_raycast per pose, in the partner
-    map where the pose is inside it, censoring beams that crossed UNKNOWN,
-    and in the full map elsewhere."""
+    """batched_reference_ranges one reference_raycast per pose, in the
+    partner map where the pose is inside it, censoring beams that crossed
+    UNKNOWN, and in the full map elsewhere."""
     ranges = np.empty((len(poses), len(cfg.bearings)))
     for k, pose in enumerate(poses):
         angles = pose.theta + cfg.bearings
@@ -591,8 +616,8 @@ def _ref_make_training_data(maps, trajectories_per_map, cfg, params, max_views=1
         for j, traj in enumerate(trajs):
             partner = partials[(j + 1) % len(partials)]
             picked = _ref_subsample(traj.records, 2.0)
-            ranges = sim._reference_ranges(grid, partner,
-                                           [rec.true_pose for rec in picked], cfg)
+            ranges = batched_reference_ranges(grid, partner,
+                                              [rec.true_pose for rec in picked], cfg)
             samples.append((m, j, [extract_scan_string(rec.scan, params)
                                    for rec in picked],
                             extract_scan_strings(ranges, cfg.bearings,
@@ -683,11 +708,13 @@ class TestTrainingData:
         got = sim.make_training_data(*args, **kwargs)
         inside = []
 
-        def reference(grid, partner, poses, cfg):
+        def reference(grid, partner, poses, alphabet, params, cfg):
             inside.extend(partner.free_at(p.x, p.y) for p in poses)
-            return per_record_reference_ranges(grid, partner, poses, cfg)
+            ranges = per_record_reference_ranges(grid, partner, poses, cfg)
+            return [view_of(alphabet, s) for s in
+                    extract_scan_strings(ranges, cfg.bearings, cfg.max_range, params)]
 
-        monkeypatch.setattr(sim, "_reference_ranges", reference)
+        monkeypatch.setattr(sim, "_reference_views", reference)
         want = sim.make_training_data(*args, **kwargs)
         assert 0 < sum(inside) < len(inside)  # both maps were cast in
         assert got.alphabet == want.alphabet
@@ -700,11 +727,12 @@ class TestTrainingData:
                                  for td in (got, want))
         assert got_prior.marginals.tobytes() == want_prior.marginals.tobytes()
 
-    def test_reference_ranges_match_per_record_casts(self):
+    def test_reference_views_match_per_record_casts(self):
         # partner maps half unexplored, fully explored and not explored at
         # all, poses inside and outside them
         grid = fixtures.rooms_world()
         cfg = sim.WorldConfig(beam_count=37, max_range=5.0)
+        params = ExtractionParams()
         rng = np.random.default_rng(11)
         rows, cols = np.nonzero(grid.cells == FREE)
         pick = rng.choice(len(rows), 40, replace=False)
@@ -719,11 +747,19 @@ class TestTrainingData:
         banded = grid.cells.copy()
         banded[::7][banded[::7] == FREE] = UNKNOWN
         banded = OccupancyGrid(banded, grid.resolution, grid.origin)
-        for full, partner in ((grid, censored), (grid, grid), (grid, unexplored),
-                              (banded, unexplored)):
-            got = sim._reference_ranges(full, partner, poses, cfg)
-            want = per_record_reference_ranges(full, partner, poses, cfg)
-            assert got.tobytes() == want.tobytes()
+        cases = ((grid, censored), (grid, grid), (grid, unexplored),
+                 (banded, unexplored))
+        strings = [extract_scan_strings(per_record_reference_ranges(
+            full, partner, poses, cfg), cfg.bearings, cfg.max_range, params)
+            for full, partner in cases]
+        # an alphabet of every reference view, so equal ids are equal views
+        everything = [s for case in strings for s in case]
+        alphabet = alphabet_build(everything, len(set(everything)) + 1)
+        assert alphabet.other_id not in [view_of(alphabet, s) for s in everything]
+        for (full, partner), want in zip(cases, strings):
+            got = sim._reference_views(full, partner, poses, alphabet, params, cfg)
+            assert got == [view_of(alphabet, s) for s in want]
+        assert sim._reference_views(grid, censored, [], alphabet, params, cfg) == []
 
     def test_corridor_counts_dominated_by_hallway_view(self):
         grid = fixtures.corridor(length=30.0)
