@@ -16,7 +16,8 @@ from . import views
 
 FREE, OCCUPIED, UNKNOWN = 0, 1, 2
 _MAP_CHARS = np.frombuffer(b".#?", dtype=np.uint8)  # map file character by cell value
-_CELL_FOR = {chr(c): v for v, c in enumerate(_MAP_CHARS)}
+_CELL_OF_CODE = np.full(256, -1, dtype=np.int8)  # cell value by character code, -1 unknown
+_CELL_OF_CODE[_MAP_CHARS] = np.arange(len(_MAP_CHARS))
 
 RAY_STEP_FRACTION = 0.5  # ray sampling step, in cell widths
 CAST_CHUNK_RAYS = 10_000  # rays per batched cast of many poses' scans
@@ -33,9 +34,14 @@ def wrap_angle(theta):
     as np.mod computes it."""
     # np.mod of floats is fmod with the divisor added to remainders of the
     # other sign (and a zero made +0.0, which r + 0.0 does here too)
+    if np.isscalar(theta):
+        t = float(theta)
+        if not math.isfinite(t):
+            return math.nan  # math.fmod raises where np.fmod gives NaN
+        r = math.fmod(math.pi - t, 2.0 * math.pi)
+        return -(r + (r < 0) * (2.0 * math.pi) - math.pi)
     r = np.fmod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
-    out = -(r + (r < 0) * (2.0 * np.pi) - np.pi)
-    return float(out) if np.isscalar(theta) else out
+    return -(r + (r < 0) * (2.0 * np.pi) - np.pi)
 
 
 @dataclass(frozen=True)
@@ -189,18 +195,27 @@ def load_map(text: str) -> OccupancyGrid:
     if resolution <= 0:
         raise MapParseError("line 1: resolution must be positive")
     origin = _header_values(lines, 1, "origin", ("x", "y"))
-    rows = []
-    width = len(lines[2])
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            raise MapParseError(f"line {lineno}: empty row")
-        if len(line) != width:
-            raise MapParseError(f"line {lineno}: ragged row (expected width {width})")
-        try:
-            rows.append([_CELL_FOR[ch] for ch in line])
-        except KeyError as exc:
-            raise MapParseError(f"line {lineno}: unknown cell character {exc}") from None
-    return OccupancyGrid(np.array(rows, dtype=np.int8), resolution, origin)
+    # every row decoded in one pass: the rows' characters as UTF-32 code
+    # units (surrogatepass encodes any str), each looked up in a table in
+    # which code 255, and every code above it, is unknown
+    rows = lines[2:]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    codes = np.frombuffer("".join(rows).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    cells = _CELL_OF_CODE[np.minimum(codes, 255)]
+    # the first bad row in file order; within a row: empty, ragged, unknown
+    width = int(lengths[0])
+    misshapen = np.flatnonzero((lengths == 0) | (lengths != width))
+    row = misshapen[0] if len(misshapen) else len(rows)
+    unknown = np.flatnonzero(cells < 0)[:1]
+    if len(unknown):
+        u_row = np.searchsorted(np.cumsum(lengths), unknown[0], "right")
+        if u_row < row:
+            raise MapParseError(f"line {u_row + 3}: unknown cell character "
+                                f"{chr(codes[unknown[0]])!r}")
+    if row < len(rows):
+        problem = "empty row" if lengths[row] == 0 else f"ragged row (expected width {width})"
+        raise MapParseError(f"line {row + 3}: {problem}")
+    return OccupancyGrid(cells.reshape(len(rows), width), resolution, origin)
 
 
 def cell_index(grid: OccupancyGrid, xs: np.ndarray, ys: np.ndarray):

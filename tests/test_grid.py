@@ -73,6 +73,19 @@ class TestWrapAngle:
         assert type(out) is float
         assert np.float64(out).view(np.int64) == want.view(np.int64)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(), st.sampled_from(_EDGES + [0.0, -0.0, 1e300, -1e300]),
+                     st.floats().map(np.float64)))
+    def test_scalar_matches_array_path_bitwise(self, theta):
+        with np.errstate(invalid="ignore"):
+            want = wrap_angle(np.array([theta], dtype=float))[0]
+        out = wrap_angle(theta)
+        assert type(out) is float
+        if math.isfinite(theta):
+            assert np.float64(out).view(np.int64) == want.view(np.int64)
+        else:
+            assert math.isnan(out) and math.isnan(want)
+
     def test_nonfinite_give_nan(self):
         t = np.array([np.inf, -np.inf, np.nan, 1.0])
         with np.errstate(invalid="ignore"):
@@ -168,6 +181,37 @@ class TestMapIO:
         for grid in (g, OccupancyGrid(cells, g.resolution, g.origin)):
             assert dump_map(grid) == reference_dump_map(grid)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("..x\n.\n", "line 3: unknown cell character 'x'"),
+        ("...\n.x\n\n", "line 4: ragged row (expected width 3)"),
+        ("...\n\n.x.\n", "line 4: empty row"),
+        ("...\n.\ud800.\n..\n", "line 4: unknown cell character '\\ud800'"),
+        ("...\n.\t.\n", "line 4: unknown cell character '\\t'"),
+        ("...\r\n...\x0c.\r\n", "line 5: ragged row (expected width 3)"),
+        ("\u00e9..\n...\n", "line 3: unknown cell character '\u00e9'"),
+    ])
+    def test_first_bad_row_in_file_order_is_named(self, rows, message):
+        text = "resolution 0.1\norigin 0 0\n" + rows
+        with pytest.raises(MapParseError) as info:
+            load_map(text)
+        assert str(info.value) == message
+        assert parse_outcome(reference_load_map, text) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.deferred(lambda: _mutated_map_texts()))
+    def test_load_matches_per_line_reference(self, text):
+        got, want = parse_outcome(load_map, text), parse_outcome(reference_load_map, text)
+        assert type(got) is type(want)
+        assert got == want
+
+    @pytest.mark.parametrize("name", list(fixtures.BENCHMARK_ENVIRONMENTS))
+    def test_load_matches_per_line_reference_on_benchmark_maps(self, name):
+        text = dump_map(fixtures.BENCHMARK_ENVIRONMENTS[name]())
+        g = load_map(text)
+        assert g.cells.dtype == np.int8
+        assert g.cells.flags.c_contiguous and g.cells.flags.writeable
+        assert g == reference_load_map(text)
+
     @pytest.mark.parametrize("value", [-1, 3, 127, -128])
     def test_dump_rejects_unknown_cell_value(self, value):
         g = box_world(1.0, 0.25)
@@ -184,6 +228,74 @@ def reference_dump_map(g: OccupancyGrid) -> str:
     lines = [f"resolution {g.resolution!r}", f"origin {g.origin[0]!r} {g.origin[1]!r}"]
     lines += ["".join(chars[int(c)] for c in row) for row in g.cells]
     return "\n".join(lines) + "\n"
+
+
+def reference_load_map(text: str) -> OccupancyGrid:
+    """load_map one line and one cell at a time."""
+    cell_for = {".": FREE, "#": OCCUPIED, "?": UNKNOWN}
+    lines = text.splitlines()
+    if len(lines) < 3:
+        raise MapParseError("map file needs a resolution line, an origin line, and rows")
+    resolution, = grid_module._header_values(lines, 0, "resolution", ("meters",))
+    if resolution <= 0:
+        raise MapParseError("line 1: resolution must be positive")
+    origin = grid_module._header_values(lines, 1, "origin", ("x", "y"))
+    rows = []
+    width = len(lines[2])
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line:
+            raise MapParseError(f"line {lineno}: empty row")
+        if len(line) != width:
+            raise MapParseError(f"line {lineno}: ragged row (expected width {width})")
+        try:
+            rows.append([cell_for[ch] for ch in line])
+        except KeyError as exc:
+            raise MapParseError(f"line {lineno}: unknown cell character {exc}") from None
+    return OccupancyGrid(np.array(rows, dtype=np.int8), resolution, origin)
+
+
+def parse_outcome(parse, text: str):
+    """The grid parse(text) returns, or the message of its MapParseError."""
+    try:
+        return parse(text)
+    except MapParseError as exc:
+        return str(exc)
+
+
+# characters a map row must not hold: unknown ASCII (control characters and
+# line breaks among them), non-ASCII, lone surrogates, and the line breaks
+# str.splitlines knows besides "\n"
+_ODD_CHARS = st.one_of(st.characters(max_codepoint=127).filter(lambda c: c not in ".#?"),
+                       st.characters(min_codepoint=128),
+                       st.integers(0xD800, 0xDFFF).map(chr),
+                       st.sampled_from("\t\x0b\x0c\r\x1c\x85\u2028"))
+
+
+@st.composite
+def _mutated_map_texts(draw):
+    """A dump_map text with up to four rows changed: an odd character put in
+    or written over a cell, the row cut short, lengthened or emptied; then
+    "\n" or CRLF line endings and maybe trailing blank lines."""
+    g = OccupancyGrid(draw(random_cells), draw(st.sampled_from((0.05, 0.1, 0.25))))
+    lines = dump_map(g).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(2, len(lines) - 1))
+        line = lines[k]
+        i = draw(st.integers(0, len(line)))
+        change = draw(st.sampled_from(("put", "overwrite", "short", "long", "empty")))
+        if change == "put":
+            line = line[:i] + draw(_ODD_CHARS) + line[i:]
+        elif change == "overwrite":
+            line = line[:i] + draw(_ODD_CHARS) + line[i + 1:]
+        elif change == "short":
+            line = line[:i]
+        elif change == "long":
+            line += draw(st.text(st.sampled_from(".#?"), min_size=1, max_size=3))
+        else:
+            line = ""
+        lines[k] = line
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end + draw(st.sampled_from(("", "\n", "\n\n", "\r\n", " \n")))
 
 
 @st.composite
