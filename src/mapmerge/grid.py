@@ -21,6 +21,12 @@ _CELL_OF_CODE[_MAP_CHARS] = np.arange(len(_MAP_CHARS))
 
 RAY_STEP_FRACTION = 0.5  # ray sampling step, in cell widths
 CAST_CHUNK_RAYS = 10_000  # rays per batched cast of many poses' scans
+# scan_log_likelihoods weighs poses in blocks of about this many beam
+# endpoints, so its working set stays near 1-3 MB at any particle count: one
+# call on 200,000 poses at 19 beams allocated 127 MB as one block and 3.2 MB
+# in blocks.  At 5,000 particles a call in blocks of 2**13 endpoints took
+# 9 % longer, and in one block 28 % longer
+SCAN_BLOCK_ENDPOINTS = 2**15
 # A batched cast samples its last DENSE_FINISH_RAYS rays densely, in blocks
 # of DENSE_BLOCK_RAYS.  Above 1,023 rays the skipping loop's per-ray masks
 # stay out of numpy's cache of small buffers, which keeps up to 7 freed
@@ -53,6 +59,9 @@ class Pose:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x, self.y, self.theta))):
             raise ValueError("pose components must be finite")
+        # Python floats, so that repr writes a plain number
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
@@ -164,7 +173,7 @@ def dump_map(grid: OccupancyGrid) -> str:
                          "OCCUPIED (1) or UNKNOWN (2)")
     # one character per cell and a newline after every row, decoded once
     text = np.full((cells.shape[0], cells.shape[1] + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = _MAP_CHARS[cells]
+    text[:, :-1] = _MAP_CHARS.take(cells)
     return (f"resolution {grid.resolution!r}\n"
             f"origin {grid.origin[0]!r} {grid.origin[1]!r}\n" + text.tobytes().decode())
 
@@ -201,7 +210,7 @@ def load_map(text: str) -> OccupancyGrid:
     rows = lines[2:]
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     codes = np.frombuffer("".join(rows).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    cells = _CELL_OF_CODE[np.minimum(codes, 255)]
+    cells = _CELL_OF_CODE.take(codes, mode="clip")
     # the first bad row in file order; within a row: empty, ragged, unknown
     width = int(lengths[0])
     misshapen = np.flatnonzero((lengths == 0) | (lengths != width))
@@ -516,7 +525,8 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
 
     poses: (N, 3) array of x, y, theta.  Every beam_stride-th returned beam
     contributes; no-return beams are skipped.  Endpoints off the grid take
-    the random-measurement floor.
+    the random-measurement floor.  Poses are weighed in blocks of about
+    SCAN_BLOCK_ENDPOINTS endpoints.
     """
     poses = np.atleast_2d(np.asarray(poses, dtype=float))
     use = np.arange(0, len(scan), params.beam_stride)
@@ -526,15 +536,21 @@ def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan
         return np.zeros(len(poses))
     a = scan.angles[use]
     r = scan.ranges[use]
-    # endpoints x + r cos(angle), y + r sin(angle), computed in place
-    ang = poses[:, 2:3] + a[None, :]
-    ex = np.cos(ang)
-    ex *= r
-    ex += poses[:, 0:1]
-    ey = np.sin(ang, out=ang)
-    ey *= r
-    ey += poses[:, 1:2]
-    flat, on = cell_index(grid, ex, ey)
-    np.putmask(flat, ~on, grid.cells.size)  # the table's off-grid entry
-    logp = grid.likelihood_table(params).take(flat)
-    return params.likelihood_exponent * logp.sum(axis=1)
+    table = grid.likelihood_table(params)
+    sums = np.empty(len(poses))
+    per_block = max(1, SCAN_BLOCK_ENDPOINTS // len(use))
+    for lo in range(0, len(poses), per_block):
+        block = poses[lo:lo + per_block]
+        # endpoints x + r cos(angle), y + r sin(angle), computed in place
+        ang = block[:, 2:3] + a[None, :]
+        ex = np.cos(ang)
+        ex *= r
+        ex += block[:, 0:1]
+        ey = np.sin(ang, out=ang)
+        ey *= r
+        ey += block[:, 1:2]
+        flat, on = cell_index(grid, ex, ey)
+        np.putmask(flat, ~on, grid.cells.size)  # the table's off-grid entry
+        # each pose's sum runs over its own row, as in one whole-array sum
+        table.take(flat).sum(axis=1, out=sums[lo:lo + per_block])
+    return params.likelihood_exponent * sums

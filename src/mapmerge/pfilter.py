@@ -231,8 +231,7 @@ def best_hypothesis(ps: ParticleSet, radius: float = 2.0,
     near = ((np.hypot(ps.poses[:, 0] - anchor[0], ps.poses[:, 1] - anchor[1]) <= radius)
             & (np.abs(wrap_angle(ps.poses[:, 2] - anchor[2])) <= angle_radius))
     prob = float(w[near].sum())
-    return Hypothesis(Pose(float(anchor[0]), float(anchor[1]), float(anchor[2])),
-                      min(prob, 1.0))
+    return Hypothesis(Pose(*anchor), min(prob, 1.0))
 
 
 @dataclass(frozen=True)

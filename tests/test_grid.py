@@ -104,6 +104,11 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(float("nan"), 0.0, 0.0)
 
+    def test_stores_python_floats(self):
+        pose = Pose(np.float64(1.5), np.int64(2), np.float64(0.25))
+        assert [type(v) for v in (pose.x, pose.y, pose.theta)] == [float] * 3
+        assert (pose.x, pose.y, pose.theta) == (1.5, 2.0, 0.25)
+
 
 class TestMapIO:
     def test_all_free_map(self):
@@ -910,21 +915,47 @@ def _scan_log_likelihoods_where_gather(grid, poses, scan, params):
     return params.likelihood_exponent * logp.sum(axis=1)
 
 
+def reference_scan_log_likelihoods(grid, poses, scan, params):
+    """scan_log_likelihoods before it weighed poses in blocks: every
+    endpoint of every pose in one array, computed in place."""
+    poses = np.atleast_2d(np.asarray(poses, dtype=float))
+    use = np.arange(0, len(scan), params.beam_stride)
+    returned = scan.ranges[use] < scan.max_range - 1e-9
+    use = use[returned]
+    if len(use) == 0:
+        return np.zeros(len(poses))
+    a = scan.angles[use]
+    r = scan.ranges[use]
+    ang = poses[:, 2:3] + a[None, :]
+    ex = np.cos(ang)
+    ex *= r
+    ex += poses[:, 0:1]
+    ey = np.sin(ang, out=ang)
+    ey *= r
+    ey += poses[:, 1:2]
+    flat, on = cell_index(grid, ex, ey)
+    np.putmask(flat, ~on, grid.cells.size)
+    logp = grid.likelihood_table(params).take(flat)
+    return params.likelihood_exponent * logp.sum(axis=1)
+
+
 @st.composite
-def _likelihood_cases(draw):
+def _likelihood_cases(draw, counts=st.integers(1, 12)):
     cells = draw(random_cells)
     res = draw(st.sampled_from((0.05, 0.1, 0.25, 1.0)))
     origin = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
     grid = OccupancyGrid(cells, res, origin)
     h, w = grid.shape
-    # poses around and well beyond the grid, so endpoints fall off it
-    n = draw(st.integers(1, 12))
+    # poses around and well beyond the grid, so endpoints fall off it, and
+    # now and then far out of bounds
+    n = draw(counts)
     span = 2.0 * max(h, w) * res
+    far = st.floats(-1e6, 1e6)
     poses = np.column_stack((
         draw(arrays(np.float64, n, elements=st.floats(origin[0] - span,
-                                                      origin[0] + 2 * span))),
+                                                      origin[0] + 2 * span) | far)),
         draw(arrays(np.float64, n, elements=st.floats(origin[1] - span,
-                                                      origin[1] + 2 * span))),
+                                                      origin[1] + 2 * span) | far)),
         draw(arrays(np.float64, n, elements=st.floats(-math.pi, math.pi)))))
     max_range = draw(st.sampled_from((2.0, MAX_RANGE)))
     beams = draw(st.integers(1, 40))
@@ -958,6 +989,48 @@ def test_scan_log_likelihoods_matches_per_beam_formula_bitwise(case):
             want = reference(grid, poses, scan, params)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scan_log_likelihoods_in_blocks_matches_one_shot_bitwise(data):
+    # blocks of 0 (so 1) to 4 poses; 0 and 1 poses, and pose counts at a
+    # block boundary and one either side
+    per_block = data.draw(st.integers(0, 4))
+    boundary = st.builds(lambda k, d: max(0, k * max(1, per_block) + d),
+                         st.integers(1, 3), st.sampled_from((-1, 0, 1)))
+    grid, poses, scan, param_sets = data.draw(
+        _likelihood_cases(counts=st.sampled_from((0, 1)) | boundary))
+    for params in param_sets:
+        used = np.count_nonzero(scan.ranges[::params.beam_stride]
+                                < scan.max_range - 1e-9)
+        # SCAN_BLOCK_ENDPOINTS // used == per_block
+        endpoints = per_block * used + data.draw(st.integers(0, max(0, used - 1)))
+        with mock.patch.object(grid_module, "SCAN_BLOCK_ENDPOINTS", endpoints):
+            got = scan_log_likelihoods(grid, poses, scan, params)
+        want = reference_scan_log_likelihoods(grid, poses, scan, params)
+        assert got.shape == want.shape == (len(poses),)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scan_log_likelihoods_memory_does_not_grow_with_poses():
+    # 200,000 poses at 19 weighed beams: one array of all endpoints peaked
+    # at over 120 MB; blocks allocate little beyond the output
+    g = box_world()
+    scan = raycast(g, Pose(2.0, 3.5, 0.7), default_bearings(), MAX_RANGE)
+    params = ScanLikelihoodParams()
+    n = 200_000
+    r = np.random.default_rng(3)
+    poses = np.column_stack((r.uniform(-1.0, 7.0, n), r.uniform(-1.0, 7.0, n),
+                             r.uniform(-math.pi, math.pi, n)))
+    g.likelihood_table(params)  # the map's cached table, built outside the trace
+    tracemalloc.start()
+    try:
+        out = scan_log_likelihoods(g, poses, scan, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4e6
 
 
 @pytest.mark.parametrize("env", sorted(fixtures.BENCHMARK_ENVIRONMENTS))

@@ -842,6 +842,18 @@ class TestTrajectoryLog:
             np.testing.assert_array_equal(ra.scan.ranges, rb.scan.ranges)
         assert sim.dump_trajectory(loaded, cfg) == text
 
+    def test_round_trip_from_random_free_pose(self):
+        # the start is a cell center of numpy indices; every pose walked
+        # from it must still write as a plain number
+        grid = fixtures.office_world()
+        cfg = sim.WorldConfig(seed=11)
+        rng = np.random.default_rng(11)
+        traj = sim.generate_trajectory(grid, sim._random_free_pose(grid, rng),
+                                       "wall_follow", 5.0, cfg, rng)
+        loaded, _ = sim.load_trajectory(sim.dump_trajectory(traj, cfg))
+        assert [rec.true_pose for rec in loaded.records] == [
+            rec.true_pose for rec in traj.records]
+
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
             sim.load_trajectory("0 1.0 2.0 0.0 0.1 0.0 0.0 5.0\n")
