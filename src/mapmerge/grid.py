@@ -9,7 +9,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .views import ExtractionParams, RangeScan, ViewAlphabet
 from . import views
@@ -113,13 +112,20 @@ class OccupancyGrid:
     def distance_field(self) -> np.ndarray:
         """Per-cell distance (meters) to the nearest OCCUPIED cell."""
         if self._distance_field is None:
-            occ = self.cells == OCCUPIED
-            if occ.any():
-                self._distance_field = (
-                    distance_transform_edt(~occ) * self.resolution)
-            else:
-                self._distance_field = np.full(self.cells.shape, np.inf)
+            self._distance_field = self._clearance(self.cells == OCCUPIED)
         return self._distance_field
+
+    def _clearance(self, stops: np.ndarray) -> np.ndarray:
+        """Distance (meters between cell centers) from each cell to the
+        nearest cell of the boolean mask stops; inf everywhere without one."""
+        if not stops.any():
+            return np.full(stops.shape, np.inf)
+        # the square root of the exact integer, as a float64: the same
+        # float as SciPy's exact transform gives
+        d = _squared_distances(stops).astype(float)
+        np.sqrt(d, out=d)
+        d *= self.resolution
+        return d
 
     def likelihood_table(self, params: ScanLikelihoodParams) -> np.ndarray:
         """Per-beam log-likelihood of an endpoint in each cell, flattened,
@@ -145,11 +151,7 @@ class OccupancyGrid:
         table = self._skip_tables.get(unknown_stops)
         if table is None:
             stops = self.cells != FREE if unknown_stops else self.cells == OCCUPIED
-            if stops.any():
-                advance = distance_transform_edt(~stops)
-                advance *= self.resolution
-            else:
-                advance = np.full(self.cells.shape, np.inf)
+            advance = self._clearance(stops)
             # in place: the transform is as large as the grid
             advance -= self.resolution * math.sqrt(2.0)
             advance /= self.resolution * RAY_STEP_FRACTION
@@ -488,18 +490,78 @@ class ViewField:
         return self.table[i, j, k].astype(np.int64)
 
 
+def _column_pass(mask: np.ndarray):
+    """(row, gap) per cell: the row of the nearest mask cell in the cell's
+    column, the upper one on a tie, and its distance in rows.  A column
+    without mask cells gives a gap longer than any distance on the grid.
+
+    Both are int32 below 8,192 rows plus columns, where a squared gap plus
+    a squared column offset stays under 5 * (h + w)**2 < 2**31; int32 made
+    the transforms 1.4-1.8x faster than int64 on the benchmark maps."""
+    h, w = mask.shape
+    rows = np.arange(h, dtype=np.int32 if h + w < 2**13 else np.int64)[:, None]
+    far = 2 * (h + w)
+    above = np.maximum.accumulate(np.where(mask, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, far)[::-1], axis=0)[::-1]
+    up = rows - above
+    down = below - rows
+    return np.where(down < up, below, above), np.minimum(up, down)
+
+
+def _squared_distances(mask: np.ndarray) -> np.ndarray:
+    """Squared distance, in cells, from each cell to the nearest cell of the
+    boolean mask, exactly, as integers (the mask must hold a cell).
+
+    Each cell takes the least (column gap)**2 + k**2 over the columns k
+    away; once k**2 reaches the largest distance so far, no column further
+    away can lower one."""
+    _, gap = _column_pass(mask)
+    gap *= gap
+    best = gap.copy()
+    k = 1
+    while k < mask.shape[1] and k * k < best.max():
+        np.minimum(best[:, k:], gap[:, :-k] + k * k, out=best[:, k:])
+        np.minimum(best[:, :-k], gap[:, k:] + k * k, out=best[:, :-k])
+        k += 1
+    return best
+
+
+def _nearest_cells(mask: np.ndarray):
+    """(rows, cols): the nearest cell of the boolean mask to each cell (the
+    mask must hold one), ties broken as SciPy's exact Euclidean feature
+    transform breaks them: least squared distance, then least column, then
+    least row."""
+    h, w = mask.shape
+    nearest_row, gap = _column_pass(mask)
+    gap *= gap
+    best = gap.copy()
+    col = np.broadcast_to(np.arange(w), (h, w)).copy()
+    k = 1
+    # a column k away ties the best so far while k**2 equals it
+    while k < w and k * k <= best.max():
+        # the column to the left is the least one seen yet, so it wins ties;
+        # the column to the right wins only when nearer
+        left = gap[:, :-k] + k * k
+        take = left <= best[:, k:]
+        np.copyto(best[:, k:], left, where=take)
+        np.copyto(col[:, k:], np.arange(w - k), where=take)
+        right = gap[:, k:] + k * k
+        take = right < best[:, :-k]
+        np.copyto(best[:, :-k], right, where=take)
+        np.copyto(col[:, :-k], np.arange(k, w), where=take)
+        k += 1
+    return np.take_along_axis(nearest_row, col, axis=1), col
+
+
 def _fill_missing(table: np.ndarray) -> np.ndarray:
-    """Fill -1 lattice sites with the nearest computed view id per heading."""
-    out = table.copy()
-    for k in range(out.shape[2]):
-        plane = out[:, :, k]
-        missing = plane == -1
-        if not missing.any() or missing.all():
-            continue
-        idx = distance_transform_edt(missing, return_distances=False,
-                                     return_indices=True)
-        out[:, :, k] = plane[tuple(idx)]
-    return out
+    """Fill -1 lattice sites with the view ids of the nearest computed site.
+    A site is computed or missing at every heading at once, so one
+    transform serves every heading plane."""
+    missing = table[:, :, 0] == -1
+    if not missing.any() or missing.all():
+        return table.copy()
+    rows, cols = _nearest_cells(~missing)
+    return table[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -511,12 +573,26 @@ class ScanLikelihoodParams:
     likelihood_exponent: float = 0.3
 
     def __post_init__(self):
+        # each comparison is False for NaN
+        if not 0 < self.sigma_hit < math.inf:
+            raise ValueError(f"sigma_hit must be finite and > 0, got {self.sigma_hit!r}")
+        if not 0 <= self.z_hit < math.inf:
+            raise ValueError(f"z_hit must be finite and >= 0, got {self.z_hit!r}")
+        # z_rand > 0 keeps the log-likelihood of an endpoint off the grid,
+        # at distance inf, finite
+        if not 0 < self.z_rand < math.inf:
+            raise ValueError(f"z_rand must be finite and > 0, got {self.z_rand!r}")
         if abs(self.z_hit + self.z_rand - 1.0) > 1e-9:
-            raise ValueError("z_hit + z_rand must equal 1")
-        if self.sigma_hit <= 0 or self.beam_stride < 1:
-            raise ValueError("sigma_hit must be positive and beam_stride >= 1")
+            raise ValueError("z_hit + z_rand must equal 1, "
+                             f"got {self.z_hit!r} + {self.z_rand!r}")
+        if self.beam_stride % 1 or not self.beam_stride >= 1:
+            raise ValueError("beam_stride must be a whole number >= 1, "
+                             f"got {self.beam_stride!r}")
+        # an int, so that a whole float such as 2.0 still steps beam indices
+        object.__setattr__(self, "beam_stride", int(self.beam_stride))
         if not (0.0 < self.likelihood_exponent <= 1.0):
-            raise ValueError("likelihood_exponent must lie in (0, 1]")
+            raise ValueError("likelihood_exponent must lie in (0, 1], "
+                             f"got {self.likelihood_exponent!r}")
 
 
 def scan_log_likelihoods(grid: OccupancyGrid, poses: np.ndarray, scan: RangeScan,

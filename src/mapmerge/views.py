@@ -105,7 +105,8 @@ def canonicalize(s: str) -> str:
 
 def _segment_covariance(points: np.ndarray) -> np.ndarray:
     """2x2 scatter matrix of points about their mean."""
-    centered = points - points.mean(axis=0)
+    # the two ufunc calls np.mean makes, without its dispatch: the same bits
+    centered = points - np.add.reduce(points, axis=0) / len(points)
     return centered.T @ centered
 
 

@@ -1,8 +1,10 @@
 """Occupancy grids: serialization, inside tests, ray casting, expected views,
 and the likelihood-field scan model."""
 
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.ndimage import distance_transform_edt
 
-from mapmerge import fixtures, grid as grid_module
+from mapmerge import fixtures, grid as grid_module, sim
 from mapmerge.grid import (FREE, OCCUPIED, UNKNOWN, MapParseError, OccupancyGrid,
                            Pose, RAY_STEP_FRACTION, ViewField, _fill_missing,
-                           _first_stop, cell_index, default_bearings, dump_map,
+                           _first_stop, _squared_distances, cell_index,
+                           default_bearings, dump_map,
                            expected_view, inside_mask, load_map, raycast,
                            raycast_full, scan_log_likelihoods,
                            ScanLikelihoodParams, wrap_angle)
@@ -750,6 +754,46 @@ class TestExpectedView:
                           ExtractionParams())
 
 
+# The distance transforms as first written, on scipy.ndimage: the oracles of
+# OccupancyGrid.distance_field, OccupancyGrid.skip_table and _fill_missing.
+
+def reference_distance_field(g: OccupancyGrid) -> np.ndarray:
+    occ = g.cells == OCCUPIED
+    if occ.any():
+        return distance_transform_edt(~occ) * g.resolution
+    return np.full(g.cells.shape, np.inf)
+
+
+def reference_skip_table(g: OccupancyGrid, unknown_stops: bool) -> np.ndarray:
+    stops = g.cells != FREE if unknown_stops else g.cells == OCCUPIED
+    if stops.any():
+        advance = distance_transform_edt(~stops)
+        advance *= g.resolution
+    else:
+        advance = np.full(g.cells.shape, np.inf)
+    advance -= g.resolution * math.sqrt(2.0)
+    advance /= g.resolution * RAY_STEP_FRACTION
+    np.floor(advance, out=advance)
+    advance -= 1
+    np.clip(advance, 1, 255, out=advance)
+    table = advance.astype(np.uint8)
+    table[stops] = 0
+    return table.ravel()
+
+
+def reference_fill_missing(table: np.ndarray) -> np.ndarray:
+    out = table.copy()
+    for k in range(out.shape[2]):
+        plane = out[:, :, k]
+        missing = plane == -1
+        if not missing.any() or missing.all():
+            continue
+        idx = distance_transform_edt(missing, return_distances=False,
+                                     return_indices=True)
+        out[:, :, k] = plane[tuple(idx)]
+    return out
+
+
 FIELD_ALPHABET = alphabet_build(["m", "mwm", "wmw", "mw", "w", "mwmwm", "wgw"],
                                 max_views=8)
 
@@ -772,7 +816,7 @@ def reference_table(g: OccupancyGrid, bearings, max_range: float, stride: int,
                 table[i, j, k] = expected_view(g, Pose(x, y, th), FIELD_ALPHABET,
                                                ExtractionParams(), bearings,
                                                max_range)
-    return _fill_missing(table)
+    return reference_fill_missing(table)
 
 
 class TestViewField:
@@ -807,6 +851,153 @@ class TestViewField:
         assert peak < 3e6
 
 
+@st.composite
+def _transform_grids(draw):
+    """Grids of 1 to 40 rows and columns, 1-row and 1-column ones often,
+    mostly of one cell value with others scattered, so that a mask runs
+    from a single cell to every cell (or none)."""
+    side = st.one_of(st.just(1), st.integers(1, 40))
+    shape = (draw(side), draw(side))
+    values = st.sampled_from((FREE, OCCUPIED, UNKNOWN))
+    cells = draw(arrays(np.int8, shape, elements=values, fill=st.just(draw(values))))
+    return OccupancyGrid(cells, draw(st.sampled_from((0.05, 0.1, 0.3, 1.0))), (-1.5, 2.0))
+
+
+def _lattice_sites(draw, h: int, w: int) -> np.ndarray:
+    """A computed-site mask of an h x w lattice: random, or a few sites
+    mirrored across the middle row, the middle column and, on a square
+    lattice, the diagonal, so that many missing sites are equally near
+    several computed ones."""
+    if draw(st.booleans()):
+        return draw(arrays(np.bool_, (h, w), elements=st.booleans(),
+                           fill=st.just(draw(st.booleans()))))
+    sites = np.zeros((h, w), dtype=bool)
+    for r, c in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                              min_size=1, max_size=4)):
+        sites[r, c] = True
+    sites |= sites[::-1]
+    sites |= sites[:, ::-1]
+    if h == w:
+        sites |= sites.T
+    return sites
+
+
+@st.composite
+def _view_tables(draw):
+    """ViewField tables before the fill: -1 at every heading of a missing
+    site, and a distinct id per computed site and heading, so that a site
+    borrowed from any other neighbour shows."""
+    side = st.one_of(st.just(1), st.integers(1, 25))
+    h, w, n_headings = draw(side), draw(side), draw(st.integers(1, 4))
+    sites = _lattice_sites(draw, h, w)
+    ids = np.arange(h * w * n_headings, dtype=np.int16).reshape(h, w, n_headings)
+    return np.where(sites[:, :, None], ids, -1).astype(np.int16)
+
+
+def _carved_partial_maps(seed: int = 3):
+    """The benchmark's partial maps: a 3 m and a 10 m exploration of each
+    map's fixed route in perfbench/workloads.py, as its prepare set-up
+    carves them."""
+    # loaded from its file under test_bench_bindings' private name, without
+    # writing a bytecode cache beside it
+    key = "_perfbench_workloads"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(sys.modules[key])
+        finally:
+            sys.dont_write_bytecode = saved
+    workloads = sys.modules[key]
+    rng = np.random.default_rng(seed)
+    cfg = sim.WorldConfig(seed=seed)
+    partials = []
+    for name, make in fixtures.BENCHMARK_ENVIRONMENTS.items():
+        g = make()
+        start, waypoints = workloads._route(name, rng)
+        for length in (3.0, 10.0):
+            traj = sim.generate_trajectory(g, start, "waypoints", length, cfg, rng=rng,
+                                           waypoints=waypoints)
+            partials.append((f"{name}-{length:g}m", sim.carve_partial_map(g, traj, cfg)))
+    return partials
+
+
+class TestDistanceTransforms:
+    """The numpy transforms equal the scipy.ndimage oracles bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_transform_grids())
+    def test_distance_field_and_skip_tables_match_oracles(self, g):
+        assert g.distance_field().tobytes() == reference_distance_field(g).tobytes()
+        for unknown_stops in (False, True):
+            got = g.skip_table(unknown_stops)
+            assert got.dtype == np.uint8
+            assert got.tobytes() == reference_skip_table(g, unknown_stops).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_view_tables())
+    def test_fill_missing_matches_oracle(self, table):
+        got = _fill_missing(table)
+        assert got.dtype == table.dtype
+        assert got.tobytes() == reference_fill_missing(table).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 8200), (8200, 1)])
+    def test_wide_grids_take_the_int64_path(self, shape):
+        # 8,192 rows plus columns and more are transformed in int64
+        cells = np.full(shape, FREE, dtype=np.int8)
+        cells.flat[[0, 3000, 8199]] = OCCUPIED
+        g = OccupancyGrid(cells, 0.05)
+        assert _squared_distances(cells == OCCUPIED).dtype == np.int64
+        assert g.distance_field().tobytes() == reference_distance_field(g).tobytes()
+        assert g.skip_table(True).tobytes() == reference_skip_table(g, True).tobytes()
+
+    def test_fill_missing_ties_go_to_the_least_column_then_the_least_row(self):
+        # (0, 2) holds 1 and (2, 0) holds 2: the corners (0, 0) and (2, 2) and
+        # the middle are as near to both, and take 2, from the lesser column
+        table = np.full((3, 3, 1), -1, dtype=np.int16)
+        table[0, 2], table[2, 0] = 1, 2
+        got = _fill_missing(table)[:, :, 0]
+        np.testing.assert_array_equal(got, [[2, 1, 1], [2, 2, 1], [2, 2, 2]])
+        np.testing.assert_array_equal(got, reference_fill_missing(table)[:, :, 0])
+        # of two sites in one column, the upper one
+        table = np.full((3, 1, 1), -1, dtype=np.int16)
+        table[0], table[2] = 1, 2
+        np.testing.assert_array_equal(_fill_missing(table).ravel(), [1, 1, 2])
+        np.testing.assert_array_equal(reference_fill_missing(table).ravel(), [1, 1, 2])
+
+    def test_benchmark_maps_match_oracles(self):
+        # the three full maps and the partial maps the benchmark carves
+        maps = [(name, make()) for name, make in fixtures.BENCHMARK_ENVIRONMENTS.items()]
+        for name, g in maps + _carved_partial_maps():
+            assert g.distance_field().tobytes() == reference_distance_field(g).tobytes(), name
+            for unknown_stops in (False, True):
+                assert (g.skip_table(unknown_stops).tobytes()
+                        == reference_skip_table(g, unknown_stops).tobytes()), name
+            with mock.patch.object(grid_module, "_fill_missing",
+                                   wraps=grid_module._fill_missing) as fill:
+                field = ViewField(g, FIELD_ALPHABET, ExtractionParams())
+            (unfilled,), _ = fill.call_args
+            assert (unfilled == -1).any(), name  # some site borrows a view
+            assert field.table.tobytes() == reference_fill_missing(unfilled).tobytes(), name
+
+
+def test_runtime_does_not_import_scipy_ndimage():
+    # every mapmerge module, imported in a fresh interpreter
+    code = ("import importlib, pkgutil, sys, mapmerge\n"
+            "names = [m.name for m in pkgutil.iter_modules(mapmerge.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module(f'mapmerge.{name}')\n"
+            "print(len(names))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    count, loaded = out.stdout.splitlines()
+    assert int(count) >= 12 and loaded == "[]"
+
+
 class TestScanLikelihood:
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -815,6 +1006,28 @@ class TestScanLikelihood:
             ScanLikelihoodParams(sigma_hit=-1.0)
         with pytest.raises(ValueError):
             ScanLikelihoodParams(likelihood_exponent=0.0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # an off-map endpoint at -inf, and NaN weights in the filter
+        (dict(z_hit=1.0, z_rand=0.0), "z_rand must be finite and > 0, got 0.0"),
+        (dict(sigma_hit=math.nan), "sigma_hit must be finite and > 0, got nan"),
+        (dict(sigma_hit=math.inf), "sigma_hit must be finite and > 0, got inf"),
+        # endpoints far from walls rewarded
+        (dict(z_hit=-0.5, z_rand=1.5), "z_hit must be finite and >= 0, got -0.5"),
+        (dict(z_hit=math.nan, z_rand=0.1), "z_hit must be finite and >= 0, got nan"),
+        (dict(z_hit=math.inf, z_rand=-math.inf), "z_hit must be finite and >= 0, got inf"),
+        (dict(z_hit=0.9, z_rand=math.nan), "z_rand must be finite and > 0, got nan"),
+        # an IndexError in scan_log_likelihoods
+        (dict(beam_stride=2.5), "beam_stride must be a whole number >= 1, got 2.5"),
+        (dict(beam_stride=math.nan), "beam_stride must be a whole number >= 1, got nan"),
+    ])
+    def test_params_reject_values_that_break_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScanLikelihoodParams(**kwargs)
+
+    def test_whole_float_beam_stride_is_an_int(self):
+        params = ScanLikelihoodParams(beam_stride=2.0)
+        assert params.beam_stride == 2 and type(params.beam_stride) is int
 
     def test_true_pose_beats_displaced_poses(self):
         g = box_world()
