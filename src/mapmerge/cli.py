@@ -9,8 +9,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evalharness, sim, training
 from .grid import Pose, ViewField, dump_map, load_map
 from .modelio import dump_prior, load_prior
@@ -75,9 +73,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_carve(args) -> int:
     grid = _read(args.map, load_map)
-    traj, header = _read(args.trajectory, sim.load_trajectory)
-    cfg = sim.WorldConfig(beam_count=header["beam_count"], fov=header["fov"],
-                          max_range=header["max_range"])
+    traj, cfg = _read(args.trajectory, sim.load_trajectory)
     partial = sim.carve_partial_map(grid, traj, cfg)
     Path(args.out).write_text(dump_map(partial))
     return 0
@@ -172,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a trajectory log in a map")
     p.add_argument("--map", required=True)
-    p.add_argument("--policy", default="random_explore",
-                   choices=("waypoints", "wall_follow", "random_explore"))
+    p.add_argument("--policy", default="random_explore", choices=sim.POLICIES)
     p.add_argument("--waypoints", default=None, help="x,y;x,y;... for the waypoints policy")
     p.add_argument("--start", required=True, help="x,y,theta")
     p.add_argument("--length", type=float, default=50.0)
@@ -210,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="precision-recall over a pair manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--methods", default="hierarchical_adaptive")
-    p.add_argument("--thresholds",
-                   default=",".join(str(round(t, 2)) for t in np.arange(0.05, 1.0, 0.05)) + ",0.99")
+    p.add_argument("--thresholds", default=",".join(
+        str(float(t)) for t in evalharness.EvalConfig().thresholds))
     p.add_argument("--particles", type=int, default=10000)
     p.add_argument("--view-distance", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)

@@ -508,60 +508,51 @@ def _column_pass(mask: np.ndarray):
     return np.where(down < up, below, above), np.minimum(up, down)
 
 
-def _squared_distances(mask: np.ndarray) -> np.ndarray:
-    """Squared distance, in cells, from each cell to the nearest cell of the
-    boolean mask, exactly, as integers (the mask must hold a cell).
+def _row_min(base: np.ndarray, scale: int) -> np.ndarray:
+    """Each cell's least base[r, c'] + scale * (c - c')**2 over the columns
+    c' of its row: the row pass of the separable exact distance transform
+    (Saito & Toriwaki, 1994).  Once scale * k**2 reaches the largest value
+    so far, no column k or more away can lower one.
 
-    Each cell takes the least (column gap)**2 + k**2 over the columns k
-    away; once k**2 reaches the largest distance so far, no column further
-    away can lower one."""
-    _, gap = _column_pass(mask)
-    gap *= gap
-    best = gap.copy()
+    At scale 1 on _column_pass's squared gaps it gives squared distances;
+    at scale h * w on _fill_missing's int64 keys, the least key.  Every key
+    and sum then stays under 6 * (h + w)**2 * h * w < 2**63 below 2**15
+    rows plus columns."""
+    best = base.copy()
     k = 1
-    while k < mask.shape[1] and k * k < best.max():
-        np.minimum(best[:, k:], gap[:, :-k] + k * k, out=best[:, k:])
-        np.minimum(best[:, :-k], gap[:, k:] + k * k, out=best[:, :-k])
+    while k < base.shape[1] and scale * k * k < best.max():
+        np.minimum(best[:, k:], base[:, :-k] + scale * k * k, out=best[:, k:])
+        np.minimum(best[:, :-k], base[:, k:] + scale * k * k, out=best[:, :-k])
         k += 1
     return best
 
 
-def _nearest_cells(mask: np.ndarray):
-    """(rows, cols): the nearest cell of the boolean mask to each cell (the
-    mask must hold one), ties broken as SciPy's exact Euclidean feature
-    transform breaks them: least squared distance, then least column, then
-    least row."""
-    h, w = mask.shape
-    nearest_row, gap = _column_pass(mask)
+def _squared_distances(mask: np.ndarray) -> np.ndarray:
+    """Squared distance, in cells, from each cell to the nearest cell of the
+    boolean mask, exactly, as integers (the mask must hold a cell)."""
+    _, gap = _column_pass(mask)
     gap *= gap
-    best = gap.copy()
-    col = np.broadcast_to(np.arange(w), (h, w)).copy()
-    k = 1
-    # a column k away ties the best so far while k**2 equals it
-    while k < w and k * k <= best.max():
-        # the column to the left is the least one seen yet, so it wins ties;
-        # the column to the right wins only when nearer
-        left = gap[:, :-k] + k * k
-        take = left <= best[:, k:]
-        np.copyto(best[:, k:], left, where=take)
-        np.copyto(col[:, k:], np.arange(w - k), where=take)
-        right = gap[:, k:] + k * k
-        take = right < best[:, :-k]
-        np.copyto(best[:, :-k], right, where=take)
-        np.copyto(col[:, :-k], np.arange(k, w), where=take)
-        k += 1
-    return np.take_along_axis(nearest_row, col, axis=1), col
+    return _row_min(gap, 1)
 
 
 def _fill_missing(table: np.ndarray) -> np.ndarray:
     """Fill -1 lattice sites with the view ids of the nearest computed site.
     A site is computed or missing at every heading at once, so one
-    transform serves every heading plane."""
+    transform serves every heading plane.
+
+    Each column's nearest site is ranked as one key, gap**2 * s + col * h
+    + row with s = h * w, so the least key breaks ties as SciPy's exact
+    Euclidean feature transform does: least squared distance, then least
+    column, then least row (the column pass keeps the upper one)."""
     missing = table[:, :, 0] == -1
     if not missing.any() or missing.all():
         return table.copy()
-    rows, cols = _nearest_cells(~missing)
-    return table[rows, cols]
+    h, w = missing.shape
+    s = h * w
+    row, gap = _column_pass(~missing)
+    gap = gap.astype(np.int64)
+    key = _row_min(gap * gap * s + np.arange(w) * h + row, s)
+    return table[key % h, key % s // h]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from . import dirichlet
 
 MAX_STEP = 0.25  # meters of travel per trajectory record
 PARTNER_FRACTION = 0.5  # share of a partner run carved into a training partial map
+POLICIES = ("waypoints", "wall_follow", "random_explore")  # generate_trajectory's walks
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def _walk(grid: OccupancyGrid, start: Pose, policy, length: float,
         raise ValueError("start pose must be in a FREE cell")
     if policy == "waypoints" and not waypoints:
         raise ValueError("waypoints policy requires a waypoint list")
-    if policy not in ("waypoints", "wall_follow", "random_explore"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     poses, odoms = [], []
     noise = [] if cfg.range_noise_sigma > 0 else None
@@ -471,9 +472,10 @@ def dump_trajectory(traj: Trajectory, cfg: WorldConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_trajectory(text: str) -> tuple[Trajectory, dict]:
-    """Parse a dump_trajectory log; a malformed line raises a ValueError
-    that names it."""
+def load_trajectory(text: str) -> tuple[Trajectory, WorldConfig]:
+    """Parse a dump_trajectory log into the trajectory and a WorldConfig of
+    its header's beam geometry; a malformed line raises a ValueError that
+    names it."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("beams "):
         raise ValueError("line 1: trajectory log must start with a 'beams' header")
@@ -481,33 +483,35 @@ def load_trajectory(text: str) -> tuple[Trajectory, dict]:
     try:
         if len(h) != 8 or h[2::2] != ["fov", "max_range", "truncated"]:
             raise ValueError
-        header = {"beam_count": int(h[1]), "fov": float(h[3]),
-                  "max_range": float(h[5]), "truncated": bool(int(h[7]))}
+        beam_count, fov, max_range = int(h[1]), float(h[3]), float(h[5])
     except ValueError:
         raise ValueError("line 1: expected 'beams <N> fov <F> max_range <R> "
                          "truncated <T>'") from None
-    if header["beam_count"] < 3:
-        raise ValueError(f"line 1: need at least 3 beams, got {header['beam_count']}")
-    if not all(math.isfinite(header[k]) and header[k] > 0 for k in ("fov", "max_range")):
-        raise ValueError("line 1: fov and max_range must be finite and positive")
-    # one read-only array, shared by every record's scan
-    bearings = readonly(default_bearings(header["beam_count"], header["fov"]))
-    n_fields = 7 + header["beam_count"]
+    if h[7] not in ("0", "1"):
+        raise ValueError(f"line 1: truncated must be 0 or 1, got {h[7]!r}")
+    try:
+        cfg = WorldConfig(beam_count, fov, max_range)
+    except ValueError as exc:
+        raise ValueError(f"line 1: {exc}") from None
+    n_fields = 7 + beam_count
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != n_fields:
             raise ValueError(f"line {lineno}: expected {n_fields} fields (index, "
-                             f"pose, odometry, {header['beam_count']} ranges), "
-                             f"got {len(parts)}")
+                             f"pose, odometry, {beam_count} ranges), got {len(parts)}")
+        if parts[0] != str(len(records)):
+            raise ValueError(f"line {lineno}: record index must be {len(records)}, "
+                             f"got {parts[0]!r}")
         try:
             pose = Pose(float(parts[1]), float(parts[2]), float(parts[3]))
             odom = (float(parts[4]), float(parts[5]), float(parts[6]))
             if not all(map(math.isfinite, odom)):
                 raise ValueError("odometry must be finite")
             ranges = np.array([float(v) for v in parts[7:]])
-            scan = RangeScan(bearings, ranges, header["max_range"])
+            # every record's scan shares the config's read-only bearings
+            scan = RangeScan(cfg.bearings, ranges, max_range)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         records.append(TrajectoryRecord(true_pose=pose, odom=odom, scan=scan))
-    return Trajectory(records=records, truncated=header["truncated"]), header
+    return Trajectory(records=records, truncated=h[7] == "1"), cfg

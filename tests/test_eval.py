@@ -302,6 +302,22 @@ class TestCLI:
         assert err.startswith(f"error: {workdir / 'bad.traj'}: line {line}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["carve", "localize"])
+    def test_trajectory_header_beyond_world_config_one_line_error(self, workdir, capsys,
+                                                                  command):
+        # both commands read the log's header as one WorldConfig
+        path = workdir / "fov7.traj"
+        path.write_text("beams 3 fov 7.0 max_range 8.0 truncated 0\n"
+                        "0 3.0 2.5 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n")
+        (workdir / "ok.json").write_text(dump_prior(tiny_bundle()))
+        prior = ["--prior", str(workdir / "ok.json")] if command == "localize" else []
+        code = cli.main([command, "--map", str(workdir / "world.map"), *prior,
+                         "--trajectory", str(path), "--out", str(workdir / "fov7.out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: fov must lie in (0, 2*pi], got 7.0\n")
+        assert not (workdir / "fov7.out").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("resolution 0.1\n\n...\n", "line 2: expected 'origin <x> <y>'"),
         ("resolutoin 0.1\norigin 0 0\n...\n", "line 1: expected 'resolution <meters>'"),

@@ -953,6 +953,19 @@ class TestDistanceTransforms:
         assert g.distance_field().tobytes() == reference_distance_field(g).tobytes()
         assert g.skip_table(True).tobytes() == reference_skip_table(g, True).tobytes()
 
+    @pytest.mark.parametrize("shape, computed", [
+        ((1, 4000), [0, 1234, 1236, 3999]), ((4000, 1), [0, 1234, 1236, 3999]),
+        ((300, 300), [299 * 300 + 299])])
+    def test_fill_missing_matches_oracle_on_large_lattices(self, shape, computed):
+        # beyond the strategy's 25-cell sides, where the least keys pass
+        # 2**31: up to 7.6e9 on the long lattices and 1.6e10 on the square
+        # one, whose lone corner site lies 299 * sqrt(2) sites from the opposite one
+        table = np.full(shape + (2,), -1, dtype=np.int16)
+        table.reshape(-1, 2)[computed] = np.arange(2 * len(computed)).reshape(-1, 2)
+        got = _fill_missing(table)
+        assert (got != -1).all()
+        assert got.tobytes() == reference_fill_missing(table).tobytes()
+
     def test_fill_missing_ties_go_to_the_least_column_then_the_least_row(self):
         # (0, 2) holds 1 and (2, 0) holds 2: the corners (0, 0) and (2, 2) and
         # the middle are as near to both, and take 2, from the lesser column

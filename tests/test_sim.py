@@ -2,6 +2,7 @@
 training-data production, and trajectory log round-trips."""
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -832,8 +833,8 @@ class TestTrajectoryLog:
         traj = sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0),
                                        "random_explore", 6.0, cfg)
         text = sim.dump_trajectory(traj, cfg)
-        loaded, header = sim.load_trajectory(text)
-        assert header["beam_count"] == cfg.beam_count
+        loaded, loaded_cfg = sim.load_trajectory(text)
+        assert loaded_cfg.beam_count == cfg.beam_count
         assert loaded.truncated == traj.truncated
         assert len(loaded.records) == len(traj.records)
         for ra, rb in zip(traj.records, loaded.records):
@@ -863,15 +864,15 @@ class TestTrajectoryLog:
             sim.load_trajectory("beams 181\n")
 
     @pytest.mark.parametrize("record", [
-        "0 1.0 2.0",                                  # too short
-        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0",          # a range too many
-        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 x 5.0",        # not a number
-        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 9.0 5.0",      # beyond max range
-        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 nan 5.0",      # a NaN range
-        "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 inf 5.0",      # an infinite range
-        "0 1.0 2.0 0.0 nan 0.0 0.0 5.0 5.0 5.0",      # NaN odometry
-        "0 1.0 2.0 0.0 0.1 -inf 0.0 5.0 5.0 5.0",     # infinite odometry
-        "0 nan 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0",      # NaN pose
+        "1 1.0 2.0",                                  # too short
+        "1 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0",          # a range too many
+        "1 1.0 2.0 0.0 0.1 0.0 0.0 5.0 x 5.0",        # not a number
+        "1 1.0 2.0 0.0 0.1 0.0 0.0 5.0 9.0 5.0",      # beyond max range
+        "1 1.0 2.0 0.0 0.1 0.0 0.0 5.0 nan 5.0",      # a NaN range
+        "1 1.0 2.0 0.0 0.1 0.0 0.0 5.0 inf 5.0",      # an infinite range
+        "1 1.0 2.0 0.0 nan 0.0 0.0 5.0 5.0 5.0",      # NaN odometry
+        "1 1.0 2.0 0.0 0.1 -inf 0.0 5.0 5.0 5.0",     # infinite odometry
+        "1 nan 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0",      # NaN pose
     ])
     def test_bad_record_names_its_line(self, record):
         text = ("beams 3 fov 3.14 max_range 8.0 truncated 0\n"
@@ -894,7 +895,39 @@ class TestTrajectoryLog:
         # view extraction, and so every consumer of a trajectory, needs 3 beams
         text = ("beams 2 fov 3.14 max_range 8.0 truncated 0\n"
                 "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0\n")
-        with pytest.raises(ValueError, match="^line 1: need at least 3 beams, got 2$"):
+        with pytest.raises(ValueError, match="^line 1: beam_count must be an integer "
+                                             ">= 3, got 2$"):
+            sim.load_trajectory(text)
+
+    @pytest.mark.parametrize("header, message", [
+        # the header is checked as the WorldConfig that carving builds from it
+        ("beams 3 fov 7.0 max_range 8.0 truncated 0",
+         "fov must lie in (0, 2*pi], got 7.0"),
+        *[(f"beams 3 fov 3.14 max_range 8.0 truncated {flag}",
+           f"truncated must be 0 or 1, got '{flag}'")
+          for flag in ("2", "-1", "7", "01", "true")],
+    ])
+    def test_bad_header_value_message(self, header, message):
+        text = header + "\n0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n"
+        with pytest.raises(ValueError, match=re.escape(f"line 1: {message}") + "$"):
+            sim.load_trajectory(text)
+
+    def test_loaded_config_is_the_header_geometry(self):
+        text = ("beams 3 fov 3.0 max_range 6.5 truncated 1\n"
+                "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n")
+        loaded, cfg = sim.load_trajectory(text)
+        assert (cfg.beam_count, cfg.fov, cfg.max_range) == (3, 3.0, 6.5)
+        assert loaded.truncated is True
+        assert loaded.records[0].scan.angles is cfg.bearings
+
+    @pytest.mark.parametrize("index, line, want", [
+        ("1", 2, 0), ("x", 2, 0), ("0", 3, 1), ("2", 3, 1), ("-1", 3, 1)])
+    def test_record_index_must_be_its_position(self, index, line, want):
+        records = ["0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0"] * 2
+        records[line - 2] = index + records[line - 2][1:]
+        text = "beams 3 fov 3.14 max_range 8.0 truncated 0\n" + "\n".join(records)
+        with pytest.raises(ValueError, match=re.escape(
+                f"line {line}: record index must be {want}, got '{index}'") + "$"):
             sim.load_trajectory(text)
 
     def test_non_finite_odometry_message(self):
