@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, psi
 
 from mapmerge import dirichlet
 
@@ -170,6 +169,15 @@ class TestMapEstimate:
             dirichlet.map_estimate(data)
         assert err.value.column == j
 
+    def test_overflowing_init_raises_evidence_error(self):
+        # finite counts, but column 1's init total overflows to inf
+        init = np.ones((2, 2))
+        init[:, 1] = 1e308
+        with (pytest.raises(dirichlet.EvidenceError, match="at initialization") as err,
+              np.errstate(over="ignore")):
+            dirichlet.map_estimate([np.full((2, 2), 3)], init=init)
+        assert err.value.column == 1
+
     def test_entries_stay_positive(self):
         r = rng(5)
         data = [r.integers(0, 8, size=(4, 4)) for _ in range(3)]
@@ -228,24 +236,14 @@ def test_chain_rule_equals_evidence_any_order(data):
     np.testing.assert_array_equal(f_final, f_perm)
 
 
-# Per-column reference: the evidence, its gradient and the log-space
-# gradient ascent as they were before map_estimate fitted all columns in
-# one batch.  The batched fit must reproduce them bit for bit.
+# Per-column reference: the log-space gradient ascent as it was before
+# map_estimate fitted all columns in one batch, on the library's evidence
+# and gradient called one column at a time.  They are bound here, so that a
+# test that patches the module leaves the reference alone.  The batched fit
+# must reproduce it bit for bit.
 
-def _ref_log_evidence(a, f):
-    k = f.shape[0]
-    abar = a.sum()
-    return float(np.sum(gammaln(f + a))
-                 - np.sum(gammaln(f.sum(axis=1) + abar))
-                 + k * gammaln(abar)
-                 - k * np.sum(gammaln(a)))
-
-
-def _ref_log_evidence_grad(a, f):
-    k = f.shape[0]
-    abar = a.sum()
-    return (np.sum(psi(f + a), axis=0) - k * psi(a)
-            + k * psi(abar) - np.sum(psi(f.sum(axis=1) + abar)))
+_ref_log_evidence = dirichlet.log_evidence
+_ref_log_evidence_grad = dirichlet.log_evidence_grad
 
 
 def _ref_fit_column(alpha_col, f, tol, max_iters, evidence=_ref_log_evidence,
@@ -253,6 +251,7 @@ def _ref_fit_column(alpha_col, f, tol, max_iters, evidence=_ref_log_evidence,
     a0 = np.maximum(alpha_col, dirichlet.ALPHA_FLOOR)
     if not f.any():
         return a0.copy()
+    f = dirichlet.PreparedCounts(f)  # the array's bits, prepared once
 
     def checked(a):
         value = evidence(a, f)
@@ -434,6 +433,34 @@ def test_non_finite_evidence_during_ascent_names_the_reference_column(monkeypatc
     assert outcomes == {"raised", "ignored", "clean"}
 
 
+# Exact oracle: one column's evidence and gradient summed with math.fsum
+# from their rising-factorial terms.  Each library value must lie within
+# FSUM_RTOL of the oracle, relative to the summed magnitudes of its terms,
+# which bound the rounding of any order of summation.
+
+FSUM_RTOL = 1e-12
+
+
+def _fsum_oracle(a, f):
+    """Evidence and gradient of column alpha a (nu,) at integer counts
+    f (k, nu), each with the summed magnitudes of its terms."""
+    total = math.fsum(a)
+    units = [[i for n in f[:, j] for i in range(int(n))] for j in range(len(a))]
+    rows = [i for n in f.sum(axis=1) for i in range(int(n))]
+    logs = [math.log(a[j] + i) for j, us in enumerate(units) for i in us]
+    logs += [-math.log(total + i) for i in rows]
+    inv_rows = math.fsum(1.0 / (total + i) for i in rows)
+    inv = [math.fsum(1.0 / (a[j] + i) for i in us) for j, us in enumerate(units)]
+    return (math.fsum(logs), math.fsum(abs(x) for x in logs),
+            np.array(inv) - inv_rows, np.array(inv) + inv_rows)
+
+
+def _assert_matches_fsum_oracle(a, f, ev, grad):
+    want, scale, gwant, gscale = _fsum_oracle(a, f)
+    assert abs(ev - want) <= FSUM_RTOL * scale
+    assert (np.abs(grad - gwant) <= FSUM_RTOL * gscale).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_batched_evidence_matches_per_column_calls_bitwise(data):
@@ -450,18 +477,17 @@ def test_batched_evidence_matches_per_column_calls_bitwise(data):
     for c in range(m):
         one = dirichlet.log_evidence(alpha[c], counts[c])
         assert isinstance(one, float)
-        assert one == ev[c] == _ref_log_evidence(alpha[c], counts[c])
+        assert one == ev[c]
         assert np.array_equal(dirichlet.log_evidence_grad(alpha[c], counts[c]),
                               grad[c])
-        assert np.array_equal(grad[c], _ref_log_evidence_grad(alpha[c], counts[c]))
+        _assert_matches_fsum_oracle(alpha[c], counts[c], one, grad[c])
 
 
 @st.composite
 def _sparse_evidence_cases(draw):
     """alpha of shape batch + (nu,) from ALPHA_FLOOR to ALPHA_CEIL and
     counts of shape batch + (k, nu): at most 10 % nonzero, with all-zero
-    rows, with all-zero columns or all nonzero, and some -0.0, NaN and
-    infinite counts."""
+    rows, with all-zero columns or all nonzero."""
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = draw(st.sampled_from([(), (3,), (3, draw(st.integers(1, 6)))]))
     k, nu = draw(st.integers(1, 12)), draw(st.integers(1, 20))
@@ -474,9 +500,6 @@ def _sparse_evidence_cases(draw):
         counts *= r.uniform(size=batch + (k, 1)) < 0.5
     elif layout == "zero_columns":
         counts *= r.uniform(size=batch + (1, nu)) < 0.5
-    for value in draw(st.lists(st.sampled_from([-0.0, np.nan, np.inf, -np.inf]),
-                               max_size=3)):
-        counts.flat[r.integers(counts.size)] = value
     lo, hi = math.log(dirichlet.ALPHA_FLOOR), math.log(dirichlet.ALPHA_CEIL)
     alpha = np.exp(r.uniform(lo, hi, size=batch + (nu,)))
     if draw(st.booleans()):
@@ -487,55 +510,81 @@ def _sparse_evidence_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_evidence_cases())
-def test_evidence_and_gradient_match_the_dense_form_bitwise(case):
-    """Zero counts take gammaln(a) and psi(a) without evaluating them at
-    0 + a; every value must still be that of the dense per-column form."""
+def test_evidence_and_gradient_match_the_fsum_oracle(case):
     alpha, counts = case
     batch = alpha.shape[:-1]
-    with np.errstate(invalid="ignore"):  # inf - inf among the special counts
-        ev = dirichlet.log_evidence(alpha, counts)
+    ev = dirichlet.log_evidence(alpha, counts)
+    grad = dirichlet.log_evidence_grad(alpha, counts)
+    assert isinstance(ev, float) == (batch == ())
+    for b in np.ndindex(batch):
+        _assert_matches_fsum_oracle(alpha[b], counts[b], np.asarray(ev)[b], grad[b])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evidence_matches_the_fsum_oracle_at_large_alpha_and_counts(seed):
+    """Blocks of up to 500 counts per cell, as criterion 3 fits, with
+    alpha up to ALPHA_CEIL and every entry at it in half the blocks: where
+    gammaln(a + n) - gammaln(a) loses digits."""
+    r = rng(seed)
+    for block in range(12):
+        k, nu = int(r.integers(1, 13)), int(r.integers(2, 8))
+        counts = r.integers(0, 501, size=(k, nu)).astype(float)
+        counts[r.uniform(size=counts.shape) > r.choice([0.1, 0.5, 1.0])] = 0
+        alpha = (np.full(nu, dirichlet.ALPHA_CEIL) if block % 2 else
+                 np.exp(r.uniform(math.log(dirichlet.ALPHA_FLOOR),
+                                  math.log(dirichlet.ALPHA_CEIL), size=nu)))
+        _assert_matches_fsum_oracle(alpha, counts, dirichlet.log_evidence(alpha, counts),
+                                    dirichlet.log_evidence_grad(alpha, counts))
+
+
+def test_gradient_matches_a_central_difference_at_large_column_totals():
+    """Column totals of 1e4 to 1e6 at the counts' pooled mean, where the
+    gradient's leading terms cancel and only terms in n**2 / a**2 are left.
+    The central difference sums each unit's log ratio with log1p, so even
+    at a step of 1e-8 of the entry its own rounding stays far below the
+    tolerance."""
+    r = rng(10)
+    worst = 0.0
+    for _ in range(40):
+        k, nu = int(r.integers(1, 13)), int(r.integers(2, 8))
+        counts = np.stack([r.multinomial(int(r.integers(1, 30)), r.dirichlet(np.ones(nu)))
+                           for _ in range(k)]).astype(float) + 1.0
+        mean = counts.sum(axis=0) / counts.sum()
+        alpha = math.exp(r.uniform(math.log(1e4), math.log(1e6))) * mean
         grad = dirichlet.log_evidence_grad(alpha, counts)
-        assert isinstance(ev, float) == (batch == ())
-        for b in np.ndindex(batch):
-            want = _ref_log_evidence(alpha[b], counts[b])
-            assert np.float64(np.asarray(ev)[b]).tobytes() == np.float64(want).tobytes()
-            assert grad[b].tobytes() == _ref_log_evidence_grad(alpha[b], counts[b]).tobytes()
+        total = math.fsum(alpha)
+        rows = [i for n in counts.sum(axis=1) for i in range(int(n))]
+        for j in range(nu):
+            h = 1e-8 * alpha[j]
+            diff = math.fsum([math.log1p(2 * h / (alpha[j] - h + i))
+                              for n in counts[:, j] for i in range(int(n))]
+                             + [-math.log1p(2 * h / (total - h + i)) for i in rows])
+            fd = diff / (2 * h)
+            worst = max(worst, abs(grad[j] - fd) / abs(fd))
+    assert worst < 1e-6
 
 
-def test_special_functions_run_once_per_column_entry_and_nonzero_count(monkeypatch):
-    """Counts the entries gammaln and psi evaluate in one call on a sparse
-    stack: the alpha entries, the row totals, the column totals and the
-    nonzero counts, far fewer than the dense form's batch * k * nu."""
-    r = rng(5)
-    batch, k, nu = (3, 7), 12, 20
-    counts = r.integers(1, 9, size=batch + (k, nu)).astype(float)
-    counts[r.uniform(size=counts.shape) > 0.05] = 0
-    alpha = np.exp(r.uniform(-2.0, 2.0, size=batch + (nu,)))
-    columns = math.prod(batch)
-    bound = columns * nu + columns * k + columns + np.count_nonzero(counts)
-    assert bound < columns * k * nu / 4
-    entries = {"gammaln": 0, "psi": 0}
-
-    def counted(name, fn):
-        def wrapped(x):
-            entries[name] += np.size(x)
-            return fn(x)
-        return wrapped
-
-    for name in entries:
-        monkeypatch.setattr(dirichlet, name, counted(name, getattr(dirichlet, name)))
-    dirichlet.log_evidence(alpha, counts)
-    assert 0 < entries["gammaln"] <= bound and entries["psi"] == 0
-    entries["gammaln"] = 0
-    dirichlet.log_evidence_grad(alpha, counts)
-    assert 0 < entries["psi"] <= bound and entries["gammaln"] == 0
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, np.inf, -np.inf])
+def test_counts_that_are_not_non_negative_integers_raise(bad):
+    counts = np.array([[3.0, 1.0, 0.0], [2.0, 0.0, 4.0]])
+    counts[1, 1] = bad
+    for fn in (dirichlet.log_evidence, dirichlet.log_evidence_grad):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            fn(np.ones(3), counts)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        dirichlet.PreparedCounts(counts)
+    data = [np.full((3, 3), 2.0), np.full((3, 3), 2.0)]
+    data[1][0, 2] = bad
+    with pytest.raises(dirichlet.EvidenceError, match="non-negative integers") as err:
+        dirichlet.map_estimate(data)
+    assert err.value.column == 2
 
 
 @settings(max_examples=200, deadline=None)
 @given(_sparse_evidence_cases(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_prepared_counts_match_the_array_form_bitwise(case, trial_batched, seed):
     """Counts prepared once give, at every alpha they are evaluated at, the
-    bits of the array form and of the dense per-column form, also with the
+    bits of the array form and of one call per column, also with the
     counts stacked once per trial against trial-batched alpha."""
     alpha, counts = case
     r = np.random.default_rng(seed)
@@ -546,20 +595,19 @@ def test_prepared_counts_match_the_array_form_bitwise(case, trial_batched, seed)
     prepared = dirichlet.PreparedCounts(counts)
     assert np.asarray(prepared).tobytes() == counts.tobytes()
     batch = alpha.shape[:-1]
-    with np.errstate(invalid="ignore"):  # inf - inf among the special counts
-        for a in (alpha, alpha * 2.0):
-            ev = dirichlet.log_evidence(a, prepared)
-            grad = dirichlet.log_evidence_grad(a, prepared)
-            assert isinstance(ev, float) == (batch == ())
-            assert np.float64(ev).tobytes() == \
-                np.float64(dirichlet.log_evidence(a, counts)).tobytes()
-            assert grad.tobytes() == dirichlet.log_evidence_grad(a, counts).tobytes()
-            for b in np.ndindex(batch):
-                want = _ref_log_evidence(a[b], counts[b])
-                assert np.float64(np.asarray(ev)[b]).tobytes() == \
-                    np.float64(want).tobytes()
-                assert grad[b].tobytes() == \
-                    _ref_log_evidence_grad(a[b], counts[b]).tobytes()
+    for a in (alpha, alpha * 2.0):
+        ev = dirichlet.log_evidence(a, prepared)
+        grad = dirichlet.log_evidence_grad(a, prepared)
+        assert isinstance(ev, float) == (batch == ())
+        assert np.float64(ev).tobytes() == \
+            np.float64(dirichlet.log_evidence(a, counts)).tobytes()
+        assert grad.tobytes() == dirichlet.log_evidence_grad(a, counts).tobytes()
+        for b in np.ndindex(batch):
+            want = _ref_log_evidence(a[b], counts[b])
+            assert np.float64(np.asarray(ev)[b]).tobytes() == \
+                np.float64(want).tobytes()
+            assert grad[b].tobytes() == \
+                _ref_log_evidence_grad(a[b], counts[b]).tobytes()
 
 
 def test_prepared_counts_must_match_alpha():
@@ -572,10 +620,10 @@ def test_prepared_counts_must_match_alpha():
 
 
 def test_map_estimate_finds_nonzero_counts_once_per_compaction(monkeypatch):
-    """map_estimate prepares its counts (their nonzero positions among
-    them) at the start and each time pairs stop, in two forms: as they are
-    for the gradient and once per trial for the evidence.  Every round
-    between reuses them."""
+    """map_estimate prepares its counts (their units among them) at the
+    start and each time pairs stop, in two forms: as they are for the
+    gradient and once per trial for the evidence.  Every round between
+    reuses them."""
     r = rng(9)
     counts = r.integers(1, 9, size=(2, 3, 6, 6)) * (r.random((2, 3, 6, 6)) < 0.3)
     made, sizes = [], []

@@ -996,14 +996,14 @@ class TestDistanceTransforms:
             assert field.table.tobytes() == reference_fill_missing(unfilled).tobytes(), name
 
 
-def test_runtime_does_not_import_scipy_ndimage():
+def test_runtime_imports_no_scipy_module():
     # every mapmerge module, imported in a fresh interpreter
     code = ("import importlib, pkgutil, sys, mapmerge\n"
             "names = [m.name for m in pkgutil.iter_modules(mapmerge.__path__)]\n"
             "for name in names:\n"
             "    importlib.import_module(f'mapmerge.{name}')\n"
             "print(len(names))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
