@@ -172,17 +172,20 @@ def map_estimate(data, init: np.ndarray | None = None,
 
     The (fit, column) pairs are independent, so all of them run in
     lockstep.  Each round evaluates one batched gradient and one batched
-    evidence call over the pairs still running, with TRIALS trials per
-    pair: at its step, half of it and a quarter of it.  Their counts are
-    prepared (PreparedCounts) at the start and again only when pairs stop.
-    It takes the first trial that is accepted, which is what the ascent
-    does after at most TRIALS - 1 rejections, and ignores every trial the
-    ascent would not have tried (after an accepted one, or at a step below
-    the floor).  So the result is bit for bit that of one ascent per
-    column.  A column with no counts keeps its init.  EvidenceError names
-    the first column, in (fit, column) order, whose counts are not finite
-    non-negative integers or, failing that, whose evidence is not finite
-    at initialization or, failing that, in the earliest round.
+    evidence call over all the pairs, with TRIALS trials per pair: at its
+    step, half of it and a quarter of it.  Their counts are prepared
+    (PreparedCounts) once, as they are and stacked per trial, and a pair
+    that stops is masked: none of its later trials is tried.  It takes the
+    first trial that is accepted, which is what the ascent does after at
+    most TRIALS - 1 rejections, and ignores every trial the ascent would
+    not have tried (after an accepted one, or at a step below the floor).
+    So the result is bit for bit that of one ascent per column, and zero
+    count rows, which add no units, change no fit: fits with fewer
+    environments can be padded to a common k.  A column with no counts
+    keeps its init.  EvidenceError names the first column, in (fit, column)
+    order, whose counts are not finite non-negative integers or, failing
+    that, whose evidence is not finite at initialization or, failing that,
+    in the earliest round.
     """
     stack = np.asarray(data, dtype=float)
     if stack.ndim < 3 or stack.shape[-3] < 1 or stack.shape[-2] != stack.shape[-1]:
@@ -200,60 +203,45 @@ def map_estimate(data, init: np.ndarray | None = None,
     theta = np.log(alpha[fit, :, cols])                # (m, nu)
     _check_finite(_is_count(f).all(axis=(1, 2)), batch, fit, cols,
                   "counts must be finite non-negative integers")
-    counts, trials = _prepare(f)
+    counts, trials = PreparedCounts(f), PreparedCounts(np.stack((f,) * TRIALS))
     fcur = log_evidence(np.exp(theta), counts)
     _check_finite(np.isfinite(fcur), batch, fit, cols,
                   "non-finite evidence at initialization")
     lo, hi = np.log(ALPHA_FLOOR), np.log(ALPHA_CEIL)
     halvings = 0.5 ** np.arange(TRIALS)[:, None]  # powers of two: exact
-    # state of the pairs still running, compacted as pairs stop, with their
-    # counts prepared once and once per trial
-    run, th, fc = np.arange(cols.size), theta, fcur
     step = np.ones(cols.size)
     grads = np.zeros(cols.size, dtype=np.int64)
-    moved = np.ones(cols.size, dtype=bool)     # theta moved since the last gradient
-    floored = np.zeros(cols.size, dtype=bool)  # step fell to its floor
+    moved = np.ones(cols.size, dtype=bool)    # theta moved since the last gradient
+    running = np.ones(cols.size, dtype=bool)  # stopped pairs stay frozen
     while True:
         # where theta did not move, the gradient comes out bit for bit the same
-        a = np.exp(th)
+        a = np.exp(theta)
         g = log_evidence_grad(a, counts) * a  # chain rule into log space
-        stop = floored | (moved & ((grads >= max_iters)
-                                   | (np.abs(g).max(axis=1) < tol)))
+        # a pair stops at its step's floor (only rejections take it there)
+        # or, after a move, at max_iters gradients or a gradient below tol
+        running &= (step > 1e-14) & ~(moved & ((grads >= max_iters)
+                                               | (np.abs(g).max(axis=1) < tol)))
+        if not running.any():
+            break
         grads += moved
-        if stop.any():
-            theta[run[stop]] = th[stop]
-            keep = ~stop
-            run, th, fc, g, step, grads = (
-                x[keep] for x in (run, th, fc, g, step, grads))
-            if run.size == 0:
-                break
-            f = f[keep]
-            counts, trials = _prepare(f)
         steps = step * halvings
-        trial = np.clip(th + steps[:, :, None] * g, lo, hi)
+        trial = np.clip(theta + steps[:, :, None] * g, lo, hi)
         fnew = log_evidence(np.exp(trial), trials)
-        tried = steps > 1e-14
-        acc = tried & (fnew > fc)
+        tried = running & (steps > 1e-14)
+        acc = tried & (fnew > fcur)
         # the ascent tries a step above the floor once every larger one failed
         seen = tried & (np.cumsum(acc, axis=0) - acc == 0)
         _check_finite((np.isfinite(fnew) | ~seen).all(axis=0), batch,
-                      fit[run], cols[run], "non-finite evidence during ascent")
+                      fit, cols, "non-finite evidence during ascent")
         moved = acc.any(axis=0)
-        first = (acc.argmax(axis=0), np.arange(run.size))  # first accepted
-        th = np.where(moved[:, None], trial[first], th)
-        fc = np.where(moved, fnew[first], fc)
+        first = (acc.argmax(axis=0), np.arange(cols.size))  # first accepted
+        theta = np.where(moved[:, None], trial[first], theta)
+        fcur = np.where(moved, fnew[first], fcur)
         # doubled after an accepted trial, else halved once per rejection
         step = np.where(moved, np.minimum(steps[first] * 2.0, 1e6),
                         step * 0.5 ** seen.sum(axis=0))
-        floored = ~moved & (step <= 1e-14)
     alpha[fit, :, cols] = np.maximum(np.exp(theta), ALPHA_FLOOR)
     return alpha.reshape(batch + (nu, nu))
-
-
-def _prepare(f):
-    """The (m, k, nu) counts prepared as they are and stacked once per
-    trial."""
-    return PreparedCounts(f), PreparedCounts(np.stack((f,) * TRIALS))
 
 
 def _check_finite(ok: np.ndarray, batch: tuple, fit: np.ndarray,

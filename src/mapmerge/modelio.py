@@ -100,9 +100,9 @@ def load_prior(text: str) -> PriorBundle:
     return PriorBundle(
         alphabet=alphabet,
         alpha=_array(doc, "alpha", lambda a: np.all(a > 0), "positive"),
-        obs_model=_array(doc, "observation_model", lambda a: np.all(a >= 0)
+        obs_model=_array(doc, "observation_model", lambda a: np.all(a > 0)
                          and np.allclose(a.sum(axis=0), 1.0, rtol=0.0, atol=1e-9),
-                         "non-negative with every column summing to 1"),
+                         "positive with every column summing to 1"),
         marginals=_array(doc, "marginals", lambda a: np.all(a > 0)
                          and np.allclose(a.sum(), 1.0, rtol=0.0, atol=1e-9),
                          "positive and summing to 1"),

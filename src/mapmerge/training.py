@@ -20,21 +20,24 @@ def fit_prior(td: TrainingData, params: ExtractionParams,
     map (None keeps them all): pseudo-counts MAP-fitted to their transition
     counts, marginal view frequencies from each view's row plus column sums
     of those counts (plus one, so every view stays possible).  All of them
-    share the observation model fitted to td's confusion counts.  Stacks
-    with equal sample counts, the confusion counts among them, are fitted
-    in one batched map_estimate call."""
+    share the observation model fitted to td's confusion counts.  Every
+    stack, the confusion counts among them, is padded with zero count rows
+    to the largest sample count and all are fitted in one batched
+    map_estimate call; zero rows change no fit."""
     nu = td.alphabet.nu
     confusion = confusion_counts(td.confusion_pairs, nu)
     kept = [[f for f, m in zip(td.counts, td.map_index) if m != h]
             for h in held_out]
+    if not all(kept):
+        # padding would fit an empty selection silently to ones
+        raise ValueError("every held-out set must leave at least one square "
+                         "count matrix to fit")
     stacks = kept + [confusion]
-    alphas = {}
-    for k in {len(s) for s in stacks}:
-        group = [i for i, s in enumerate(stacks) if len(s) == k]
-        # map_estimate rejects an empty selection
-        stack = np.reshape([stacks[i] for i in group], (len(group), k, nu, nu))
-        alphas.update(zip(group, dirichlet.map_estimate(stack)))
-    obs_model = learn_observation_model(alphas[len(kept)], confusion)
+    padded = np.zeros((len(stacks), max(map(len, stacks)), nu, nu))
+    for p, s in zip(padded, stacks):
+        p[:len(s)] = s
+    alphas = dirichlet.map_estimate(padded)
+    obs_model = learn_observation_model(alphas[-1], confusion)
     bundles = []
     for i, sel in enumerate(kept):
         total = np.sum(sel, axis=0)

@@ -356,11 +356,19 @@ class TestCLI:
          "prior field 'alpha' must be positive"),
         (lambda doc: {**doc, "observation_model": [[1.1, 0.0, 0.0], [-0.1, 1.0, 0.0],
                                                    [0.0, 0.0, 1.0]]},
-         "prior field 'observation_model' must be non-negative with every column"
+         "prior field 'observation_model' must be positive with every column"
          " summing to 1"),
         (lambda doc: {**doc, "observation_model": [[0.9, 0.0, 0.0], [0.0, 1.0, 0.0],
                                                    [0.0, 0.0, 1.0]]},
-         "prior field 'observation_model' must be non-negative with every column"
+         "prior field 'observation_model' must be positive with every column"
+         " summing to 1"),
+        # an all-zero row: every column sums to 1, but that view has
+        # likelihood 0 under every true view
+        (lambda doc: {**doc, "observation_model": [
+            [0.0, 0.0, 0.0],
+            [a + b for a, b in zip(*doc["observation_model"][:2])],
+            doc["observation_model"][2]]},
+         "prior field 'observation_model' must be positive with every column"
          " summing to 1"),
         (lambda doc: {**doc, "marginals": [0.5, 0.5, 0.0]},
          "prior field 'marginals' must be positive and summing to 1"),

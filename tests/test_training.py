@@ -189,27 +189,26 @@ def assert_fits_match_separate_fits(td, held_out, bundles):
         assert bundle.marginals.tobytes() == ((seen + 1.0) / (seen.sum() + nu)).tobytes()
 
 
-def test_fit_prior_groups_held_out_sets_by_sample_count(monkeypatch):
+def test_fit_prior_pads_held_out_sets_to_one_sample_count(monkeypatch):
     # maps 0, 1 and 2 give 2, 1 and 3 samples, so leaving one out keeps 4, 5
-    # or 3 samples and None keeps 6; the 4 confusion matrices join the
-    # 4-sample group: four batched fits for five entries and the confusion
+    # or 3 samples and None keeps 6; with the 4 confusion matrices all six
+    # stacks are padded to 6 samples: one batched fit
     td = random_training_data(3, [0, 0, 1, 2, 2, 2], confusion_k=4)
     nu = td.alphabet.nu
     calls = counting_map_estimate(monkeypatch)
     held_out = (2, None, 0, 1, 0)
     bundles = training.fit_prior(td, ExtractionParams(), held_out)
     monkeypatch.undo()
-    assert sorted(calls) == [(1, 3, nu, nu), (1, 5, nu, nu), (1, 6, nu, nu),
-                             (3, 4, nu, nu)]
+    assert calls == [(6, 6, nu, nu)]
     assert_fits_match_separate_fits(td, held_out, bundles)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("held_out, confusion_k, want_calls", [
-    ((None,), 6, [(2, 6)]),               # train_prior_bundle's case: one fit
-    ((None,), 3, [(1, 3), (1, 6)]),
-    ((0, 1, 2), 4, [(4, 4)]),             # leave-one-out, confusion joins it
-    ((0, 1, 2), 6, [(1, 6), (3, 4)]),     # build_benchmark's case: two fits
+    ((None,), 6, [(2, 6)]),               # train_prior_bundle's case
+    ((None,), 3, [(2, 6)]),
+    ((0, 1, 2), 4, [(4, 4)]),             # leave-one-out, confusion of equal k
+    ((0, 1, 2), 6, [(4, 6)]),             # build_benchmark's case: padded to 6
 ])
 def test_fit_prior_matches_separate_fits_per_stack(monkeypatch, seed, held_out,
                                                    confusion_k, want_calls):
@@ -218,7 +217,7 @@ def test_fit_prior_matches_separate_fits_per_stack(monkeypatch, seed, held_out,
     calls = counting_map_estimate(monkeypatch)
     bundles = training.fit_prior(td, ExtractionParams(), held_out)
     monkeypatch.undo()
-    assert sorted(calls) == [(n, k, nu, nu) for n, k in want_calls]
+    assert calls == [(n, k, nu, nu) for n, k in want_calls]
     assert_fits_match_separate_fits(td, held_out, bundles)
 
 
