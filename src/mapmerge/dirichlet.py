@@ -180,8 +180,8 @@ def map_estimate(data, init: np.ndarray | None = None,
     most TRIALS - 1 rejections, and ignores every trial the ascent would
     not have tried (after an accepted one, or at a step below the floor).
     So the result is bit for bit that of one ascent per column, and zero
-    count rows, which add no units, change no fit: fits with fewer
-    environments can be padded to a common k.  A column with no counts
+    count rows add no units, so they change no fit wherever they sit: an
+    environment zeroed fits as one removed.  A column with no counts
     keeps its init.  EvidenceError names the first column, in (fit, column)
     order, whose counts are not finite non-negative integers or, failing
     that, whose evidence is not finite at initialization or, failing that,

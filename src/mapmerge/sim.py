@@ -355,10 +355,13 @@ def subsampled_views(trajectory: Trajectory, alphabet: ViewAlphabet | None,
 
 @dataclass
 class TrainingData:
+    """Per-sample counts along one sample axis of length S.  In counts,
+    entry [s, i, j] counts sample s's view j followed by view i; in
+    confusion, its true view j observed as i."""
     alphabet: ViewAlphabet
-    counts: list[np.ndarray]        # one transition count matrix per sample
-    map_index: list[int]            # source map of each count matrix
-    confusion_pairs: list[list[tuple[int, int]]]  # per-sample (true, observed)
+    counts: np.ndarray       # (S, nu, nu) int64 transition counts
+    map_index: np.ndarray    # (S,) source map of each sample
+    confusion: np.ndarray    # (S, nu, nu) int64 confusion counts
 
 
 def _reference_views(grid: OccupancyGrid, partner: OccupancyGrid,
@@ -381,11 +384,11 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                        max_views: int = 16, trajectory_length: float = 60.0,
                        split_trajectories: bool = False) -> TrainingData:
     """Simulate exploration of each map, subsample views every 2 m of travel,
-    and count view transitions.  Each noisy view is also paired with the view
-    a revisiting robot would be compared against: the expected view in a
-    partial map carved from a partner trajectory of the same map (with beams
-    crossing unexplored cells censored to max range), falling back to the
-    noise-free full-map view where the pose lies outside that partial map.
+    and count view transitions.  Each noisy view is also counted as observed
+    for the view a revisiting robot would compare it with: the expected view
+    in a partial map carved from a partner trajectory of the same map (with
+    beams crossing unexplored cells censored to max range), falling back to
+    the noise-free full-map view where the pose lies outside that partial map.
     This makes the learned confusion model honest about frontier effects, not
     just sensor noise.  The first PARTNER_FRACTION of the partner trajectory
     builds that partial map, leaving frontiers as sparse exploration does.
@@ -395,7 +398,8 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
     of subsampling whole generated trajectories.
 
     With split_trajectories each trajectory becomes its own training sample
-    (count matrix); otherwise one sample aggregates a whole map.
+    (a transition and a confusion count matrix); otherwise one sample
+    aggregates a whole map.
     """
     if not maps:
         raise ValueError("need at least one training map")
@@ -403,15 +407,11 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
         if not (grid.cells == FREE).any():
             raise ValueError(f"training map {k} has no FREE cell")
     rng = np.random.default_rng(cfg.seed)
-    # (map, trajectory, noisy view strings, full map, the poses the partner
-    # map is carved from, picked poses); each partner map is carved only
-    # when its references are taken, so one is held at a time
-    samples: list[tuple[int, int, list[str], OccupancyGrid, list[Pose],
-                        list[Pose]]] = []
-    for m, grid in enumerate(maps):
-        # per trajectory: the first PARTNER_FRACTION of its poses, the picked
-        # poses and their strings
-        runs = []
+    # per map, per trajectory: the first PARTNER_FRACTION of its poses (the
+    # partner map is carved from them only when its references are taken,
+    # so one is held at a time), the picked poses and their noisy strings
+    runs = [[] for _ in maps]
+    for grid, map_runs in zip(maps, runs):
         for _ in range(trajectories_per_map):
             run = _walk(grid, _random_free_pose(grid, rng), "random_explore",
                         trajectory_length, cfg, rng)
@@ -422,32 +422,30 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                 for rows in (run.noise, run.uniforms)))
             keep = max(1, int(len(run.poses) * PARTNER_FRACTION))
             # the noisy scans are RangeScans, extracted through their memo
-            runs.append((run.poses[:keep], picked,
-                         [_views.extract_scan_string(scan, params) for scan in scans]))
-        for j, (_, picked, noisy) in enumerate(runs):
-            samples.append((m, j, noisy, grid, runs[(j + 1) % len(runs)][0], picked))
+            map_runs.append((run.poses[:keep], picked,
+                             [_views.extract_scan_string(scan, params) for scan in scans]))
 
-    alphabet = alphabet_build([s for _, _, noisy, *_ in samples for s in noisy],
-                              max_views)
+    alphabet = alphabet_build([s for map_runs in runs for *_, noisy in map_runs
+                               for s in noisy], max_views)
     counts, map_index, confusion = [], [], []  # as in TrainingData
-    for m, j, noisy, grid, partner_poses, picked in samples:
-        if split_trajectories or j == 0:
-            counts.append(dirichlet.new_counts(alphabet.nu))
-            map_index.append(m)
-            confusion.append([])
-        f, pairs = counts[-1], confusion[-1]
-        partner = carve_partial_map(grid, partner_poses, cfg)
-        prev = None  # no transition across trajectory boundaries
-        for s_noisy, clean in zip(noisy, _reference_views(grid, partner, picked,
-                                                          alphabet, params, cfg)):
-            v = view_of(alphabet, s_noisy)
-            pairs.append((clean, v))
-            if prev is not None:
-                dirichlet.increment(f, prev, v)
-            prev = v
+    for m, (grid, map_runs) in enumerate(zip(maps, runs)):
+        for j, (_, picked, noisy) in enumerate(map_runs):
+            if split_trajectories or j == 0:
+                counts.append(dirichlet.new_counts(alphabet.nu))
+                confusion.append(dirichlet.new_counts(alphabet.nu))
+                map_index.append(m)
+            partner = carve_partial_map(grid, map_runs[(j + 1) % len(map_runs)][0], cfg)
+            prev = None  # no transition across trajectory boundaries
+            for s_noisy, clean in zip(noisy, _reference_views(grid, partner, picked,
+                                                              alphabet, params, cfg)):
+                v = view_of(alphabet, s_noisy)
+                dirichlet.increment(confusion[-1], clean, v)
+                if prev is not None:
+                    dirichlet.increment(counts[-1], prev, v)
+                prev = v
 
-    return TrainingData(alphabet=alphabet, counts=counts, map_index=map_index,
-                        confusion_pairs=confusion)
+    return TrainingData(alphabet=alphabet, counts=np.array(counts),
+                        map_index=np.array(map_index), confusion=np.array(confusion))
 
 
 def _random_free_pose(grid: OccupancyGrid, rng: np.random.Generator) -> Pose:

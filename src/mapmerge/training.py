@@ -11,7 +11,7 @@ import numpy as np
 from . import dirichlet
 from .modelio import PriorBundle
 from .sim import TrainingData, WorldConfig, make_training_data
-from .views import ExtractionParams, confusion_counts, learn_observation_model
+from .views import ExtractionParams, learn_observation_model
 
 
 def fit_prior(td: TrainingData, params: ExtractionParams,
@@ -20,33 +20,26 @@ def fit_prior(td: TrainingData, params: ExtractionParams,
     map (None keeps them all): pseudo-counts MAP-fitted to their transition
     counts, marginal view frequencies from each view's row plus column sums
     of those counts (plus one, so every view stays possible).  All of them
-    share the observation model fitted to td's confusion counts.  Every
-    stack, the confusion counts among them, is padded with zero count rows
-    to the largest sample count and all are fitted in one batched
-    map_estimate call; zero rows change no fit."""
+    share the observation model fitted to td's confusion counts.  A held-out
+    map's samples are zeroed, not removed, so every stack keeps td's S
+    samples and all of them, the confusion counts among them, are fitted in
+    one batched map_estimate call; zero count rows change no fit."""
     nu = td.alphabet.nu
-    confusion = confusion_counts(td.confusion_pairs, nu)
-    kept = [[f for f, m in zip(td.counts, td.map_index) if m != h]
-            for h in held_out]
-    if not all(kept):
-        # padding would fit an empty selection silently to ones
+    # which samples each entry keeps: map_index != None is all True
+    keep = np.reshape([td.map_index != h for h in held_out], (-1, len(td.map_index)))
+    if not keep.any(axis=1).all():
+        # a zeroed stack would fit silently to ones
         raise ValueError("every held-out set must leave at least one square "
                          "count matrix to fit")
-    stacks = kept + [confusion]
-    padded = np.zeros((len(stacks), max(map(len, stacks)), nu, nu))
-    for p, s in zip(padded, stacks):
-        p[:len(s)] = s
-    alphas = dirichlet.map_estimate(padded)
-    obs_model = learn_observation_model(alphas[-1], confusion)
-    bundles = []
-    for i, sel in enumerate(kept):
-        total = np.sum(sel, axis=0)
-        seen = total.sum(axis=1) + total.sum(axis=0)
-        bundles.append(PriorBundle(
-            alphabet=td.alphabet, alpha=alphas[i], obs_model=obs_model,
-            marginals=(seen + 1.0) / (seen.sum() + nu),
-            extraction=params))
-    return bundles
+    kept = td.counts * keep[:, :, None, None]
+    alphas = dirichlet.map_estimate(np.concatenate((kept, td.confusion[None])))
+    obs_model = learn_observation_model(alphas[-1], td.confusion)
+    total = kept.sum(axis=1)
+    seen = total.sum(axis=2) + total.sum(axis=1)
+    marginals = (seen + 1.0) / (seen.sum(axis=1, keepdims=True) + nu)
+    return [PriorBundle(alphabet=td.alphabet, alpha=a, obs_model=obs_model,
+                        marginals=m, extraction=params)
+            for a, m in zip(alphas, marginals)]
 
 
 def train_prior_bundle(maps, cfg: WorldConfig, params: ExtractionParams,

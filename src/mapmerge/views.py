@@ -399,26 +399,12 @@ def view_of(alphabet: ViewAlphabet, s: str) -> int:
     return alphabet._index.get(canonicalize(s), alphabet.other_id)
 
 
-def confusion_counts(labeled, nu: int) -> np.ndarray:
-    """Per-environment confusion counts, shape (k, nu, nu): entry [e, i, j]
-    counts environment e's pairs with true view j observed as i.
-
-    labeled: per-environment lists of (true_id, observed_id) pairs.
-    """
-    if not labeled or any(len(env) == 0 for env in labeled):
-        raise ValueError("every environment needs at least one labeled pair")
-    counts = np.zeros((len(labeled), nu, nu), dtype=np.int64)
-    for c, env in zip(counts, labeled):
-        for true_id, obs_id in env:
-            c[obs_id, true_id] += 1
-    return counts
-
-
 def learn_observation_model(alpha: np.ndarray, confusion: np.ndarray) -> np.ndarray:
     """Column-stochastic confusion model p(observed = i | true = j).
 
     alpha: the prior columns MAP-fitted across environments to confusion,
-    the (k, nu, nu) per-environment counts of confusion_counts.  Each column
+    the (k, nu, nu) per-environment counts whose entry [e, i, j] counts
+    environment e's true view j observed as i.  Each column
     is the posterior predictive given the pooled counts, so a column with no
     data anywhere falls back to the prior alone.  OBS_FLOOR of uniform mass
     is mixed into every column, bounding entries away from zero for filters

@@ -610,12 +610,28 @@ def test_prepared_counts_match_the_array_form_bitwise(case, trial_batched, seed)
                 _ref_log_evidence_grad(a[b], counts[b]).tobytes()
 
 
+ZERO_ROWS_AT = ("first", "interleaved", "last")
+
+
+def _insert_zero_rows(counts, pad, where, r, axis):
+    """counts with pad zero rows inserted along axis, its rows kept in order."""
+    k = counts.shape[axis]
+    rows = {"first": np.arange(pad, pad + k), "last": np.arange(k),
+            "interleaved": np.sort(r.choice(k + pad, k, replace=False))}[where]
+    shape = list(counts.shape)
+    shape[axis] += pad
+    padded = np.zeros(shape, dtype=counts.dtype)
+    padded[(slice(None),) * axis + (rows,)] = counts
+    return padded
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_zero_count_rows_change_no_bits(data):
-    """Environments with no counts add no units, so appending them changes
-    neither the evidence nor its gradient by a bit, for array and prepared
-    counts: fits padded with zero rows to one k are the fits unpadded."""
+    """Environments with no counts add no units, so inserting them anywhere
+    (first, interleaved or last) changes neither the evidence nor its
+    gradient by a bit, for array and prepared counts: fits whose held-out
+    environments are zeroed are the fits without them."""
     r = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     batch = data.draw(st.sampled_from([(), (3,), (2, 2)]))
     nu = data.draw(st.integers(1, 6))
@@ -623,8 +639,8 @@ def test_zero_count_rows_change_no_bits(data):
     pad = data.draw(st.integers(1, 4))
     counts = r.integers(0, 30, size=batch + (k, nu))
     counts *= r.random(counts.shape) < 0.5
-    padded = np.concatenate((counts, np.zeros(batch + (pad, nu), dtype=int)),
-                            axis=-2)
+    padded = _insert_zero_rows(counts, pad, data.draw(st.sampled_from(ZERO_ROWS_AT)),
+                               r, axis=len(batch))
     alpha = np.exp(r.uniform(-3.0, 3.0, size=batch + (nu,)))
     for form in (np.asarray, dirichlet.PreparedCounts):
         ev = dirichlet.log_evidence(alpha, form(counts))
@@ -632,6 +648,25 @@ def test_zero_count_rows_change_no_bits(data):
             np.float64(ev).tobytes()
         assert dirichlet.log_evidence_grad(alpha, form(padded)).tobytes() == \
             dirichlet.log_evidence_grad(alpha, form(counts)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_map_estimate_fits_zeroed_samples_as_the_compacted_stack(data):
+    """A stack with zero count rows anywhere fits bit for bit as the stack
+    without them, batched or not."""
+    r = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    batch = data.draw(st.sampled_from([(), (2,)]))
+    nu = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 4))
+    counts = r.integers(0, 8, size=batch + (k, nu, nu))
+    counts *= r.random(counts.shape) < 0.5
+    padded = _insert_zero_rows(counts, data.draw(st.integers(1, 3)),
+                               data.draw(st.sampled_from(ZERO_ROWS_AT)), r,
+                               axis=len(batch))
+    max_iters = data.draw(st.integers(0, 30))
+    assert dirichlet.map_estimate(padded, max_iters=max_iters).tobytes() == \
+        dirichlet.map_estimate(counts, max_iters=max_iters).tobytes()
 
 
 def test_prepared_counts_must_match_alpha():

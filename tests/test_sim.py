@@ -639,9 +639,20 @@ def _ref_make_training_data(maps, trajectories_per_map, cfg, params, max_views=1
             if prev is not None:
                 dirichlet.increment(f, prev, v)
             prev = v
-    td = sim.TrainingData(alphabet=alphabet, counts=counts, map_index=map_index,
-                          confusion_pairs=confusion)
+    # the reference counts its own pair lists: entry [observed, true]
+    confusion_counts = np.zeros((len(confusion), alphabet.nu, alphabet.nu), dtype=np.int64)
+    for c, env in zip(confusion_counts, confusion):
+        for true_id, obs_id in env:
+            c[obs_id, true_id] += 1
+    td = sim.TrainingData(alphabet=alphabet, counts=np.array(counts),
+                          map_index=np.array(map_index), confusion=confusion_counts)
     return td, runs
+
+
+def assert_same_stack(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # (maps, trajectories per map, config, split): two seeds, split and not, no
@@ -676,9 +687,9 @@ class TestSensedTrainingRuns:
         want, runs = _ref_make_training_data(*args, **kwargs)
         got = sim.make_training_data(*args, **kwargs)
         assert got.alphabet == want.alphabet
-        assert got.map_index == want.map_index
+        assert got.map_index.tolist() == want.map_index.tolist()
         assert [f.tobytes() for f in got.counts] == [f.tobytes() for f in want.counts]
-        assert got.confusion_pairs == want.confusion_pairs
+        assert_same_stack(got.confusion, want.confusion)
         held_out = [None, *range(len(args[0]))]
         for a, b in zip(training.fit_prior(got, args[3], held_out),
                         training.fit_prior(want, args[3], held_out), strict=True):
@@ -719,11 +730,11 @@ class TestTrainingData:
         want = sim.make_training_data(*args, **kwargs)
         assert 0 < sum(inside) < len(inside)  # both maps were cast in
         assert got.alphabet == want.alphabet
-        assert got.map_index == want.map_index
+        assert got.map_index.tolist() == want.map_index.tolist()
         assert len(got.counts) == len(want.counts)
         for a, b in zip(got.counts, want.counts):
             np.testing.assert_array_equal(a, b)
-        assert got.confusion_pairs == want.confusion_pairs
+        assert_same_stack(got.confusion, want.confusion)
         got_prior, want_prior = (training.fit_prior(td, args[3], (None,))[0]
                                  for td in (got, want))
         assert got_prior.marginals.tobytes() == want_prior.marginals.tobytes()
@@ -793,6 +804,27 @@ class TestTrainingData:
         views = sim.subsampled_views(traj, None, ExtractionParams())
         assert len(views) == len(positions)
 
+    @pytest.mark.parametrize("seed", [1, 8])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_count_stacks_share_one_sample_axis(self, seed, split):
+        maps, per_map = [fixtures.loop_world(), fixtures.office_world()], 3
+        with mock.patch.object(sim, "simulate_scan", wraps=sim.simulate_scan) as sense:
+            td = sim.make_training_data(maps, per_map, sim.WorldConfig(seed=seed),
+                                        ExtractionParams(), max_views=10,
+                                        trajectory_length=20.0,
+                                        split_trajectories=split)
+        # one sensing call per trajectory, of its picked poses
+        picked = np.array([len(c.args[1]) for c in sense.call_args_list])
+        runs = 1 if split else per_map
+        views = picked.reshape(-1, runs).sum(axis=1)
+        nu = td.alphabet.nu
+        assert td.counts.dtype == td.confusion.dtype == np.int64
+        assert td.counts.shape == td.confusion.shape == (len(views), nu, nu)
+        assert td.map_index.tolist() == np.repeat(range(len(maps)), per_map // runs).tolist()
+        assert td.confusion.sum(axis=(1, 2)).tolist() == views.tolist()
+        # no transition crosses a trajectory boundary
+        assert td.counts.sum(axis=(1, 2)).tolist() == (views - runs).tolist()
+
     def test_split_trajectories_one_matrix_each(self):
         grid = fixtures.corridor()
         cfg = quiet_config(seed=4)
@@ -800,7 +832,7 @@ class TestTrainingData:
                                     max_views=6, trajectory_length=15.0,
                                     split_trajectories=True)
         assert len(td.counts) == 6
-        assert td.map_index == [0, 0, 0, 1, 1, 1]
+        assert td.map_index.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_marginals_are_distribution(self):
         grid = fixtures.corridor()

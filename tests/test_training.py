@@ -20,19 +20,11 @@ def capture_training_data(monkeypatch, module):
     return seen
 
 
-def reference_observation_model(labeled, nu):
+def reference_observation_model(confusion, nu):
     """The observation model learn_observation_model fitted on its own
     before fit_prior fitted it in the priors' batch."""
-    if not labeled or any(len(env) == 0 for env in labeled):
-        raise ValueError("every environment needs at least one labeled pair")
-    per_env = []
-    for env in labeled:
-        c = np.zeros((nu, nu), dtype=np.int64)
-        for true_id, obs_id in env:
-            c[obs_id, true_id] += 1
-        per_env.append(c)
-    alpha = dirichlet.map_estimate(per_env)
-    model = dirichlet.predictive_matrix(alpha, np.sum(per_env, axis=0))
+    alpha = dirichlet.map_estimate(confusion)
+    model = dirichlet.predictive_matrix(alpha, np.sum(confusion, axis=0))
     return (1.0 - OBS_FLOOR) * model + OBS_FLOOR / nu
 
 
@@ -61,7 +53,7 @@ def test_benchmark_priors_match_inline_leave_one_out_fit(monkeypatch, seed):
                                    max_views=8)
     (td,) = seen
     nu = td.alphabet.nu
-    obs_model = reference_observation_model(td.confusion_pairs, nu)
+    obs_model = reference_observation_model(td.confusion, nu)
     want = reference_leave_one_out(td, nu)
     assert list(bm.priors) == list(fixtures.BENCHMARK_ENVIRONMENTS)
     for bundle, (alpha, marginals) in zip(bm.priors.values(), want):
@@ -140,7 +132,7 @@ def test_train_prior_bundle_fits_every_sample(monkeypatch):
     # one sample and one confusion matrix per map: one batched fit of both
     assert calls == [(2, 2, nu, nu)]
     assert bundle.alpha.tobytes() == dirichlet.map_estimate(td.counts).tobytes()
-    want_obs = reference_observation_model(td.confusion_pairs, nu)
+    want_obs = reference_observation_model(td.confusion, nu)
     assert bundle.obs_model.tobytes() == want_obs.tobytes()
     total = np.sum(td.counts, axis=0)
     seen_views = total.sum(axis=0) + total.sum(axis=1)
@@ -160,25 +152,24 @@ def counting_map_estimate(monkeypatch):
     return calls
 
 
-def random_training_data(seed, map_index, confusion_k, nu=4):
-    """Sparse transition counts, one matrix per entry of map_index, and
-    confusion_k environments of 1 to 30 labeled pairs."""
+def random_training_data(seed, map_index, nu=4):
+    """One sample per entry of map_index: sparse transition counts and 1 to
+    30 confusion counts."""
     r = np.random.default_rng(seed)
     counts = r.integers(0, 6, size=(len(map_index), nu, nu))
     counts *= r.random(counts.shape) < 0.4
-    confusion = [[(int(r.integers(nu)), int(r.integers(nu)))
-                  for _ in range(int(r.integers(1, 31)))]
-                 for _ in range(confusion_k)]
+    confusion = np.stack([r.multinomial(r.integers(1, 31), np.full(nu * nu, nu ** -2.0))
+                          for _ in map_index]).reshape(counts.shape)
     entries = tuple(f"v{i}" for i in range(nu - 1)) + (OTHER,)
-    return sim.TrainingData(alphabet=ViewAlphabet(entries), counts=list(counts),
-                            map_index=list(map_index), confusion_pairs=confusion)
+    return sim.TrainingData(alphabet=ViewAlphabet(entries), counts=counts,
+                            map_index=np.array(map_index), confusion=confusion)
 
 
 def assert_fits_match_separate_fits(td, held_out, bundles):
     """Each bundle's alpha, observation model and marginals are, bit for
     bit, those of fitting its stack and the confusion counts on their own."""
     nu = td.alphabet.nu
-    want_obs = reference_observation_model(td.confusion_pairs, nu)
+    want_obs = reference_observation_model(td.confusion, nu)
     assert len(bundles) == len(held_out)
     for h, bundle in zip(held_out, bundles):
         kept = [f for f, m in zip(td.counts, td.map_index) if m != h]
@@ -189,11 +180,11 @@ def assert_fits_match_separate_fits(td, held_out, bundles):
         assert bundle.marginals.tobytes() == ((seen + 1.0) / (seen.sum() + nu)).tobytes()
 
 
-def test_fit_prior_pads_held_out_sets_to_one_sample_count(monkeypatch):
+def test_fit_prior_zeroes_held_out_samples(monkeypatch):
     # maps 0, 1 and 2 give 2, 1 and 3 samples, so leaving one out keeps 4, 5
-    # or 3 samples and None keeps 6; with the 4 confusion matrices all six
-    # stacks are padded to 6 samples: one batched fit
-    td = random_training_data(3, [0, 0, 1, 2, 2, 2], confusion_k=4)
+    # or 3 samples and None keeps 6; every held-out sample is zeroed, so the
+    # five stacks and the confusion counts keep all 6 samples: one batched fit
+    td = random_training_data(3, [0, 2, 1, 2, 0, 2])
     nu = td.alphabet.nu
     calls = counting_map_estimate(monkeypatch)
     held_out = (2, None, 0, 1, 0)
@@ -204,15 +195,13 @@ def test_fit_prior_pads_held_out_sets_to_one_sample_count(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("held_out, confusion_k, want_calls", [
-    ((None,), 6, [(2, 6)]),               # train_prior_bundle's case
-    ((None,), 3, [(2, 6)]),
-    ((0, 1, 2), 4, [(4, 4)]),             # leave-one-out, confusion of equal k
-    ((0, 1, 2), 6, [(4, 6)]),             # build_benchmark's case: padded to 6
+@pytest.mark.parametrize("held_out, want_calls", [
+    ((None,), [(2, 6)]),                  # train_prior_bundle's case
+    ((0, 1, 2), [(4, 6)]),                # build_benchmark's case
 ])
 def test_fit_prior_matches_separate_fits_per_stack(monkeypatch, seed, held_out,
-                                                   confusion_k, want_calls):
-    td = random_training_data(seed, [0, 0, 1, 1, 2, 2], confusion_k)
+                                                   want_calls):
+    td = random_training_data(seed, [0, 0, 1, 1, 2, 2])
     nu = td.alphabet.nu
     calls = counting_map_estimate(monkeypatch)
     bundles = training.fit_prior(td, ExtractionParams(), held_out)
@@ -223,7 +212,8 @@ def test_fit_prior_matches_separate_fits_per_stack(monkeypatch, seed, held_out,
 
 def test_fit_prior_rejects_a_held_out_set_with_no_samples():
     td = sim.TrainingData(alphabet=ViewAlphabet(("ab", OTHER)),
-                          counts=[np.ones((2, 2), dtype=np.int64)], map_index=[0],
-                          confusion_pairs=[[(0, 0)]])
+                          counts=np.ones((1, 2, 2), dtype=np.int64),
+                          map_index=np.array([0]),
+                          confusion=np.array([[[1, 0], [0, 0]]]))
     with pytest.raises(ValueError, match="at least one square count matrix"):
         training.fit_prior(td, ExtractionParams(), (None, 0))

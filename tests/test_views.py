@@ -15,8 +15,7 @@ from mapmerge import views as views_module
 from mapmerge.grid import Pose, default_bearings, raycast
 from mapmerge.views import (ExtractionParams, RangeScan, ViewAlphabet,
                             alphabet_build, canonicalize, extract_scan_string,
-                            extract_scan_strings, confusion_counts,
-                            learn_observation_model,
+                            extract_scan_strings, learn_observation_model,
                             view_of, OBS_FLOOR, OTHER)
 
 MAX_RANGE = 8.0
@@ -666,47 +665,41 @@ class TestAlphabet:
             ViewAlphabet(("wmw", "wgw"))
 
 
-def fitted_observation_model(labeled, nu):
-    """The observation model of labeled's MAP-fitted confusion prior."""
-    counts = confusion_counts(labeled, nu)
+def fitted_observation_model(counts):
+    """The observation model of a (k, nu, nu) confusion stack's MAP-fitted
+    prior; entry [e, i, j] counts environment e's true view j observed as i."""
     return learn_observation_model(dirichlet.map_estimate(counts), counts)
 
 
 class TestObservationModel:
     def test_columns_are_distributions(self):
-        r = np.random.default_rng(0)
-        labeled = [[(int(r.integers(3)), int(r.integers(3))) for _ in range(50)]
-                   for _ in range(3)]
-        model = fitted_observation_model(labeled, nu=3)
+        # 3 environments of 50 pairs spread over the 9 (observed, true) cells
+        counts = np.random.default_rng(0).multinomial(50, np.full(9, 1 / 9), size=3)
+        model = fitted_observation_model(counts.reshape(3, 3, 3))
         np.testing.assert_allclose(model.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(model > 0)
 
     def test_identity_limit_for_clean_labels(self):
         # clean labels fit a vanishing off-diagonal prior: the floored identity
-        labeled = [[(v, v) for v in range(3) for _ in range(40)]]
-        model = fitted_observation_model(labeled, nu=3)
+        model = fitted_observation_model(40 * np.eye(3, dtype=np.int64)[None])
         np.testing.assert_allclose(model, (1 - OBS_FLOOR) * np.eye(3) + OBS_FLOOR / 3,
                                    atol=1e-6)
 
     def test_single_environment_counts(self):
         # counts column 0 = (3, 1) with prior column (1, 1): (4/6, 2/6), floored
-        labeled = [[(0, 0), (0, 0), (0, 0), (0, 1)]]
-        model = learn_observation_model(np.ones((2, 2)), confusion_counts(labeled, 2))
+        model = learn_observation_model(np.ones((2, 2)), np.array([[[3, 0], [1, 0]]]))
         assert model[0, 0] == pytest.approx((1 - OBS_FLOOR) * 4.0 / 6.0 + OBS_FLOOR / 2)
         assert model[1, 0] == pytest.approx((1 - OBS_FLOOR) * 2.0 / 6.0 + OBS_FLOOR / 2)
 
     def test_unseen_view_falls_back_to_prior(self):
         prior = np.array([[1.0, 3.0], [1.0, 1.0]])
-        labeled = [[(0, 0)] * 10]  # view 1 never appears as a true label
-        model = learn_observation_model(prior, confusion_counts(labeled, 2))
+        # view 1 never appears as a true view
+        model = learn_observation_model(prior, np.array([[[10, 0], [0, 0]]]))
         np.testing.assert_allclose(model[:, 1], (1 - OBS_FLOOR) * np.array([0.75, 0.25])
                                    + OBS_FLOOR / 2)
 
     def test_pools_the_counts_of_every_environment(self):
-        labeled = [[(0, 0), (0, 1)], [(0, 0)], [(1, 1), (0, 0)]]
-        counts = confusion_counts(labeled, 2)
-        assert counts.tolist() == [[[1, 0], [1, 0]], [[1, 0], [0, 0]],
-                                   [[1, 0], [0, 1]]]
+        counts = np.array([[[1, 0], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 1]]])
         alpha = np.array([[2.0, 1.0], [1.0, 2.0]])
         # column 0: alpha (2, 1) + pooled counts (3, 1); column 1: (1, 2) + (0, 1)
         want = np.array([[5.0 / 7.0, 1.0 / 4.0], [2.0 / 7.0, 3.0 / 4.0]])
@@ -714,13 +707,6 @@ class TestObservationModel:
                                    (1 - OBS_FLOOR) * want + OBS_FLOOR / 2)
 
     def test_floor_bounds_entries(self):
-        labeled = [[(v, v) for v in range(4) for _ in range(100)]]
-        model = fitted_observation_model(labeled, nu=4)
+        model = fitted_observation_model(100 * np.eye(4, dtype=np.int64)[None])
         assert np.all(model >= OBS_FLOOR / 4 - 1e-12)
         np.testing.assert_allclose(model.sum(axis=0), 1.0, atol=1e-9)
-
-    def test_rejects_empty_environment(self):
-        with pytest.raises(ValueError, match="every environment needs at least one"):
-            confusion_counts([[(0, 0)], []], nu=2)
-        with pytest.raises(ValueError, match="every environment needs at least one"):
-            confusion_counts([], nu=2)
