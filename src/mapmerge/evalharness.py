@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import UNKNOWN, OccupancyGrid, Pose, wrap_angle
 from .modelio import PriorBundle
-from .pfilter import FilterConfig, run_localization
+from .pfilter import FilterConfig, measurement_steps, observed_views, run_localization
 from .sim import Trajectory
 from .structure import FixedOutsideModel, MarginalOutsideModel, StructureState
 
@@ -33,8 +33,10 @@ class EvalConfig:
             raise ValueError(f"thresholds must be finite numbers in [0, 1], got {bad[0]!r}")
         if list(self.thresholds) != sorted(self.thresholds):
             raise ValueError("thresholds must be sorted ascending")
-        if self.tolerance_xy <= 0 or self.tolerance_theta <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tolerance_xy", "tolerance_theta"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,33 @@ def evaluate_pair(partial: OccupancyGrid, trajectory: Trajectory, method: str,
                                      _pose_correct(rec.hypothesis.pose, gt, eval_config),
                                      in_map))
     return PairResult(environment=environment, method=method, steps=steps)
+
+
+@dataclass(frozen=True)
+class SequenceScore:
+    """Summed log outside likelihood, and step count, over the steps where
+    the true pose lies outside the partial map and where it lies in it."""
+    outside: float
+    outside_steps: int
+    in_map: float
+    in_map_steps: int
+
+
+def sequence_log_score(partial: OccupancyGrid, trajectory: Trajectory, method: str,
+                       bundle: PriorBundle, view_distance: float = 2.0,
+                       offset=(0.0, 0.0, 0.0)) -> SequenceScore:
+    """How well a method's outside model predicts the views the filter
+    observes, with no filter: the log step(z) of one fresh model fed every
+    view at the filter's measurement steps, split by evaluate_pair's in-map
+    test of the true pose and summed exactly (math.fsum)."""
+    model = method_builder(method)(bundle, partial)
+    steps = measurement_steps(trajectory, view_distance)
+    logs = {False: [], True: []}  # in map -> log step(z) of each step
+    for k, z in zip(steps, observed_views(trajectory, steps, bundle)):
+        gt = apply_offset(trajectory.records[k].true_pose, offset)
+        logs[partial.free_at(gt.x, gt.y)].append(math.log(model.step(z)))
+    return SequenceScore(math.fsum(logs[False]), len(logs[False]),
+                         math.fsum(logs[True]), len(logs[True]))
 
 
 def precision_recall(results: list[PairResult], eval_config: EvalConfig) -> list[PRPoint]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,9 +38,10 @@ class MotionNoise:
     floor_rot: float = 0.002
 
     def __post_init__(self):
-        if min(self.a_trans_per_trans, self.a_trans_per_rot, self.a_rot_per_rot,
-               self.a_rot_per_trans, self.floor_trans, self.floor_rot) < 0:
-            raise ValueError("noise coefficients must be non-negative")
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:  # False for NaN
+                raise ValueError(f"noise coefficient {name} must be finite and >= 0, "
+                                 f"got {value!r}")
 
     def sigmas(self, d_trans: float, d_rot1: float, d_rot2: float):
         rot = abs(d_rot1) + abs(d_rot2)
@@ -250,43 +252,58 @@ class StepRecord:
     log_outside: float
 
 
+def measurement_steps(trajectory, distance: float) -> list[int]:
+    """The records the filter measures at: each one where the sum of
+    abs(d_trans) since the last is no longer below distance."""
+    steps, since = [], 0.0
+    for k, rec in enumerate(trajectory.records):
+        since += abs(rec.odom[0])
+        if not since < distance:
+            steps.append(k)
+            since = 0.0
+    return steps
+
+
+def observed_views(trajectory, steps: list[int], bundle: PriorBundle) -> list[int]:
+    """The prior's view id of the scan at each of steps, all extracted in
+    one call; each such scan must have the trajectory's scan_geometry."""
+    bearings, max_range = trajectory.scan_geometry
+    scans = [trajectory.records[k].scan for k in steps]
+    if any(s.max_range != max_range or not np.array_equal(s.angles, bearings) for s in scans):
+        raise ValueError("a measured scan's beam geometry differs from the first record's")
+    ranges = np.reshape([scan.ranges for scan in scans], (-1, len(bearings)))
+    return [_views.view_of(bundle.alphabet, s) for s in _views.extract_scan_strings(
+        ranges, bearings, max_range, bundle.extraction)]
+
+
 def run_localization(grid: OccupancyGrid, structure, bundle: PriorBundle, trajectory,
                      config: FilterConfig, view_field=None) -> list[StepRecord]:
-    """Drive the filter over a trajectory: a measurement update every
-    view_update_distance meters of odometry, and before each one a single
-    motion update through the odometry records since the last.  Records
-    after the last measurement update move no particle: nothing reads them.
-
-    Scans are read as views with the prior's alphabet and extraction
-    parameters, and inside particles are weighted by its observation model
-    through the map's expected views: a ViewField with the trajectory's beam
-    geometry is built over the grid unless one is passed in.
+    """Drive the filter over a trajectory: at each of measurement_steps, one
+    motion update through the odometry records since the last step, then a
+    measurement update at the step's entry of observed_views.  Records
+    after the last step move no particle: nothing reads them.  A ViewField
+    with the trajectory's beam geometry is built over the grid unless one
+    is passed in.
     """
     if view_field is None:
         view_field = _grid.ViewField(grid, bundle.alphabet, bundle.extraction,
                                      *trajectory.scan_geometry)
+    steps = measurement_steps(trajectory, config.view_update_distance)
+    views = observed_views(trajectory, steps, bundle)
     ps = init_filter(grid, config.n_particles, config.seed)
     noise, scan_params = MotionNoise(), ScanLikelihoodParams()
     records: list[StepRecord] = []
     odoms = [rec.odom for rec in trajectory.records]
-    distance_total = distance_since_update = 0.0
-    moved = 0  # records the particles have moved through
-    for step, rec in enumerate(trajectory.records):
-        distance_total += abs(rec.odom[0])
-        distance_since_update += abs(rec.odom[0])
-        if distance_since_update < config.view_update_distance:
-            continue
-        motion_update(ps, odoms[moved:step + 1], noise, grid)
-        moved, distance_since_update = step + 1, 0.0
-        s = _views.extract_scan_string(rec.scan, bundle.extraction)
-        z = _views.view_of(bundle.alphabet, s)
-        log_out = measurement_update(ps, rec.scan, z, structure, grid, scan_params,
-                                     obs_model=bundle.obs_model,
+    distances = list(accumulate(abs(odom[0]) for odom in odoms))
+    for last, step, z in zip([-1] + steps, steps, views):
+        motion_update(ps, odoms[last + 1:step + 1], noise, grid)
+        log_out = measurement_update(ps, trajectory.records[step].scan, z, structure,
+                                     grid, scan_params, obs_model=bundle.obs_model,
                                      view_field=view_field)
         resample_if_needed(ps)
         hyp = best_hypothesis(ps)
         inside_mass = float(ps.weights()[ps.inside].sum())
-        records.append(StepRecord(step=step, distance=distance_total,
+        records.append(StepRecord(step=step, distance=distances[step],
                                   hypothesis=hyp, inside_mass=inside_mass,
                                   log_outside=log_out))
     return records

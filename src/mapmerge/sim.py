@@ -421,7 +421,6 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                 None if rows is None else [rows[k] for k in picks]
                 for rows in (run.noise, run.uniforms)))
             keep = max(1, int(len(run.poses) * PARTNER_FRACTION))
-            # the noisy scans are RangeScans, extracted through their memo
             map_runs.append((run.poses[:keep], picked,
                              [_views.extract_scan_string(scan, params) for scan in scans]))
 

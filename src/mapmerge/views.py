@@ -43,15 +43,12 @@ class RangeScan:
     and ranges in (0, max_range], all finite, with a finite positive
     max_range.  A range equal to max_range means no return.
 
-    Both arrays are stored read-only (see readonly), so a scan never changes
-    and the scan strings memoised on it stay valid."""
+    Both arrays are stored read-only (see readonly), so a scan never
+    changes."""
 
     angles: np.ndarray
     ranges: np.ndarray
     max_range: float
-    # extract_scan_string results by ExtractionParams
-    _strings: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         angles = readonly(self.angles)
@@ -128,13 +125,9 @@ def _direction_change(a: float, b: float) -> float:
 
 
 def extract_scan_string(scan: RangeScan, params: ExtractionParams) -> str:
-    """Deterministic symbol sequence for a scan, beams in counterclockwise
-    (increasing bearing) order.  Memoised on the scan per params."""
-    s = scan._strings.get(params)
-    if s is None:
-        s = scan._strings[params] = extract_scan_strings(
-            scan.ranges[None, :], scan.angles, scan.max_range, params)[0]
-    return s
+    """Deterministic symbol sequence for one scan, beams in counterclockwise
+    (increasing bearing) order: extract_scan_strings of its one row."""
+    return extract_scan_strings(scan.ranges[None], scan.angles, scan.max_range, params)[0]
 
 
 def extract_scan_strings(ranges, angles, max_range: float,

@@ -10,16 +10,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapmerge import cli, evalharness, fixtures, sim, training
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapmerge import cli, dirichlet, evalharness, fixtures, sim, training
 from mapmerge.evalharness import (EvalConfig, PRPoint, PairResult, StepOutcome,
                                   auc_pr, known_area_ratio, method_builder,
                                   apply_offset, precision_at_recall,
                                   precision_recall, pr_table)
-from mapmerge.grid import UNKNOWN, FREE, OCCUPIED, OccupancyGrid, Pose, dump_map
+from mapmerge.grid import (UNKNOWN, FREE, OCCUPIED, OccupancyGrid, Pose,
+                           default_bearings, dump_map, raycast)
 from mapmerge.modelio import PriorBundle, dump_prior, load_prior
 from mapmerge.pfilter import FilterConfig, FilterDivergence
 from mapmerge.structure import FixedOutsideModel, MarginalOutsideModel, StructureState
-from mapmerge.views import ExtractionParams, alphabet_build
+from mapmerge.views import ExtractionParams, alphabet_build, extract_scan_string, view_of
 
 
 def tiny_bundle(nu=3):
@@ -185,6 +189,13 @@ class TestPrecisionRecall:
         with pytest.raises(ValueError):
             EvalConfig(tolerance_xy=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["tolerance_xy", "tolerance_theta"])
+    def test_tolerances_must_be_finite_and_positive(self, name, value):
+        # a NaN tolerance passed a `<= 0` test and then judged every pose wrong
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            EvalConfig(**{name: value})
+
 
 class TestCurveSummaries:
     def mk(self, pairs):
@@ -220,6 +231,81 @@ class TestEvaluatePair:
         assert res.method == "fixed:0.001"
         assert all(s.in_map for s in res.steps)  # complete map: always inside
         assert res.steps  # at least one measurement step happened
+
+
+class TestSequenceLogScore:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def pair():
+        """A partial map, a trained prior and a run that leaves the map."""
+        world = fixtures.corridor(length=30.0)
+        cfg = sim.WorldConfig(seed=8)
+        bundle = training.train_prior_bundle([fixtures.corridor_with_left_opening()],
+                                             cfg, ExtractionParams(),
+                                             trajectories_per_map=1,
+                                             max_views=8, trajectory_length=20.0)
+        explore = sim.generate_trajectory(world, Pose(2.0, 2.5, 0.0), "waypoints",
+                                          8.0, cfg, waypoints=[(12.0, 2.5)])
+        partial = sim.carve_partial_map(world, explore, cfg)
+        traj = sim.generate_trajectory(world, Pose(2.5, 2.5, 0.0), "waypoints",
+                                       20.0, cfg, waypoints=[(28.0, 2.5)])
+        return partial, bundle, traj
+
+    @pytest.mark.parametrize("level", [0.01, 0.3])
+    def test_fixed_method_scores_steps_times_log_level(self, pair, level):
+        partial, bundle, traj = pair
+        score = evalharness.sequence_log_score(partial, traj, f"fixed:{level}", bundle,
+                                               view_distance=1.0)
+        assert score.outside_steps > 0 and score.in_map_steps > 0
+        assert score.outside == score.outside_steps * math.log(level)
+        assert score.in_map == score.in_map_steps * math.log(level)
+        # the same steps, split as evaluate_pair judges them
+        res = evalharness.evaluate_pair(partial, traj, f"fixed:{level}", bundle,
+                                        FilterConfig(n_particles=50, seed=1,
+                                                     view_update_distance=1.0),
+                                        EvalConfig())
+        assert score.in_map_steps == sum(s.in_map for s in res.steps)
+        assert score.outside_steps == sum(not s.in_map for s in res.steps)
+
+    @pytest.mark.parametrize("power", [-20, -3, 1, 30])
+    def test_prior_only_reads_column_means_only(self, pair, power):
+        partial, bundle, traj = pair
+        scaled = replace(bundle, alpha=bundle.alpha * 2.0 ** power)
+        assert (evalharness.sequence_log_score(partial, traj, "prior_only", scaled)
+                == evalharness.sequence_log_score(partial, traj, "prior_only", bundle))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=25),
+           st.integers(0, 2**32 - 1))
+    def test_adaptive_score_is_transition_evidence(self, seq, seed):
+        # with an identity observation model each view is its own ML view,
+        # so after the first step the adaptive model is the chain rule of
+        # the sequence's transition counts (criterion 1)
+        world = fixtures.office_world()
+        poses = [Pose(1.5, 10.0, 0.0), Pose(1.5, 10.0, 1.57), Pose(1.5, 10.0, 3.14),
+                 Pose(2.5, 2.5, 0.0)]
+        scans = [raycast(world, p, default_bearings(), 8.0) for p in poses]
+        strings = [extract_scan_string(sc, ExtractionParams()) for sc in scans]
+        alphabet = alphabet_build(strings[:3], max_views=4)  # the last reads OTHER
+        ids = [view_of(alphabet, s) for s in strings]
+        assert sorted(ids) == [0, 1, 2, 3]
+        alpha = np.random.default_rng(seed).uniform(0.05, 5.0, (4, 4))
+        bundle = PriorBundle(alphabet, alpha, np.eye(4), np.full(4, 0.25),
+                             ExtractionParams())
+        records = [sim.TrajectoryRecord(poses[0], (2.0, 0.0, 0.0), scans[v]) for v in seq]
+
+        def total(n):
+            s = evalharness.sequence_log_score(world, sim.Trajectory(records[:n]),
+                                               "hierarchical_adaptive", bundle)
+            assert (s.in_map_steps, s.outside_steps) == (n, 0)
+            return s.in_map
+
+        counts = dirichlet.new_counts(4)
+        for j, i in zip(seq, seq[1:]):
+            dirichlet.increment(counts, ids[j], ids[i])
+        evidence = sum(dirichlet.log_evidence(alpha[:, j], counts[:, j][None, :])
+                       for j in range(4))
+        assert total(len(seq)) - total(1) == pytest.approx(evidence, rel=1e-9, abs=1e-9)
 
 
 def run_cli(*args):

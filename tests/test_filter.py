@@ -2,7 +2,8 @@
 resampling, hypothesis extraction, and end-to-end localization."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mapmerge.grid import (FREE, OCCUPIED, OccupancyGrid, Pose, ScanLikelihoodPa
 from mapmerge.pfilter import (FilterConfig, FilterDivergence, MotionNoise,
                               StepRecord, _bounds_log_penalty, best_hypothesis,
                               effective_sample_size, init_filter, logsumexp,
-                              measurement_update, motion_update,
+                              measurement_steps, measurement_update, motion_update,
                               resample_if_needed, run_localization,
                               format_step_log)
 from mapmerge.structure import FixedOutsideModel
@@ -421,7 +422,7 @@ def _reference_localization(grid, structure, bundle, trajectory, config, view_fi
         if distance_since_update < config.view_update_distance:
             continue
         distance_since_update = 0.0
-        # a fresh extraction every step, never the scan's memo
+        # one scan at a time, the extraction run_localization batches
         s = views_module.extract_scan_strings(rec.scan.ranges[None], rec.scan.angles,
                                               rec.scan.max_range, bundle.extraction)[0]
         z = views_module.view_of(bundle.alphabet, s)
@@ -495,12 +496,44 @@ class TestInsideFlags:
         np.testing.assert_array_equal(lazy.inside, eager.inside)
 
 
+def _reference_steps(trajectory, distance):
+    """The measurement schedule as run_localization kept it inline before
+    measurement_steps."""
+    steps, distance_since_update = [], 0.0
+    for step, rec in enumerate(trajectory.records):
+        distance_since_update += abs(rec.odom[0])
+        if distance_since_update < distance:
+            continue
+        distance_since_update = 0.0
+        steps.append(step)
+    return steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0, 0.25, -0.25)),
+                          st.floats(-1e-300, 1e-300)), max_size=60),
+       st.one_of(st.floats(0.0, 3.0), st.sampled_from((0.0, 0.5, 2.0, math.nan, math.inf))))
+def test_measurement_steps_equal_inline_loop(d_trans, distance):
+    # zero, negative and subnormal deltas, and exact multiples of 0.25, so
+    # that interval sums land exactly on the distance
+    traj = sim.Trajectory([SimpleNamespace(odom=(d, 0.1, -0.1)) for d in d_trans])
+    assert measurement_steps(traj, distance) == _reference_steps(traj, distance)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", [f.name for f in fields(MotionNoise)])
+def test_motion_noise_rejects_non_finite_and_negative(name, value):
+    # a NaN coefficient made sigmas NaN, and then `s > 0` dropped its noise
+    with pytest.raises(ValueError, match=f"noise coefficient {name} must be finite"):
+        MotionNoise(**{name: value})
+
+
 class TestReplayMatchesReference:
     """run_localization against the reference loop: the same StepRecords,
     float for float, with a ViewField passed in or built by the filter, and
     with a prior whose extraction parameters are not the defaults, and on a
     trajectory that ends between two measurement steps; two methods replay
-    one trajectory (the second reads the memoised scan strings)."""
+    one trajectory, each extracting its views afresh."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -552,6 +585,42 @@ class TestReplayMatchesReference:
             assert got[0][-1].step < len(traj.records) - 1
         inside = [r.inside_mass for r in got[0]]
         assert min(inside) < 0.99 and max(inside) > 0.01
+
+    @pytest.mark.parametrize("case", ["whole", "ends_mid_interval", "empty"])
+    def test_one_extraction_call_per_run(self, setup, monkeypatch, case):
+        partial, bundle, traj = setup
+        traj = {"whole": traj, "ends_mid_interval": sim.Trajectory(traj.records[:-3]),
+                "empty": sim.Trajectory([])}[case]
+        fc = FilterConfig(n_particles=100, seed=3, view_update_distance=1.0)
+        field = grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
+                                      *traj.scan_geometry)
+        batches, extract = [], views_module.extract_scan_strings
+
+        def counted(ranges, *args):
+            batches.append(len(ranges))
+            return extract(ranges, *args)
+
+        monkeypatch.setattr(views_module, "extract_scan_strings", counted)
+        records = run_localization(partial, FixedOutsideModel(0.01), bundle, traj, fc,
+                                   view_field=field)
+        assert batches == [len(records)]
+        assert [r.step for r in records] == measurement_steps(traj, 1.0)
+        assert (len(records) == 0) == (case == "empty")
+
+    @pytest.mark.parametrize("change", ["bearings", "max_range"])
+    def test_mixed_scan_geometry_rejected(self, setup, change):
+        partial, bundle, traj = setup
+        fc = FilterConfig(n_particles=100, seed=3, view_update_distance=1.0)
+        k = measurement_steps(traj, 1.0)[2]
+        scan = traj.records[k].scan
+        other = (views_module.RangeScan(scan.angles * 0.9, scan.ranges, scan.max_range)
+                 if change == "bearings" else
+                 views_module.RangeScan(scan.angles, scan.ranges, scan.max_range + 1.0))
+        records = list(traj.records)
+        records[k] = replace(records[k], scan=other)
+        with pytest.raises(ValueError, match="beam geometry differs"):
+            run_localization(partial, FixedOutsideModel(0.01), bundle,
+                             sim.Trajectory(records), fc)
 
 
 def test_divergence_is_a_filter_divergence():

@@ -112,41 +112,6 @@ def test_extraction_params_reject_non_finite_and_non_positive(name, value):
         ExtractionParams(**{name: value})
 
 
-@st.composite
-def _scans_and_params(draw):
-    n = draw(st.integers(3, 60))
-    ranges = draw(st.lists(st.one_of(st.floats(0.3, MAX_RANGE), st.just(MAX_RANGE)),
-                           min_size=n, max_size=n))
-    params = draw(st.lists(st.builds(
-        ExtractionParams,
-        gap_threshold=st.sampled_from((0.3, 1.0)),
-        max_range_margin=st.sampled_from((0.2, 0.5)),
-        corner_angle_threshold=st.sampled_from((0.3, 0.6)),
-        line_fit_tolerance=st.sampled_from((0.05, 0.1)),
-        min_group_beams=st.integers(1, 5)), min_size=1, max_size=6))
-    return default_bearings(n, math.pi), np.array(ranges), params
-
-
-@settings(max_examples=150, deadline=None)
-@given(_scans_and_params())
-def test_memoised_strings_equal_fresh_extraction(case):
-    # repeated and interleaved params: every answer is the one a fresh
-    # extraction gives for that params, never another params' entry
-    angles, ranges, params = case
-    scan = RangeScan(angles, ranges, MAX_RANGE)
-    for p in params + params[::-1]:
-        fresh = views_module.extract_scan_strings(ranges[None], angles, MAX_RANGE, p)[0]
-        assert extract_scan_string(scan, p) == fresh
-    assert set(scan._strings) == set(params)
-
-
-def test_memo_left_out_of_repr():
-    a, b = corridor_scan(), corridor_scan()
-    extract_scan_string(a, PARAMS)
-    assert a._strings and not b._strings
-    assert repr(a) == repr(b)
-
-
 class TestCanonicalize:
     def test_palindrome_fixed_point(self):
         assert canonicalize("wgw") == "wgw"
