@@ -184,8 +184,7 @@ def map_estimate(data, init: np.ndarray | None = None,
     environment zeroed fits as one removed.  A column with no counts
     keeps its init.  EvidenceError names the first column, in (fit, column)
     order, whose counts are not finite non-negative integers or, failing
-    that, whose evidence is not finite at initialization or, failing that,
-    in the earliest round.
+    that, whose evidence is not finite at initialization.
     """
     stack = np.asarray(data, dtype=float)
     if stack.ndim < 3 or stack.shape[-3] < 1 or stack.shape[-2] != stack.shape[-1]:
@@ -231,8 +230,6 @@ def map_estimate(data, init: np.ndarray | None = None,
         acc = tried & (fnew > fcur)
         # the ascent tries a step above the floor once every larger one failed
         seen = tried & (np.cumsum(acc, axis=0) - acc == 0)
-        _check_finite((np.isfinite(fnew) | ~seen).all(axis=0), batch,
-                      fit, cols, "non-finite evidence during ascent")
         moved = acc.any(axis=0)
         first = (acc.argmax(axis=0), np.arange(cols.size))  # first accepted
         theta = np.where(moved[:, None], trial[first], theta)

@@ -163,6 +163,8 @@ def sequence_log_score(partial: OccupancyGrid, trajectory: Trajectory, method: s
     observes, with no filter: the log step(z) of one fresh model fed every
     view at the filter's measurement steps, split by evaluate_pair's in-map
     test of the true pose and summed exactly (math.fsum)."""
+    if not 0.0 <= view_distance < math.inf:  # False for NaN
+        raise ValueError(f"view_distance must be finite and >= 0, got {view_distance!r}")
     model = method_builder(method)(bundle, partial)
     steps = measurement_steps(trajectory, view_distance)
     logs = {False: [], True: []}  # in map -> log step(z) of each step
@@ -176,43 +178,32 @@ def sequence_log_score(partial: OccupancyGrid, trajectory: Trajectory, method: s
 def precision_recall(results: list[PairResult], eval_config: EvalConfig) -> list[PRPoint]:
     """One PR point per method per threshold.  Ratios are computed per
     environment and averaged across environments; the count fields are summed
-    over everything."""
+    over everything.  Each method's steps are counted per environment with
+    np.bincount, the environments indexed in first-seen order."""
     if not results:
         raise ValueError("no pair results to aggregate")
-    methods = sorted({r.method for r in results})
     points = []
-    for method in methods:
-        per_env: dict[str, list[StepOutcome]] = {}
-        for r in results:
-            if r.method == method:
-                per_env.setdefault(r.environment, []).extend(r.steps)
+    for method in sorted({r.method for r in results}):
+        envs = {}  # environment -> index
+        steps = [(envs.setdefault(r.environment, len(envs)), s)
+                 for r in results if r.method == method for s in r.steps]
+        env = np.array([e for e, _ in steps], dtype=np.intp)
+        # -1.0 where no hypothesis existed, which no threshold in [0, 1] admits
+        prob = np.array([-1.0 if s.probability is None else s.probability
+                         for _, s in steps], dtype=float)
+        correct, in_map = np.array([(s.correct, s.in_map) for _, s in steps],
+                                   dtype=bool).reshape(-1, 2).T
+        tim = np.bincount(env[in_map], minlength=len(envs))
         for theta in eval_config.thresholds:
-            precisions, recalls = [], []
-            n_valid = n_correct = in_map = correct_t = 0
-            for steps in per_env.values():
-                nv = sum(1 for s in steps
-                         if s.probability is not None and s.probability >= theta)
-                nc = sum(1 for s in steps
-                         if s.probability is not None and s.probability >= theta
-                         and s.correct)
-                tim = sum(1 for s in steps if s.in_map)
-                tc = sum(1 for s in steps
-                         if s.in_map and s.probability is not None
-                         and s.probability >= theta and s.correct)
-                n_valid += nv
-                n_correct += nc
-                in_map += tim
-                correct_t += tc
-                if nv > 0:
-                    precisions.append(nc / nv)
-                if tim > 0:
-                    recalls.append(tc / tim)
-            precision = float(np.mean(precisions)) if precisions else None
-            recall = float(np.mean(recalls)) if recalls else 0.0
+            valid = prob >= theta
+            nv, nc, tc = (np.bincount(env[mask], minlength=len(envs)) for mask in
+                          (valid, valid & correct, valid & correct & in_map))
+            precision = float(np.mean(nc[nv > 0] / nv[nv > 0])) if nv.any() else None
+            recall = float(np.mean(tc[tim > 0] / tim[tim > 0])) if tim.any() else 0.0
             points.append(PRPoint(method=method, theta=float(theta),
                                   precision=precision, recall=recall,
-                                  n_valid=n_valid, n_correct_valid=n_correct,
-                                  time_in_map=in_map, time_correct=correct_t))
+                                  n_valid=int(nv.sum()), n_correct_valid=int(nc.sum()),
+                                  time_in_map=int(tim.sum()), time_correct=int(tc.sum())))
     return points
 
 

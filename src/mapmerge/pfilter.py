@@ -242,6 +242,16 @@ class FilterConfig:
     seed: int = 0
     view_update_distance: float = 2.0
 
+    def __post_init__(self):
+        if self.n_particles % 1 or not self.n_particles >= 1:  # NaN fails both
+            raise ValueError("n_particles must be a whole number >= 1, "
+                             f"got {self.n_particles!r}")
+        # an int, so that a whole float such as 2.0 still sizes arrays
+        object.__setattr__(self, "n_particles", int(self.n_particles))
+        if not 0.0 <= self.view_update_distance < math.inf:  # False for NaN
+            raise ValueError("view_update_distance must be finite and >= 0, "
+                             f"got {self.view_update_distance!r}")
+
 
 @dataclass(frozen=True)
 class StepRecord:

@@ -434,14 +434,11 @@ def make_training_data(maps: list[OccupancyGrid], trajectories_per_map: int,
                 confusion.append(dirichlet.new_counts(alphabet.nu))
                 map_index.append(m)
             partner = carve_partial_map(grid, map_runs[(j + 1) % len(map_runs)][0], cfg)
-            prev = None  # no transition across trajectory boundaries
-            for s_noisy, clean in zip(noisy, _reference_views(grid, partner, picked,
-                                                              alphabet, params, cfg)):
-                v = view_of(alphabet, s_noisy)
-                dirichlet.increment(confusion[-1], clean, v)
-                if prev is not None:
-                    dirichlet.increment(counts[-1], prev, v)
-                prev = v
+            v = np.array([view_of(alphabet, s) for s in noisy], dtype=np.intp)
+            clean = np.array(_reference_views(grid, partner, picked, alphabet, params, cfg),
+                             dtype=np.intp)
+            np.add.at(confusion[-1], (v, clean), 1)
+            np.add.at(counts[-1], (v[1:], v[:-1]), 1)  # within the run only
 
     return TrainingData(alphabet=alphabet, counts=np.array(counts),
                         map_index=np.array(map_index), confusion=np.array(confusion))

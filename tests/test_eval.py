@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapmerge import cli, dirichlet, evalharness, fixtures, sim, training
@@ -197,6 +197,85 @@ class TestPrecisionRecall:
             EvalConfig(**{name: value})
 
 
+def _ref_precision_recall(results, eval_config):
+    """precision_recall as a loop over each environment's steps per
+    threshold, the reference the array tally must reproduce bit for bit."""
+    methods = sorted({r.method for r in results})
+    points = []
+    for method in methods:
+        per_env = {}
+        for r in results:
+            if r.method == method:
+                per_env.setdefault(r.environment, []).extend(r.steps)
+        for theta in eval_config.thresholds:
+            precisions, recalls = [], []
+            n_valid = n_correct = in_map = correct_t = 0
+            for steps in per_env.values():
+                nv = sum(1 for s in steps
+                         if s.probability is not None and s.probability >= theta)
+                nc = sum(1 for s in steps
+                         if s.probability is not None and s.probability >= theta
+                         and s.correct)
+                tim = sum(1 for s in steps if s.in_map)
+                tc = sum(1 for s in steps
+                         if s.in_map and s.probability is not None
+                         and s.probability >= theta and s.correct)
+                n_valid += nv
+                n_correct += nc
+                in_map += tim
+                correct_t += tc
+                if nv > 0:
+                    precisions.append(nc / nv)
+                if tim > 0:
+                    recalls.append(tc / tim)
+            precision = float(np.mean(precisions)) if precisions else None
+            recall = float(np.mean(recalls)) if recalls else 0.0
+            points.append(PRPoint(method=method, theta=float(theta),
+                                  precision=precision, recall=recall,
+                                  n_valid=n_valid, n_correct_valid=n_correct,
+                                  time_in_map=in_map, time_correct=correct_t))
+    return points
+
+
+@st.composite
+def _pr_inputs(draw):
+    """Thresholds in [0, 1], always with 0.0 and 1.0, and pair results of
+    interleaved methods and environments, some with no steps, whose
+    probabilities are None, exactly a threshold or anything in [0, 1]."""
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    thresholds = tuple(sorted({0.0, 1.0, *extra}))
+    probability = st.one_of(st.none(), st.sampled_from(thresholds), st.floats(0.0, 1.0))
+    step = st.builds(StepOutcome, probability, st.booleans(), st.booleans())
+    pair = st.builds(PairResult, st.sampled_from(["E1", "E2", "E3"]),
+                     st.sampled_from(["m1", "m2"]), st.lists(step, max_size=6))
+    return draw(st.lists(pair, min_size=1, max_size=8)), EvalConfig(thresholds=thresholds)
+
+
+# E2 is never in the map, m2's E3 pair and m3's only pair have no steps,
+# and probabilities sit exactly at 0.0, 0.5 and 1.0
+_PR_EDGE_CASES = [
+    PairResult("E1", "m1", outcomes((0.5, True, True), (None, False, True))),
+    PairResult("E2", "m2", outcomes((1.0, True, False), (0.0, False, False))),
+    PairResult("E2", "m1", outcomes((0.7, True, False), (None, False, False))),
+    PairResult("E3", "m2", []),
+    PairResult("E1", "m1", outcomes((1.0, False, True), (0.25, True, True))),
+    PairResult("E1", "m3", []),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pr_inputs())
+@example((_PR_EDGE_CASES, EvalConfig(thresholds=(0.0, 0.5, 1.0))))
+@example((_PR_EDGE_CASES, EvalConfig()))
+def test_precision_recall_matches_loop_reference(inputs):
+    results, cfg = inputs
+    got, want = precision_recall(results, cfg), _ref_precision_recall(results, cfg)
+    assert pr_table(got) == pr_table(want)
+    assert got == want
+    for g, w in zip(got, want):
+        assert [type(v) for v in vars(g).values()] == [type(v) for v in vars(w).values()]
+
+
 class TestCurveSummaries:
     def mk(self, pairs):
         return [PRPoint("m", 0.5, p, r, 1, 1, 1, 1) for p, r in pairs]
@@ -266,6 +345,13 @@ class TestSequenceLogScore:
                                         EvalConfig())
         assert score.in_map_steps == sum(s.in_map for s in res.steps)
         assert score.outside_steps == sum(not s.in_map for s in res.steps)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_view_distance_must_be_finite_and_non_negative(self, pair, value):
+        partial, bundle, traj = pair
+        with pytest.raises(ValueError, match="view_distance must be finite and >= 0"):
+            evalharness.sequence_log_score(partial, traj, "prior_only", bundle,
+                                           view_distance=value)
 
     @pytest.mark.parametrize("power", [-20, -3, 1, 30])
     def test_prior_only_reads_column_means_only(self, pair, power):

@@ -528,6 +528,25 @@ def test_motion_noise_rejects_non_finite_and_negative(name, value):
         MotionNoise(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -3, 0.5, 2.5])
+def test_filter_config_rejects_particle_counts_not_whole_and_positive(value):
+    with pytest.raises(ValueError, match="n_particles must be a whole number >= 1"):
+        FilterConfig(n_particles=value)
+
+
+def test_filter_config_stores_a_whole_float_particle_count_as_int():
+    config = FilterConfig(n_particles=3.0)
+    assert config.n_particles == 3 and type(config.n_particles) is int
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_filter_config_rejects_non_finite_and_negative_view_distance(value):
+    # NaN and -1.0 made every record a measurement step, inf none
+    with pytest.raises(ValueError, match="view_update_distance must be finite and >= 0"):
+        FilterConfig(view_update_distance=value)
+    assert FilterConfig(view_update_distance=0.0).view_update_distance == 0.0
+
+
 class TestReplayMatchesReference:
     """run_localization against the reference loop: the same StepRecords,
     float for float, with a ViewField passed in or built by the filter, and
