@@ -67,14 +67,14 @@ def cmd_simulate(args) -> int:
     cfg = sim.WorldConfig(seed=args.seed)
     traj = sim.generate_trajectory(grid, start, args.policy, args.length, cfg,
                                    waypoints=waypoints)
-    Path(args.out).write_text(sim.dump_trajectory(traj, cfg))
+    Path(args.out).write_text(sim.dump_trajectory(traj))
     return 0
 
 
 def cmd_carve(args) -> int:
     grid = _read(args.map, load_map)
-    traj, cfg = _read(args.trajectory, sim.load_trajectory)
-    partial = sim.carve_partial_map(grid, traj, cfg)
+    traj = _read(args.trajectory, sim.load_trajectory)
+    partial = sim.carve_partial_map(grid, traj, traj.cfg)
     Path(args.out).write_text(dump_map(partial))
     return 0
 
@@ -98,7 +98,7 @@ def cmd_localize(args) -> int:
     build = evalharness.method_builder(args.method)
     partial = _read(args.map, load_map)
     bundle = _read(args.prior, load_prior)
-    traj, _ = _read(args.trajectory, sim.load_trajectory)
+    traj = _read(args.trajectory, sim.load_trajectory)
     records = run_localization(partial, build(bundle, partial), bundle, traj, fc)
     Path(args.out).write_text(format_step_log(records))
     return 0
@@ -140,10 +140,10 @@ def cmd_evaluate(args) -> int:
     view_fields: dict[tuple, ViewField] = {}
     for pair in pairs:
         partial = _read(pair["partial_map"], load_map)
-        traj, _ = _read(pair["trajectory"], sim.load_trajectory)
+        traj = _read(pair["trajectory"], sim.load_trajectory)
         bundle = _read(pair["prior"], load_prior)
         offset = tuple(pair.get("offset", (0.0, 0.0, 0.0)))
-        bearings, max_range = traj.scan_geometry
+        bearings, max_range = traj.cfg.bearings, traj.cfg.max_range
         # a field depends on the map, the prior's views and the sensor
         key = (pair["partial_map"], bundle.alphabet.content_hash(),
                bundle.extraction, bearings.tobytes(), max_range)

@@ -184,9 +184,10 @@ def precision_recall(results: list[PairResult], eval_config: EvalConfig) -> list
         raise ValueError("no pair results to aggregate")
     points = []
     for method in sorted({r.method for r in results}):
-        envs = {}  # environment -> index
-        steps = [(envs.setdefault(r.environment, len(envs)), s)
-                 for r in results if r.method == method for s in r.steps]
+        pairs = [r for r in results if r.method == method]
+        # environment -> index, first seen over all pairs, a pair without steps too
+        envs = {e: k for k, e in enumerate(dict.fromkeys(r.environment for r in pairs))}
+        steps = [(envs[r.environment], s) for r in pairs for s in r.steps]
         env = np.array([e for e, _ in steps], dtype=np.intp)
         # -1.0 where no hypothesis existed, which no threshold in [0, 1] admits
         prob = np.array([-1.0 if s.probability is None else s.probability

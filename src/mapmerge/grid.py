@@ -456,8 +456,9 @@ class ViewField:
                  params: ExtractionParams, bearings: np.ndarray | None = None,
                  max_range: float = 8.0, stride_cells: int = 5,
                  n_headings: int = 8):
-        if stride_cells < 1 or n_headings < 1:
-            raise ValueError("stride_cells and n_headings must be >= 1")
+        for name, value in (("stride_cells", stride_cells), ("n_headings", n_headings)):
+            if value % 1 or not value >= 1:  # NaN fails both
+                raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
         self.grid = grid
         self.stride = int(stride_cells)
         self.n_headings = int(n_headings)

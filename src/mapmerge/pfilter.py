@@ -243,11 +243,13 @@ class FilterConfig:
     view_update_distance: float = 2.0
 
     def __post_init__(self):
-        if self.n_particles % 1 or not self.n_particles >= 1:  # NaN fails both
-            raise ValueError("n_particles must be a whole number >= 1, "
-                             f"got {self.n_particles!r}")
-        # an int, so that a whole float such as 2.0 still sizes arrays
-        object.__setattr__(self, "n_particles", int(self.n_particles))
+        for name, low in (("n_particles", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value % 1 or not value >= low:  # NaN fails both
+                raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
+            # an int, so that a whole float such as 2.0 still sizes arrays
+            # and seeds a generator
+            object.__setattr__(self, name, int(value))
         if not 0.0 <= self.view_update_distance < math.inf:  # False for NaN
             raise ValueError("view_update_distance must be finite and >= 0, "
                              f"got {self.view_update_distance!r}")
@@ -276,11 +278,11 @@ def measurement_steps(trajectory, distance: float) -> list[int]:
 
 def observed_views(trajectory, steps: list[int], bundle: PriorBundle) -> list[int]:
     """The prior's view id of the scan at each of steps, all extracted in
-    one call; each such scan must have the trajectory's scan_geometry."""
-    bearings, max_range = trajectory.scan_geometry
+    one call; each such scan must have the beam geometry of trajectory.cfg."""
+    bearings, max_range = trajectory.cfg.bearings, trajectory.cfg.max_range
     scans = [trajectory.records[k].scan for k in steps]
     if any(s.max_range != max_range or not np.array_equal(s.angles, bearings) for s in scans):
-        raise ValueError("a measured scan's beam geometry differs from the first record's")
+        raise ValueError("a measured scan's beam geometry differs from the header's")
     ranges = np.reshape([scan.ranges for scan in scans], (-1, len(bearings)))
     return [_views.view_of(bundle.alphabet, s) for s in _views.extract_scan_strings(
         ranges, bearings, max_range, bundle.extraction)]
@@ -292,12 +294,12 @@ def run_localization(grid: OccupancyGrid, structure, bundle: PriorBundle, trajec
     motion update through the odometry records since the last step, then a
     measurement update at the step's entry of observed_views.  Records
     after the last step move no particle: nothing reads them.  A ViewField
-    with the trajectory's beam geometry is built over the grid unless one
-    is passed in.
+    with the beam geometry of the trajectory's header is built over the grid
+    unless one is passed in.
     """
     if view_field is None:
         view_field = _grid.ViewField(grid, bundle.alphabet, bundle.extraction,
-                                     *trajectory.scan_geometry)
+                                     trajectory.cfg.bearings, trajectory.cfg.max_range)
     steps = measurement_steps(trajectory, config.view_update_distance)
     views = observed_views(trajectory, steps, bundle)
     ps = init_filter(grid, config.n_particles, config.seed)

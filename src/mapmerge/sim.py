@@ -49,6 +49,9 @@ class WorldConfig:
                              f"got {self.range_noise_sigma!r}")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError(f"dropout_prob must lie in [0, 1], got {self.dropout_prob!r}")
+        if self.seed % 1 or not self.seed >= 0:  # NaN fails both
+            raise ValueError(f"seed must be a whole number >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # so that 2.0 seeds a generator
 
     @cached_property
     def bearings(self) -> np.ndarray:
@@ -67,17 +70,8 @@ class TrajectoryRecord:
 @dataclass
 class Trajectory:
     records: list[TrajectoryRecord]
+    cfg: WorldConfig  # the sensor of the records: a log header's beam geometry
     truncated: bool = False
-
-    @property
-    def scan_geometry(self) -> tuple[np.ndarray, float]:
-        """(bearings, max_range) of the trajectory's scans; the default
-        sensor's when there are no records."""
-        if not self.records:
-            cfg = WorldConfig()
-            return cfg.bearings, cfg.max_range
-        scan = self.records[0].scan
-        return scan.angles, scan.max_range
 
 
 def simulate_scan(grid: OccupancyGrid, poses: Sequence[Pose], cfg: WorldConfig,
@@ -291,7 +285,7 @@ def generate_trajectory(grid: OccupancyGrid, start: Pose, policy,
     run = _walk(grid, start, policy, length, cfg, rng, waypoints)
     scans = simulate_scan(grid, run.poses, cfg, run.noise, run.uniforms)
     records = [TrajectoryRecord(*rec) for rec in zip(run.poses, run.odoms, scans)]
-    return Trajectory(records=records, truncated=run.truncated)
+    return Trajectory(records, cfg, run.truncated)
 
 
 def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory | Sequence[Pose],
@@ -300,8 +294,9 @@ def carve_partial_map(grid: OccupancyGrid, trajectory: Trajectory | Sequence[Pos
     or the given poses) would have built it: noise-free rays from every pose
     reveal the cells they traverse and the OCCUPIED cell that stops them,
     and a pose in a FREE cell reveals that cell; everything else stays
-    UNKNOWN.  Only poses are read, so a run carved from need not be sensed.
-    A pose off the grid raises a ValueError that names its record."""
+    UNKNOWN.  cfg is the carving sensor: its bearings and max range cast the
+    rays.  Only poses are read, so a run carved from need not be sensed.  A
+    pose off the grid raises a ValueError that names its record."""
     poses = ([r.true_pose for r in trajectory.records]
              if isinstance(trajectory, Trajectory) else list(trajectory))
     cells = grid.cells.ravel()
@@ -452,11 +447,11 @@ def _random_free_pose(grid: OccupancyGrid, rng: np.random.Generator) -> Pose:
 
 # ---------------------------------------------------------------- log format
 
-def dump_trajectory(traj: Trajectory, cfg: WorldConfig) -> str:
-    """One header line with the beam geometry, then one record per line:
-    step, true pose, odometry delta, beam ranges."""
-    lines = [f"beams {cfg.beam_count} fov {cfg.fov!r} max_range {cfg.max_range!r}"
-             f" truncated {int(traj.truncated)}"]
+def dump_trajectory(traj: Trajectory) -> str:
+    """One header line with the beam geometry of traj.cfg, then one record
+    per line: step, true pose, odometry delta, beam ranges."""
+    lines = [f"beams {traj.cfg.beam_count} fov {traj.cfg.fov!r} "
+             f"max_range {traj.cfg.max_range!r} truncated {int(traj.truncated)}"]
     for k, rec in enumerate(traj.records):
         p = rec.true_pose
         fields = [str(k), repr(p.x), repr(p.y), repr(p.theta),
@@ -466,10 +461,10 @@ def dump_trajectory(traj: Trajectory, cfg: WorldConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_trajectory(text: str) -> tuple[Trajectory, WorldConfig]:
-    """Parse a dump_trajectory log into the trajectory and a WorldConfig of
-    its header's beam geometry; a malformed line raises a ValueError that
-    names it."""
+def load_trajectory(text: str) -> Trajectory:
+    """Parse a dump_trajectory log into a trajectory whose cfg is a
+    WorldConfig of its header's beam geometry; a malformed line raises a
+    ValueError that names it."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("beams "):
         raise ValueError("line 1: trajectory log must start with a 'beams' header")
@@ -508,4 +503,4 @@ def load_trajectory(text: str) -> tuple[Trajectory, WorldConfig]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         records.append(TrajectoryRecord(true_pose=pose, odom=odom, scan=scan))
-    return Trajectory(records=records, truncated=h[7] == "1"), cfg
+    return Trajectory(records, cfg, h[7] == "1")

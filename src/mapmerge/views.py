@@ -377,14 +377,14 @@ class ViewAlphabet:
 def alphabet_build(strings, max_views: int) -> ViewAlphabet:
     """Alphabet of the most frequent canonical strings (frequency descending,
     ties lexicographic), capped at max_views including the catch-all."""
-    if max_views < 2:
-        raise ValueError(f"max_views must be at least 2 (one view and the catch-all), "
-                         f"got {max_views}")
+    if max_views % 1 or not max_views >= 2:  # NaN fails both
+        raise ValueError("max_views must be at least 2 (one view and the catch-all), "
+                         f"a whole number, got {max_views!r}")
     counter = Counter(canonicalize(s) for s in strings)
     if not counter:
         raise ValueError("cannot build an alphabet from no strings")
     ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [s for s, _ in ranked[:max_views - 1]]
+    kept = [s for s, _ in ranked[:int(max_views) - 1]]
     return ViewAlphabet(tuple(kept) + (OTHER,))
 
 

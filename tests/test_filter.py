@@ -21,7 +21,7 @@ from mapmerge.pfilter import (FilterConfig, FilterDivergence, MotionNoise,
                               StepRecord, _bounds_log_penalty, best_hypothesis,
                               effective_sample_size, init_filter, logsumexp,
                               measurement_steps, measurement_update, motion_update,
-                              resample_if_needed, run_localization,
+                              observed_views, resample_if_needed, run_localization,
                               format_step_log)
 from mapmerge.structure import FixedOutsideModel
 from mapmerge.views import ExtractionParams, alphabet_build
@@ -342,15 +342,19 @@ class TestRunLocalization:
                 if value != "NONE":
                     float(value)  # a numpy repr such as np.float64(...) fails
 
-    def test_view_field_follows_trajectory_geometry(self, monkeypatch):
+    @pytest.mark.parametrize("length", [4.0, 0.0])
+    def test_view_field_follows_trajectory_geometry(self, monkeypatch, length):
+        # at length 0 the log is its header alone, which used to get the
+        # default sensor's field, 181 beams and 8 m
         grid = fixtures.corridor(length=8.0)
-        cfg = sim.WorldConfig(beam_count=91, max_range=5.0, seed=4)
+        cfg = sim.WorldConfig(beam_count=91, fov=2.0, max_range=5.0, seed=4)
         bundle = training.train_prior_bundle([grid], cfg, ExtractionParams(),
                                              trajectories_per_map=1, max_views=6,
                                              trajectory_length=10.0)
-        traj, _ = sim.load_trajectory(sim.dump_trajectory(
-            sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0), "waypoints", 4.0,
-                                    cfg, waypoints=[(8.0, 2.5)]), cfg))
+        traj = sim.load_trajectory(sim.dump_trajectory(
+            sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0), "waypoints", length,
+                                    cfg, waypoints=[(8.0, 2.5)])))
+        assert (len(traj.records) == 0) == (length == 0.0)
         built = []
 
         class RecordingField(grid_module.ViewField):
@@ -516,7 +520,8 @@ def _reference_steps(trajectory, distance):
 def test_measurement_steps_equal_inline_loop(d_trans, distance):
     # zero, negative and subnormal deltas, and exact multiples of 0.25, so
     # that interval sums land exactly on the distance
-    traj = sim.Trajectory([SimpleNamespace(odom=(d, 0.1, -0.1)) for d in d_trans])
+    traj = sim.Trajectory([SimpleNamespace(odom=(d, 0.1, -0.1)) for d in d_trans],
+                          sim.WorldConfig())
     assert measurement_steps(traj, distance) == _reference_steps(traj, distance)
 
 
@@ -546,6 +551,17 @@ def test_filter_config_rejects_non_finite_and_negative_view_distance(value):
         FilterConfig(view_update_distance=value)
     assert FilterConfig(view_update_distance=0.0).view_update_distance == 0.0
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1, -0.5, 2.5])
+def test_filter_config_rejects_seeds_not_whole_and_non_negative(value):
+    # 2.5 and -1 used to fail inside numpy, at the first replay
+    with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+        FilterConfig(seed=value)
+
+
+def test_filter_config_stores_a_whole_float_seed_as_int():
+    config = FilterConfig(seed=3.0)
+    assert config.seed == 3 and type(config.seed) is int
 
 class TestReplayMatchesReference:
     """run_localization against the reference loop: the same StepRecords,
@@ -585,10 +601,10 @@ class TestReplayMatchesReference:
                                                        ExtractionParams())]
             assert views[0] != views[1]
         if case == "ends_mid_interval":
-            traj = sim.Trajectory(traj.records[:-3])
+            traj = sim.Trajectory(traj.records[:-3], traj.cfg)
         fc = FilterConfig(n_particles=400, seed=3, view_update_distance=1.0)
         field = grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
-                                      *traj.scan_geometry)
+                                      traj.cfg.bearings, traj.cfg.max_range)
         methods = ("hierarchical_adaptive", "fixed:0.01")
         got = [run_localization(partial,
                                 evalharness.method_builder(m)(bundle, partial),
@@ -608,11 +624,12 @@ class TestReplayMatchesReference:
     @pytest.mark.parametrize("case", ["whole", "ends_mid_interval", "empty"])
     def test_one_extraction_call_per_run(self, setup, monkeypatch, case):
         partial, bundle, traj = setup
-        traj = {"whole": traj, "ends_mid_interval": sim.Trajectory(traj.records[:-3]),
-                "empty": sim.Trajectory([])}[case]
+        traj = {"whole": traj,
+                "ends_mid_interval": sim.Trajectory(traj.records[:-3], traj.cfg),
+                "empty": sim.Trajectory([], traj.cfg)}[case]
         fc = FilterConfig(n_particles=100, seed=3, view_update_distance=1.0)
         field = grid_module.ViewField(partial, bundle.alphabet, bundle.extraction,
-                                      *traj.scan_geometry)
+                                      traj.cfg.bearings, traj.cfg.max_range)
         batches, extract = [], views_module.extract_scan_strings
 
         def counted(ranges, *args):
@@ -639,8 +656,18 @@ class TestReplayMatchesReference:
         records[k] = replace(records[k], scan=other)
         with pytest.raises(ValueError, match="beam geometry differs"):
             run_localization(partial, FixedOutsideModel(0.01), bundle,
-                             sim.Trajectory(records), fc)
+                             sim.Trajectory(records, traj.cfg), fc)
 
+
+    @pytest.mark.parametrize("change", ["beam_count", "max_range"])
+    def test_scans_must_match_the_header(self, setup, change):
+        # every record agrees with the first, but none with the header
+        partial, bundle, traj = setup
+        cfg = (replace(traj.cfg, beam_count=91) if change == "beam_count" else
+               replace(traj.cfg, max_range=traj.cfg.max_range + 1.0))
+        other = sim.Trajectory(traj.records, cfg)
+        with pytest.raises(ValueError, match="beam geometry differs from the header's"):
+            observed_views(other, measurement_steps(other, 1.0), bundle)
 
 def test_divergence_is_a_filter_divergence():
     # every particle inside with a zero view likelihood underflows them all

@@ -835,6 +835,15 @@ class TestViewField:
             field.table, reference_table(g, bearings, max_range, stride, n_headings))
 
 
+    @pytest.mark.parametrize("name", ["stride_cells", "n_headings"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, math.nan, math.inf])
+    def test_lattice_sizes_must_be_whole_numbers_at_least_1(self, name, value):
+        # 2.5 used to build a lattice of 2
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a whole number >= 1, got {value!r}") + "$"):
+            ViewField(fixtures.corridor(), FIELD_ALPHABET, ExtractionParams(),
+                      **{name: value})
+
     def test_build_peak_memory_stays_small(self):
         # a 300 x 200 partial map, explored in its west 4 m: 124 FREE sites,
         # nine cast batches of about CAST_CHUNK_RAYS rays.  A build peaked

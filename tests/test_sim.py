@@ -53,11 +53,18 @@ class TestWorldConfig:
         ("beam_count", 2, "beam_count must be an integer >= 3, got 2"),
         ("fov", math.nan, "fov must lie in (0, 2*pi], got nan"),
         ("dropout_prob", math.nan, "dropout_prob must lie in [0, 1], got nan"),
+        # 2.5 and -1 used to fail inside numpy, at the first generate_trajectory
+        *[("seed", value, f"seed must be a whole number >= 0, got {value!r}")
+          for value in (math.nan, math.inf, -1, -0.5, 2.5)],
     ])
     def test_bad_value_names_its_field(self, name, value, message):
         with pytest.raises(ValueError) as info:
             sim.WorldConfig(**{name: value})
         assert str(info.value) == message
+
+    def test_whole_float_seed_is_stored_as_int(self):
+        cfg = sim.WorldConfig(seed=3.0)
+        assert cfg.seed == 3 and type(cfg.seed) is int
 
     def test_numpy_integer_beam_count(self):
         assert len(sim.WorldConfig(beam_count=np.int64(31)).bearings) == 31
@@ -318,7 +325,7 @@ def _ref_generate_trajectory(grid, start, policy, length, cfg, rng, waypoints=No
         scan = _ref_simulate_scan(grid, new_pose, cfg, rng)
         records.append(sim.TrajectoryRecord(true_pose=new_pose, odom=odom, scan=scan))
         pose = new_pose
-    return sim.Trajectory(records=records, truncated=truncated)
+    return sim.Trajectory(records=records, cfg=cfg, truncated=truncated)
 
 
 def _stuck_world():
@@ -612,7 +619,8 @@ def _ref_make_training_data(maps, trajectories_per_map, cfg, params, max_views=1
         partials = []
         for t in trajs:
             keep = max(1, int(len(t.records) * sim.PARTNER_FRACTION))
-            prefix = sim.Trajectory(records=t.records[:keep], truncated=t.truncated)
+            prefix = sim.Trajectory(records=t.records[:keep], cfg=t.cfg,
+                                    truncated=t.truncated)
             partials.append(sim.carve_partial_map(grid, prefix, cfg))
         for j, traj in enumerate(trajs):
             partner = partials[(j + 1) % len(partials)]
@@ -864,16 +872,16 @@ class TestTrajectoryLog:
         cfg = sim.WorldConfig(seed=7)
         traj = sim.generate_trajectory(grid, Pose(2.0, 2.5, 0.0),
                                        "random_explore", 6.0, cfg)
-        text = sim.dump_trajectory(traj, cfg)
-        loaded, loaded_cfg = sim.load_trajectory(text)
-        assert loaded_cfg.beam_count == cfg.beam_count
+        text = sim.dump_trajectory(traj)
+        loaded = sim.load_trajectory(text)
+        assert loaded.cfg.beam_count == cfg.beam_count
         assert loaded.truncated == traj.truncated
         assert len(loaded.records) == len(traj.records)
         for ra, rb in zip(traj.records, loaded.records):
             assert ra.true_pose == rb.true_pose
             assert ra.odom == rb.odom
             np.testing.assert_array_equal(ra.scan.ranges, rb.scan.ranges)
-        assert sim.dump_trajectory(loaded, cfg) == text
+        assert sim.dump_trajectory(loaded) == text
 
     def test_round_trip_from_random_free_pose(self):
         # the start is a cell center of numpy indices; every pose walked
@@ -883,9 +891,23 @@ class TestTrajectoryLog:
         rng = np.random.default_rng(11)
         traj = sim.generate_trajectory(grid, sim._random_free_pose(grid, rng),
                                        "wall_follow", 5.0, cfg, rng)
-        loaded, _ = sim.load_trajectory(sim.dump_trajectory(traj, cfg))
+        loaded = sim.load_trajectory(sim.dump_trajectory(traj))
         assert [rec.true_pose for rec in loaded.records] == [
             rec.true_pose for rec in traj.records]
+
+    @pytest.mark.parametrize("length", [3.0, 0.0])
+    def test_round_trip_keeps_its_sensor(self, length):
+        # a 91-beam, 2 rad, 5 m sensor; at length 0 the log is its header
+        # alone, and an empty trajectory still names its own sensor
+        cfg = sim.WorldConfig(beam_count=91, fov=2.0, max_range=5.0, seed=3)
+        traj = sim.generate_trajectory(fixtures.corridor(), Pose(2.0, 2.5, 0.0),
+                                       "waypoints", length, cfg, waypoints=[(8.0, 2.5)])
+        assert traj.cfg is cfg and (len(traj.records) == 0) == (length == 0.0)
+        text = sim.dump_trajectory(traj)
+        assert text.startswith("beams 91 fov 2.0 max_range 5.0 truncated 0\n")
+        loaded = sim.load_trajectory(text)
+        assert (loaded.cfg.beam_count, loaded.cfg.fov, loaded.cfg.max_range) == (91, 2.0, 5.0)
+        assert sim.dump_trajectory(loaded) == text
 
     def test_rejects_missing_header(self):
         with pytest.raises(ValueError):
@@ -947,7 +969,8 @@ class TestTrajectoryLog:
     def test_loaded_config_is_the_header_geometry(self):
         text = ("beams 3 fov 3.0 max_range 6.5 truncated 1\n"
                 "0 1.0 2.0 0.0 0.1 0.0 0.0 5.0 5.0 5.0\n")
-        loaded, cfg = sim.load_trajectory(text)
+        loaded = sim.load_trajectory(text)
+        cfg = loaded.cfg
         assert (cfg.beam_count, cfg.fov, cfg.max_range) == (3, 3.0, 6.5)
         assert loaded.truncated is True
         assert loaded.records[0].scan.angles is cfg.bearings

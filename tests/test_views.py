@@ -99,7 +99,7 @@ class TestRangeScan:
         cfg = sim.WorldConfig(seed=1)
         traj = sim.generate_trajectory(fixtures.corridor(), Pose(2.0, 2.5, 0.0),
                                        "waypoints", 2.0, cfg, waypoints=[(8.0, 2.5)])
-        loaded, _ = sim.load_trajectory(sim.dump_trajectory(traj, cfg))
+        loaded = sim.load_trajectory(sim.dump_trajectory(traj))
         assert len({id(r.scan.angles) for r in loaded.records}) == 1
 
 
@@ -596,6 +596,18 @@ class TestAlphabet:
     def test_rejects_fewer_than_two_views(self, max_views):
         with pytest.raises(ValueError, match=f"max_views must be at least 2.*got {max_views}"):
             alphabet_build(["wmw", "wgw"], max_views=max_views)
+
+    @pytest.mark.parametrize("max_views", [2.5, math.nan, math.inf])
+    def test_rejects_max_views_not_whole(self, max_views):
+        # 2.5 used to raise a TypeError from the slice
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_views must be at least 2 (one view and the catch-all), "
+                f"a whole number, got {max_views!r}") + "$"):
+            alphabet_build(["wmw", "wgw"], max_views=max_views)
+
+    def test_whole_float_max_views(self):
+        assert (alphabet_build(["wmw", "wgw", "wmw"], max_views=2.0)
+                == alphabet_build(["wmw", "wgw", "wmw"], max_views=2))
 
     def test_two_views_keep_the_most_frequent(self):
         assert alphabet_build(["wgw", "wmw", "wmw"], max_views=2).entries == ("wmw", OTHER)
